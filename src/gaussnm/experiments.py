@@ -128,7 +128,8 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, raw = ln.partition("=")
         key, raw = key.strip(), raw.strip()
         if key in _LIST_KEYS:
-            kwargs[_LIST_KEYS[key]] = tuple(float(v) for v in raw.split(","))
+            kwargs[_LIST_KEYS[key]] = (tuple(float(v) for v in raw.split(","))
+                                       if raw else ())
         elif key in _SCALARS:
             kwargs[_FIELD_OF.get(key, key)] = _SCALARS[key](raw)
         else:

@@ -20,8 +20,10 @@ def read_csv(path):
 
 
 class TestConfig:
-    def test_roundtrip(self):
-        cfg = fig_defaults(3)
+    @pytest.mark.parametrize("figure", [1, 2, 3, 4, 5])
+    def test_roundtrip(self, figure):
+        # fig1 has no temperatures, so its file holds an empty "T=" list
+        cfg = fig_defaults(figure)
         text = format_config(cfg)
         assert text.splitlines()[0] == "schema=1"
         assert parse_config(text) == cfg

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from gaussnm import (
     DampingChannel,
@@ -29,8 +30,14 @@ from gaussnm import (
     measure_record,
     squeezed_response,
 )
-from gaussnm.measure import NegativityInterval, first_order_pure_combination
+from gaussnm.measure import (
+    _NOISE_FLOOR,
+    NegativityInterval,
+    _locate_extrema,
+    first_order_pure_combination,
+)
 from gaussnm.spectral import EnvironmentSpec
+from gaussnm.states import fidelity
 
 RATE = DampingRateSpec.decaying_sine()
 ENV_REF = EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=0.2)
@@ -86,6 +93,7 @@ class TestFidelityTrajectory:
                                    np.linspace(0.0, 15.0, 501))
         assert np.all(np.diff(traj.fidelities) >= -1e-14)
         assert traj.fidelities[-1] > traj.fidelities[0]
+        assert traj.extrema == ()
 
     def test_single_decrease_interval_at_rate_negativity(self):
         traj = fidelity_trajectory(coherent_pair(1.0), damping_channel(0.1),
@@ -102,6 +110,96 @@ class TestFidelityTrajectory:
         ts = sorted(t for t, _, _ in traj.extrema)
         assert ts[0] == pytest.approx(math.pi, abs=25.0 * 1e-6 * 5)
         assert ts[1] == pytest.approx(2.0 * math.pi, abs=25.0 * 1e-6 * 5)
+
+
+def search_extremum(pair, channel, lo, hi, kind):
+    """Bounded scalar search on the GaussianState path: evolve + fidelity."""
+    s1, s2 = pair.states()
+
+    def fid(t):
+        return fidelity(channel.evolve(s1, t), channel.evolve(s2, t))
+
+    res = minimize_scalar(lambda t: -kind * fid(t), bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-10})
+    return float(res.x), fid(float(res.x))
+
+
+def physical_qbm_channel():
+    # Delta > gamma keeps both evolved states above the Heisenberg bound,
+    # which the GaussianState path of the search enforces
+    table = coefficients_from_functions(RATE.rate, lambda t: RATE.rate(t) + 0.05,
+                                        alpha=0.1, t_end=25.0, n_steps=1000)
+    return QbmChannel(table)
+
+
+class TestExtremumRefinement:
+    @pytest.mark.parametrize("pair, channel", [
+        (coherent_pair(1.0), damping_channel(0.1)),
+        (StatePairParams(r1=1.0, r2=1.0, phi1=0.1), damping_channel(0.05)),
+        (coherent_pair(0.7), physical_qbm_channel()),
+        (StatePairParams(r1=1.0, r2=1.0, phi1=0.1), physical_qbm_channel()),
+    ], ids=["damping-coherent", "damping-squeezed", "qbm-coherent",
+            "qbm-squeezed"])
+    def test_matches_independent_search(self, pair, channel):
+        times = np.linspace(0.0, 25.0, 401)
+        step = times[1] - times[0]
+        traj = fidelity_trajectory(pair, channel, times)
+        assert {kind for _, _, kind in traj.extrema} == {1, -1}
+        for t, f, kind in traj.extrema:
+            t_ref, f_ref = search_extremum(pair, channel, max(t - step, 0.0),
+                                           min(t + step, times[-1]), kind)
+            assert f == pytest.approx(f_ref, abs=1e-12)
+            # within one sub-grid step (two grid steps over 64)
+            assert t == pytest.approx(t_ref, abs=step / 32.0)
+
+
+class FunctionEngine:
+    """Pair-engine stand-in whose fidelity is a given function of t."""
+
+    def __init__(self, fn, times):
+        self.fn = fn
+        self.times = np.asarray(times, dtype=float)
+
+    def fidelity(self, ts):
+        return self.fn(np.asarray(ts, dtype=float))
+
+
+def located(fn, times):
+    engine = FunctionEngine(fn, times)
+    return _locate_extrema(engine, fn(engine.times))
+
+
+class TestLocateExtremaEdges:
+    def test_fewer_than_three_samples(self):
+        for times in ([0.0], [0.0, 1.0]):
+            assert located(np.cos, times) == []
+
+    def test_monotone_has_no_extrema(self):
+        assert located(np.tanh, np.linspace(-3.0, 3.0, 61)) == []
+
+    def test_wiggle_below_noise_floor_skipped(self):
+        def wiggle(t):
+            return 0.5 + 2e-15 * np.sin(t)
+
+        times = np.linspace(0.0, 20.0, 81)
+        df = np.diff(wiggle(times))
+        assert np.any(df[:-1] * df[1:] < 0.0)
+        assert np.abs(df).max() < _NOISE_FLOOR
+        assert located(wiggle, times) == []
+
+    def test_extremum_at_bracket_end(self):
+        # F(1) == F(2) exactly, so the sign change brackets [1, 3] and the
+        # best sub-grid sample is the bracket start; the parabola through
+        # the first three samples peaks left of it, outside the bracket
+        def fn(t):
+            u = (t - 1.5) ** 2
+            return np.cos(2.0 * np.pi * t) + 0.3 * u - 0.3 * u ** 2
+
+        times = np.arange(4.0)
+        (t, f, kind), = located(fn, times)
+        assert kind == 1
+        assert 1.0 <= t <= 3.0
+        assert f >= fn(times[1:]).max()
 
 
 class TestMeasureFromTrajectory:
