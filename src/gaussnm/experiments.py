@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ValueError("alpha range must sit within (0, 0.5]")
         if self.alpha_points < 1:
             raise ValueError("alpha_points must be >= 1")
+        if self.workers < 0:
+            raise ValueError("workers must be >= 0 (0 = all cores)")
         for p in self.phis:
             if not (0.0 < p <= math.pi):
                 raise ValueError("phi values must lie in (0, pi]")
@@ -209,7 +211,12 @@ def _resolve_workers(cfg: ExperimentConfig) -> int:
     workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
     cap = os.environ.get("GAUSSNM_THREADS")
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            cap = int(cap)
+        except ValueError:
+            raise ValueError(
+                f"GAUSSNM_THREADS must be an integer, got {cap!r}") from None
+        workers = min(workers, max(1, cap))
     return max(1, workers)
 
 
@@ -246,6 +253,7 @@ def _phi_label(p: float) -> str:
 
 
 def _merge_diag(acc: dict, diag: dict) -> None:
+    """Add one ``maximize_measure`` diagnostics dict to the sweep totals."""
     acc["iterations"] = acc.get("iterations", 0) + diag.get("iterations", 0)
     acc["restarts"] = acc.get("restarts", 0) + diag.get("restarts", 0)
     acc["grid_evaluations"] = (acc.get("grid_evaluations", 0)
@@ -254,23 +262,29 @@ def _merge_diag(acc: dict, diag: dict) -> None:
                                + int(diag.get("stagnation", False)))
 
 
+def _regroup(points: list, n_curves: int):
+    """Split ordered ``(value, first_order, diagnostics)`` points into
+    per-curve value and first-order arrays; sum the diagnostics."""
+    diag: dict = {}
+    for _, _, d in points:
+        _merge_diag(diag, d)
+    size = len(points) // max(n_curves, 1)
+    curves = [points[i * size:(i + 1) * size] for i in range(n_curves)]
+    exact = [np.array([value for value, _, _ in c]) for c in curves]
+    first = [np.array([f for _, f, _ in c]) for c in curves]
+    return exact, first, diag
+
+
 # --- damping channel sweep (fig 1) -----------------------------------------
 
-def _fig1_squeezed_column(cfg_dict: dict, phi: float):
-    cfg = ExperimentConfig(**cfg_dict)
+def _fig1_squeezed_point(cfg: ExperimentConfig, phi: float, alpha: float):
     rate = DampingRateSpec(kind=cfg.rate, gamma0=cfg.gamma0)
     times = np.linspace(0.0, cfg.t_end, cfg.traj_points + 1)
-    exact, first = [], []
-    diag: dict = {}
-    for alpha in cfg.alphas:
-        channel = DampingChannel(alpha=alpha, rate=rate, t_max=cfg.t_end)
-        res = maximize_measure("squeezed", channel, bounds=cfg.bounds(),
-                               phi=phi, times=times)
-        _merge_diag(diag, res.diagnostics)
-        exact.append(res.value)
-        first.append(first_order_squeezed_damping_max(channel, phi,
-                                                      r_max=cfg.r_max)[0])
-    return np.array(exact), np.array(first), diag
+    channel = DampingChannel(alpha=alpha, rate=rate, t_max=cfg.t_end)
+    res = maximize_measure("squeezed", channel, bounds=cfg.bounds(),
+                           phi=phi, times=times)
+    first = first_order_squeezed_damping_max(channel, phi, r_max=cfg.r_max)[0]
+    return res.value, first, res.diagnostics
 
 
 def run_fig1(cfg: ExperimentConfig, out_dir) -> list[str]:
@@ -284,19 +298,19 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[str]:
         coh_exact.append(closed_form_coherent_damping(alpha, rate,
                                                       t_max=cfg.t_end).value)
         coh_first.append(first_order_coherent(channel))
-    tasks = [(_fig1_squeezed_column, (asdict(cfg), p)) for p in cfg.phis]
-    results = _run_tasks(tasks, _resolve_workers(cfg))
+    tasks = [(_fig1_squeezed_point, (cfg, p, alpha))
+             for p in cfg.phis for alpha in alphas]
+    exact, first, diag = _regroup(_run_tasks(tasks, _resolve_workers(cfg)),
+                                  len(cfg.phis))
 
     header = ["alpha", "coherent_exact", "coherent_first_order"]
     cols = [alphas, np.array(coh_exact), np.array(coh_first)]
-    diag: dict = {}
-    for p, (exact, first, d) in zip(cfg.phis, results):
+    for p, col in zip(cfg.phis, exact):
         header.append(f"squeezed_exact_phi{_phi_label(p)}")
-        cols.append(exact)
-        _merge_diag(diag, d)
-    for p, (exact, first, d) in zip(cfg.phis, results):
+        cols.append(col)
+    for p, col in zip(cfg.phis, first):
         header.append(f"squeezed_first_order_phi{_phi_label(p)}")
-        cols.append(first)
+        cols.append(col)
     csv_path = os.path.join(out_dir, "fig1.csv")
     _write_csv(csv_path, header, cols)
     summary = _summary_base(cfg, [csv_path])
@@ -344,59 +358,62 @@ def run_fig2(cfg: ExperimentConfig, out_dir) -> list[str]:
 
 # --- QBM measure sweeps (figs 3-5) ------------------------------------------
 
-def _qbm_measure_column(cfg_dict: dict, t_value: float, family: str,
-                        phi: float, equal_squeezing: bool,
-                        want_first_order: bool):
-    cfg = ExperimentConfig(**cfg_dict)
+def _qbm_table(cfg: ExperimentConfig, t_value: float) -> ChannelCoefficients:
     env = EnvironmentSpec(omega0=cfg.omega0[0], omega_c=cfg.omega_c,
                           temperature=cfg.kelvin(t_value))
-    base = build_coefficients(env, alpha=1.0, t_end=cfg.t_end,
+    return build_coefficients(env, alpha=1.0, t_end=cfg.t_end,
                               n_steps=cfg.n_steps)
+
+
+def _qbm_point(cfg: ExperimentConfig, base: ChannelCoefficients, family: str,
+               phi: float, equal_squeezing: bool, want_first_order: bool,
+               alpha: float):
     times = np.linspace(0.0, cfg.t_end, cfg.traj_points + 1)
-    exact, first = [], []
-    diag: dict = {}
-    for alpha in cfg.alphas:
-        coeffs = rescale_coefficients(base, alpha)
-        channel = QbmChannel(coeffs)
-        res = maximize_measure(family, channel, bounds=cfg.bounds(), phi=phi,
-                               equal_squeezing=equal_squeezing, times=times)
-        _merge_diag(diag, res.diagnostics)
-        exact.append(res.value)
-        if want_first_order:
-            if family == "coherent":
-                first.append(first_order_coherent(channel))
-            else:
-                first.append(first_order_squeezed_qbm_max(coeffs, phi,
-                                                          r_max=cfg.r_max)[0])
-    return (np.array(exact), np.array(first) if want_first_order else None,
-            diag, base.kernel_abserr)
+    coeffs = rescale_coefficients(base, alpha)
+    channel = QbmChannel(coeffs)
+    res = maximize_measure(family, channel, bounds=cfg.bounds(), phi=phi,
+                           equal_squeezing=equal_squeezing, times=times)
+    first = None
+    if want_first_order:
+        if family == "coherent":
+            first = first_order_coherent(channel)
+        else:
+            first = first_order_squeezed_qbm_max(coeffs, phi,
+                                                 r_max=cfg.r_max)[0]
+    return res.value, first, res.diagnostics
 
 
 def _run_qbm_sweep(cfg: ExperimentConfig, out_dir, name: str, specs,
                    include_first_order: bool) -> list[str]:
-    """Shared driver for figs 3-5; specs are (label, T, family, phi, equal_r)."""
+    """Shared driver for figs 3-5; specs are (label, T, family, phi, equal_r).
+
+    The coupling only rescales x and y, so one alpha = 1 table per distinct
+    temperature serves every curve at that temperature.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    tasks = [(_qbm_measure_column,
-              (asdict(cfg), tv, family, phi, eq, include_first_order))
-             for (_, tv, family, phi, eq) in specs]
-    results = _run_tasks(tasks, _resolve_workers(cfg))
+    workers = _resolve_workers(cfg)
+    temps = list(dict.fromkeys(tv for _, tv, *_ in specs))
+    tables = dict(zip(temps, _run_tasks(
+        [(_qbm_table, (cfg, tv)) for tv in temps], workers)))
+    tasks = [(_qbm_point, (cfg, tables[tv], family, phi, eq,
+                           include_first_order, alpha))
+             for (_, tv, family, phi, eq) in specs for alpha in cfg.alphas]
+    exact, first, diag = _regroup(_run_tasks(tasks, workers), len(specs))
     header = ["alpha"]
     cols = [cfg.alphas]
-    diag: dict = {}
-    kernel_err = 0.0
-    for (label, *_), (exact, first, d, kerr) in zip(specs, results):
+    for (label, *_), ex, fo in zip(specs, exact, first):
         header.append(f"{label}_exact")
-        cols.append(exact)
+        cols.append(ex)
         if include_first_order:
             header.append(f"{label}_first_order")
-            cols.append(first)
-        _merge_diag(diag, d)
-        kernel_err = max(kernel_err, kerr)
+            cols.append(fo)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     _write_csv(csv_path, header, cols)
     summary = _summary_base(cfg, [csv_path])
     summary["optimizer"] = diag
-    summary["quadrature"] = {"kernel_abserr": kernel_err}
+    summary["quadrature"] = {
+        "kernel_abserr": max([0.0, *(t.kernel_abserr for t in tables.values())]),
+    }
     sum_path = os.path.join(out_dir, f"{name}_summary.json")
     _write_summary(sum_path, summary)
     return [csv_path, sum_path]

@@ -12,9 +12,12 @@ PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(*args, **kwargs):
+    # the subprocess imports this checkout's package, whatever the caller's path
+    path = [os.path.join(PKG_ROOT, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
         [sys.executable, "-m", "gaussnm.cli", *args],
-        capture_output=True, text=True, timeout=600, **kwargs,
+        capture_output=True, text=True, timeout=600, env=env, **kwargs,
     )
 
 

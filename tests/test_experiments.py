@@ -1,6 +1,8 @@
 import json
 from dataclasses import replace
 
+import gaussnm.experiments as experiments
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,10 @@ class TestConfig:
             ExperimentConfig(phis=(0.0,))
         with pytest.raises(ValueError, match="phi"):
             ExperimentConfig(phis=(3.5,))
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            ExperimentConfig(workers=-3)
 
     def test_temperature_units(self):
         cfg = replace(fig_defaults(2), omega_c=2.0)
@@ -178,6 +184,20 @@ class TestQbmSweeps:
         assert np.all(data["squeezed_T4_exact"] >= data["squeezed_T09_exact"])
 
 
+_TINY = {
+    1: dict(alpha_points=2, traj_points=300, phis=(0.1, 0.2)),
+    2: dict(n_steps=300),
+    4: dict(alpha_points=2, n_steps=300, traj_points=300, phis=(0.05, 0.1)),
+    5: dict(alpha_points=2, n_steps=300, traj_points=300,
+            temperatures=(0.3, 0.9)),
+}
+
+
+def tiny_config(figure, workers):
+    """A few-second version of a canned sweep."""
+    return replace(fig_defaults(figure), workers=workers, **_TINY[figure])
+
+
 class TestDeterminismAndWorkers:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = replace(fig_defaults(1), alpha_points=3, phis=(0.1,), workers=1)
@@ -186,18 +206,59 @@ class TestDeterminismAndWorkers:
         assert open(p1[0], "rb").read() == open(p2[0], "rb").read()
         assert open(p1[1]).read() == open(p2[1]).read()
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        cfg1 = replace(fig_defaults(2), n_steps=300, workers=1)
-        cfg2 = replace(fig_defaults(2), n_steps=300, workers=2)
-        p1 = run_experiment(cfg1, tmp_path / "serial")
-        p2 = run_experiment(cfg2, tmp_path / "pool")
+    @pytest.mark.parametrize("figure", [1, 2, 4, 5])
+    def test_worker_pool_matches_serial(self, tmp_path, figure):
+        # fig4: three curves share one table; fig5: two tables
+        p1 = run_experiment(tiny_config(figure, workers=1), tmp_path / "serial")
+        p2 = run_experiment(tiny_config(figure, workers=2), tmp_path / "pool")
         assert open(p1[0], "rb").read() == open(p2[0], "rb").read()
+        s1, s2 = (json.load(open(p[1])) for p in (p1, p2))
+        assert (s1["config"].pop("workers"), s2["config"].pop("workers")) == (1, 2)
+        assert s1 == s2
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GAUSSNM_THREADS", "1")
         cfg = replace(fig_defaults(2), n_steps=200, workers=8)
         paths = run_experiment(cfg, tmp_path)
         assert paths
+
+    def test_thread_cap_env_must_be_integer(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GAUSSNM_THREADS", "two")
+        with pytest.raises(ValueError, match="GAUSSNM_THREADS"):
+            run_experiment(tiny_config(2, workers=1), tmp_path)
+
+    @pytest.mark.parametrize("figure, tables", [(4, 1), (5, 2)])
+    def test_one_table_per_temperature(self, tmp_path, monkeypatch, figure,
+                                       tables):
+        calls = []
+        original = experiments.build_coefficients
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].temperature)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "build_coefficients", counting)
+        run_experiment(tiny_config(figure, workers=1), tmp_path)
+        assert len(calls) == tables
+
+    @pytest.mark.parametrize("figure", [1, 5])
+    def test_summary_counts_every_stagnation(self, tmp_path, monkeypatch,
+                                             figure):
+        calls = []
+        original = experiments.maximize_measure
+
+        def stagnating(*args, **kwargs):
+            res = original(*args, **kwargs)
+            res.diagnostics["stagnation"] = True
+            calls.append(res)
+            return res
+
+        monkeypatch.setattr(experiments, "maximize_measure", stagnating)
+        paths = run_experiment(tiny_config(figure, workers=1), tmp_path)
+        with open(paths[1]) as fh:
+            optimizer = json.load(fh)["optimizer"]
+        assert len(calls) == 4
+        assert optimizer["stagnation_count"] == len(calls)
 
 
 def test_rescale_coefficients():
