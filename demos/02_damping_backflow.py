@@ -17,7 +17,6 @@ from gaussnm import (
     backflow_intervals,
     closed_form_coherent_damping,
     coherent_pair,
-    damping_rate,
     fidelity_trajectory,
     first_order_coherent,
     maximize_measure,
@@ -30,7 +29,7 @@ channel = DampingChannel(alpha=alpha, rate=rate, t_max=25.0)
 
 ts = np.linspace(0.0, 25.0, 2001)
 print("rate at pi, 3pi/2, 2pi:",
-      [round(float(damping_rate(t, rate)), 4)
+      [round(float(rate.rate(t)), 4)
        for t in (math.pi, 1.5 * math.pi, 2 * math.pi)])
 
 # fidelity of the optimal coherent pair along the evolution

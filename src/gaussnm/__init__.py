@@ -17,7 +17,6 @@ from .channels import (
     DampingRateSpec,
     QbmChannel,
     Trajectory,
-    damping_rate,
     damping_x,
     evolve_damping,
     evolve_qbm,
@@ -39,7 +38,6 @@ from .measure import (
     fidelity_trajectory,
     first_order_coherent,
     first_order_coherent_thermal,
-    first_order_squeezed_damping,
     first_order_squeezed_damping_max,
     first_order_squeezed_qbm,
     first_order_squeezed_qbm_max,

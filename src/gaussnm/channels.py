@@ -37,7 +37,6 @@ __all__ = [
     "DampingChannel",
     "QbmChannel",
     "Trajectory",
-    "damping_rate",
     "damping_x",
     "evolve_damping",
     "evolve_qbm",
@@ -177,11 +176,6 @@ def _sign_intervals(ts, vals, fn) -> list[tuple[float, float]]:
         if fn(0.5 * (lo + hi)) < 0.0:
             out.append((lo, hi))
     return out
-
-
-def damping_rate(t, spec: DampingRateSpec):
-    """Rate gamma(t) of the damping channel."""
-    return spec.rate(t)
 
 
 def damping_x(t, alpha: float, spec: DampingRateSpec):

@@ -28,6 +28,7 @@ from .channels import (
 from .measure import (
     MeasureResult,
     UnsupportedShapeError,
+    _env_fields,
     closed_form_coherent_damping,
     closed_form_coherent_qbm,
     coherent_pair,
@@ -173,13 +174,10 @@ def _first_order_result(args, channel) -> MeasureResult:
             "first-order method supports coherent, squeezed and "
             "coherent-thermal families"
         )
-    env = getattr(getattr(channel, "coeffs", None), "env", None)
     return MeasureResult(
         value=value, argmax=argmax, intervals=(), method="first_order",
         family=family, channel=channel.tag, alpha=args.alpha,
-        temperature=None if env is None else env.temperature,
-        omega0=None if env is None else env.omega0,
-        omega_c=None if env is None else env.omega_c,
+        **_env_fields(channel),
     )
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "squeezed_response",
     "damping_response",
     "first_order_squeezed_qbm",
-    "first_order_squeezed_damping",
     "first_order_squeezed_qbm_max",
     "first_order_squeezed_damping_max",
     "first_order_pure_combination",
@@ -586,14 +585,6 @@ def first_order_squeezed_qbm(r1: float, r2: float, phi: float,
     _, s_delta = squeezed_response(r1, r2, phi)
     backflow = sum(max(b, 0.0) for _, _, b in QbmChannel(coeffs).exponent_backflows())
     return s_delta * backflow
-
-
-def first_order_squeezed_damping(r1: float, r2: float, phi: float,
-                                 channel: DampingChannel) -> float:
-    """First-order squeezed damping measure via the dF/dx oracle."""
-    s = damping_response(r1, r2, phi)
-    backflow = sum(max(b, 0.0) for _, _, b in channel.exponent_backflows())
-    return s * backflow
 
 
 def _max_over_r(coefficient_fn, r_max: float) -> tuple[float, float]:

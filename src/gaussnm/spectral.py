@@ -125,18 +125,30 @@ def _cos_kernel(s, a):
     return (a * a - s * s) / (a * a + s * s) ** 2
 
 
-def _thermal_occupancy_weight(omega, env: EnvironmentSpec):
-    """J(w) N(w) with the w -> 0 limit J N -> T handled explicitly."""
-    t = env.temperature
-    w = np.asarray(omega, dtype=float)
-    with np.errstate(over="ignore"):
-        ratio = np.where(w > 0.0, w / np.expm1(np.maximum(w, 1e-300) / t), t)
-    return ratio * np.exp(-w / env.omega_c)
+def _thermal_occupancy_weight(w: float, t: float, omega_c: float) -> float:
+    """J(w) N(w) at one frequency, with the w -> 0 limit J N -> T.
+
+    QUADPACK calls this with plain floats.  It uses numpy's expm1/exp, not
+    ``math``'s: those differ by a few ulp, which would move the tabulated
+    values and the reported ``kernel_abserr``.  ``_omega_cut`` keeps w/T
+    below 38, so expm1 cannot overflow.
+    """
+    if w <= 0.0:
+        return t
+    return float(w / np.expm1(w / t) * np.exp(-w / omega_c))
 
 
 def _omega_cut(env: EnvironmentSpec) -> float:
-    scale = max(env.omega_c, env.temperature)
-    return scale * math.log(1e12) + 10.0 * scale
+    """Upper frequency limit of the thermal kernel (T > 0).
+
+    J(w) N(w) decays as exp(-w / tau) with tau = T w_c / (T + w_c), so the
+    cut scales with tau: the integrand's bulk, within a few tau of w = 0, is
+    never a sliver of the range, and w/T <= log(1e12) + 10 on the whole
+    range.
+    """
+    t, wc = env.temperature, env.omega_c
+    tau = t * wc / (t + wc)
+    return tau * math.log(1e12) + 10.0 * tau
 
 
 def thermal_cos_kernel(s: float, env: EnvironmentSpec) -> tuple[float, float]:
@@ -144,7 +156,8 @@ def thermal_cos_kernel(s: float, env: EnvironmentSpec) -> tuple[float, float]:
     if env.temperature == 0.0:
         return 0.0, 0.0
     val, err = quad(
-        _thermal_occupancy_weight, 0.0, _omega_cut(env), args=(env,),
+        _thermal_occupancy_weight, 0.0, _omega_cut(env),
+        args=(env.temperature, env.omega_c),
         weight="cos", wvar=float(s), limit=400, epsabs=1e-13, epsrel=1e-11,
     )
     return val, err

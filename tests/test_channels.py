@@ -12,7 +12,6 @@ from gaussnm import (
     StatePairParams,
     build_coefficients,
     coefficients_from_functions,
-    damping_rate,
     damping_x,
     evolve_damping,
     evolve_qbm,
@@ -42,22 +41,22 @@ def x_oracle(t, alpha):
 
 class TestDampingRate:
     def test_zero_at_pi(self):
-        assert damping_rate(math.pi, RATE) == pytest.approx(0.0, abs=1e-15)
+        assert RATE.rate(math.pi) == pytest.approx(0.0, abs=1e-15)
 
     def test_negative_lobe_value(self):
         expected = -0.5 * math.exp(-3.0 * math.pi / 20.0)
-        assert damping_rate(1.5 * math.pi, RATE) == pytest.approx(expected, rel=1e-12)
+        assert RATE.rate(1.5 * math.pi) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(-0.312, abs=5e-4)
 
     def test_constant_branch(self):
         expected = 0.5 * math.exp(-math.pi / 4.0)
-        assert damping_rate(10.0 * math.pi, RATE) == pytest.approx(expected, rel=1e-12)
+        assert RATE.rate(10.0 * math.pi) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.228, abs=5e-4)
 
     def test_continuity_at_switch(self):
         eps = 1e-9
-        left = damping_rate(2.5 * math.pi - eps, RATE)
-        right = damping_rate(2.5 * math.pi + eps, RATE)
+        left = RATE.rate(2.5 * math.pi - eps)
+        right = RATE.rate(2.5 * math.pi + eps)
         assert left == pytest.approx(right, abs=1e-8)
 
     def test_negativity_interval(self):

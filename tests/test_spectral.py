@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gaussnm import (
     spectral_density,
     write_coefficients_csv,
 )
+from gaussnm.spectral import _omega_cut, _thermal_occupancy_weight, thermal_cos_kernel
 
 ENV_REF = EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=0.2)
 
@@ -146,6 +148,49 @@ class TestCoefficients:
         d0 = np.array([delta_zero_temperature(t, env0) for t in ts])
         d = np.array([delta_coefficient(t, env) for t in ts])
         assert np.max(np.abs(d - d0)) <= 0.05 * np.max(np.abs(d0))
+
+
+class TestThermalKernel:
+    """The thermal cosine kernel int_0^inf J(w) N(w) cos(w s) dw."""
+
+    @pytest.mark.parametrize("ratio", [0.0025, 0.005, 0.2, 1.0, 4.0, 40.0])
+    def test_trigamma_oracle(self, ratio):
+        # geometric series of N(w): the kernel is T^2 Re psi_1(1 + T/w_c - iTs)
+        import mpmath
+
+        wc = 0.2
+        t = ratio * wc
+        env = EnvironmentSpec(omega0=1.0, omega_c=wc, temperature=t)
+        for s in np.linspace(0.0, 40.0, 41):
+            value, _ = thermal_cos_kernel(s, env)
+            ref = float(t * t * mpmath.re(mpmath.psi(1, 1 + t / wc - 1j * t * s)))
+            assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_weight_at_zero_frequency(self):
+        for t in (0.001, 0.2, 8.0):
+            assert _thermal_occupancy_weight(0.0, t, 0.2) == t
+
+    @pytest.mark.parametrize("t", [0.05, 0.2, 8.0])
+    def test_weight_matches_array_expression(self, t):
+        wc = 0.2
+
+        def array_weight(omega):
+            w = np.asarray(omega, dtype=float)
+            with np.errstate(over="ignore"):
+                ratio = np.where(w > 0.0, w / np.expm1(np.maximum(w, 1e-300) / t), t)
+            return ratio * np.exp(-w / wc)
+
+        for w in np.linspace(0.0, 40.0 * max(t, wc), 2001):
+            assert _thermal_occupancy_weight(float(w), t, wc) == float(array_weight(w))
+
+    @pytest.mark.parametrize("t", [1e-4, 0.001, 0.2, 8.0, 1e4])
+    def test_cut_keeps_expm1_finite(self, t):
+        env = EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=t)
+        cut = _omega_cut(env)
+        assert cut / t <= math.log(1e12) + 10.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 < _thermal_occupancy_weight(cut, t, env.omega_c) < 1e-14 * t
 
 
 class TestTables:
