@@ -18,8 +18,6 @@ from .channels import (
     QbmChannel,
     Trajectory,
     damping_x,
-    evolve_damping,
-    evolve_qbm,
     trajectory,
     write_trajectory_csv,
 )

@@ -13,6 +13,10 @@ Quantum Brownian motion (damping gamma, diffusion Delta; x as above and
 y(t) = 2 alpha int Delta):
     exact        m = e^{-x/2},  c = e^{-x},  n = e^{-x} alpha int_0^t e^{x} Delta ds
     first order  m = 1 - x/2,   c = 1 - x,   n = y/2
+
+Each channel's ``maps(ts)`` returns (m, c, n) on a grid and is the only
+place these formulas live; ``evolve_arrays`` is the only place they are
+applied to a state.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .spectral import ChannelCoefficients
-from .states import GaussianState, StatePairParams
+from .spectral import ChannelCoefficients, _write_csv
+from .states import EPS_TOL, GaussianState, StatePairParams, _det2
 
 __all__ = [
     "ApproximationWarning",
@@ -38,8 +42,6 @@ __all__ = [
     "QbmChannel",
     "Trajectory",
     "damping_x",
-    "evolve_damping",
-    "evolve_qbm",
     "trajectory",
     "write_trajectory_csv",
 ]
@@ -191,35 +193,29 @@ def _finish_state(mean, cov, mode: str, x_abs: float) -> GaussianState:
     if x_abs > FIRST_ORDER_X_LIMIT:
         warnings.warn(
             f"first-order evolution with |x| = {x_abs:.3g} > {FIRST_ORDER_X_LIMIT}",
-            ApproximationWarning, stacklevel=3,
+            ApproximationWarning, stacklevel=4,
         )
     state = GaussianState(mean=mean, cov=cov, validate=False)
     if not state.is_physical:
         warnings.warn(
             "first-order evolution produced an unphysical covariance "
             f"(det = {state.det_cov:.12g})",
-            ApproximationWarning, stacklevel=3,
+            ApproximationWarning, stacklevel=4,
         )
     return state
+
+
+def _evolve_state(channel, state: GaussianState, t: float) -> GaussianState:
+    """Evolve one state to time t through ``channel.maps``."""
+    maps = channel.maps(np.array([float(t)]))
+    means, covs = evolve_arrays(maps, state.mean, state.cov)
+    # first order has c = 1 - x, so |x| = |1 - c|
+    return _finish_state(means[0], covs[0], channel.mode, abs(1.0 - float(maps[1][0])))
 
 
 def _check_mode(mode: str):
     if mode not in ("exact", "first_order"):
         raise ValueError(f"mode must be 'exact' or 'first_order', got {mode!r}")
-
-
-def evolve_damping(state: GaussianState, t: float, alpha: float,
-                   spec: DampingRateSpec, mode: str = "exact") -> GaussianState:
-    """Evolve a state under the damping channel to time t."""
-    _check_mode(mode)
-    x = float(damping_x(t, alpha, spec))
-    eye = np.eye(2)
-    if mode == "exact":
-        u = math.exp(-x)
-        return _finish_state(math.sqrt(u) * state.mean,
-                             u * state.cov + 0.5 * (1.0 - u) * eye, mode, abs(x))
-    return _finish_state((1.0 - 0.5 * x) * state.mean,
-                         (1.0 - x) * state.cov + 0.5 * x * eye, mode, abs(x))
 
 
 class QbmPropagator:
@@ -236,7 +232,6 @@ class QbmPropagator:
         self.alpha = coeffs.alpha
         self.x = CubicSpline(ts, coeffs.x)
         self.y = CubicSpline(ts, coeffs.y)
-        self.gamma = CubicSpline(ts, coeffs.gamma)
         self.delta = CubicSpline(ts, coeffs.delta)
         z = np.concatenate([
             [0.0],
@@ -257,24 +252,6 @@ class QbmPropagator:
 @lru_cache(maxsize=64)
 def _propagator(coeffs: ChannelCoefficients) -> QbmPropagator:
     return QbmPropagator(coeffs)
-
-
-def evolve_qbm(state: GaussianState, t: float, coeffs: ChannelCoefficients,
-               mode: str = "exact") -> GaussianState:
-    """Evolve a state under the QBM channel to time t (t within the table)."""
-    _check_mode(mode)
-    prop = _propagator(coeffs)
-    prop.check_t(t)
-    x = float(prop.x(t))
-    eye = np.eye(2)
-    if mode == "exact":
-        u = math.exp(-x)
-        noise = u * float(prop.z(t))
-        return _finish_state(math.sqrt(u) * state.mean,
-                             u * state.cov + noise * eye, mode, abs(x))
-    y = float(prop.y(t))
-    return _finish_state((1.0 - 0.5 * x) * state.mean,
-                         (1.0 - x) * state.cov + 0.5 * y * eye, mode, abs(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,7 +279,7 @@ class DampingChannel:
         return 1.0 - 0.5 * x, 1.0 - x, 0.5 * x
 
     def evolve(self, state: GaussianState, t: float) -> GaussianState:
-        return evolve_damping(state, t, self.alpha, self.rate, self.mode)
+        return _evolve_state(self, state, t)
 
     def exponent_backflows(self) -> list[tuple[float, float, float]]:
         """(t_plus, t_minus, x(t_plus) - x(t_minus)) per negativity interval."""
@@ -347,7 +324,7 @@ class QbmChannel:
         return 1.0 - 0.5 * x, 1.0 - x, 0.5 * prop.y(ts)
 
     def evolve(self, state: GaussianState, t: float) -> GaussianState:
-        return evolve_qbm(state, t, self.coeffs, self.mode)
+        return _evolve_state(self, state, t)
 
     def exponent_backflows(self) -> list[tuple[float, float, float]]:
         """(t_plus, t_minus, y(t_plus) - y(t_minus)) per Delta < 0 interval."""
@@ -360,57 +337,73 @@ class QbmChannel:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A state evolved over a time grid under one channel."""
+    """A state evolved over a time grid under one channel.
+
+    ``means`` (T, 2) and ``covs`` (T, 2, 2) hold the first moments and the
+    covariance matrix at each of the T grid ``times``.
+    """
 
     times: np.ndarray
-    states: tuple
+    means: np.ndarray
+    covs: np.ndarray
     channel: str
     params: StatePairParams | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, float))
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(self.states) != self.times.size:
+        for name in ("times", "means", "covs"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        n = self.times.size
+        if self.means.shape != (n, 2) or self.covs.shape != (n, 2, 2):
             raise ValueError("one state per grid time required")
 
 
-def evolve_arrays(channel, mean0: np.ndarray, cov0: np.ndarray, ts):
-    """Vectorized evolution of one initial state over a grid."""
-    mf, cf, nf = channel.maps(np.asarray(ts, float))
-    means = mf[..., None] * mean0
-    covs = cf[..., None, None] * cov0 + nf[..., None, None] * np.eye(2)
-    return means, covs
+def evolve_arrays(maps, mean0: np.ndarray, cov0: np.ndarray):
+    """Apply the ``maps`` factors (m, c, n) on a grid of T times to one state.
+
+    Returns means (T, 2) = m * mean0 and covariances (T, 2, 2) =
+    c * cov0 + n * I.  They are computed component-major, so every product
+    runs along the contiguous time axis (several times faster than
+    time-major on long grids), and returned as transposed views.
+    """
+    mf, cf, nf = maps
+    means = np.multiply.outer(mean0, mf)
+    covs = np.multiply.outer(cov0, cf)
+    covs += np.multiply.outer(np.eye(2), nf)
+    return means.T, covs.transpose(2, 0, 1)
 
 
 def trajectory(pair: StatePairParams, channel, times) -> tuple[Trajectory, Trajectory]:
     """Evolve both states of a pair over the grid.
 
-    Damping-exact trajectories are validated state by state (the map
-    preserves the Heisenberg bound).  The exact QBM solution can dip
-    slightly below the bound at finite coupling because its stationary
-    noise floor follows the diffusion integral alone; such dips and any
-    first-order truncation artifacts are reported as a PhysicalityWarning
-    instead of an error.
+    Damping-exact trajectories must respect the Heisenberg bound (the map
+    preserves it), with ``GaussianState``'s tolerance.  The exact QBM
+    solution can dip slightly below the bound at finite coupling because
+    its stationary noise floor follows the diffusion integral alone; such
+    dips and any first-order truncation artifacts are reported as a
+    PhysicalityWarning instead of an error.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size < 1 or np.any(ts < 0.0):
         raise ValueError("times must be a 1-d grid of non-negative instants")
-    validate = channel.mode == "exact" and channel.tag == "damping"
+    maps = channel.maps(ts)
     out = []
-    worst = float("inf")
     for st in pair.states():
-        means, covs = evolve_arrays(channel, st.mean, st.cov, ts)
-        states = tuple(
-            GaussianState(mean=m, cov=c, validate=validate)
-            for m, c in zip(means, covs)
-        )
-        dets = covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 0, 1] * covs[:, 1, 0]
-        worst = min(worst, float(dets.min()))
-        out.append(Trajectory(times=ts, states=states, channel=channel.tag,
-                              params=pair))
-    if not validate and worst < 0.25 - 1e-9:
+        means, covs = evolve_arrays(maps, st.mean, st.cov)
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
+            raise ValueError("state contains non-finite entries")
+        out.append(Trajectory(times=ts, means=means, covs=covs,
+                              channel=channel.tag, params=pair))
+    covs = np.stack([out[0].covs, out[1].covs])
+    dets = _det2(covs)
+    if channel.mode == "exact" and channel.tag == "damping":
+        trace = covs[..., 0, 0] + covs[..., 1, 1]
+        bad = dets < 0.25 - EPS_TOL * np.maximum(1.0, trace * trace)
+        if np.any(bad):
+            raise ValueError("covariance violates the Heisenberg bound: "
+                             f"det = {dets[bad][0]:.12g} < 1/4")
+    elif dets.min() < 0.25 - 1e-9:
         warnings.warn(
-            f"trajectory dips below the Heisenberg bound (min det = {worst:.6g})",
+            f"trajectory dips below the Heisenberg bound (min det = {dets.min():.6g})",
             PhysicalityWarning, stacklevel=2,
         )
     return out[0], out[1]
@@ -418,8 +411,6 @@ def trajectory(pair: StatePairParams, channel, times) -> tuple[Trajectory, Traje
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV export: t, mean_q, mean_p, cov_qq, cov_qp, cov_pp."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,mean_q,mean_p,cov_qq,cov_qp,cov_pp\r\n")
-        for t, st in zip(traj.times, traj.states):
-            row = (t, st.mean[0], st.mean[1], st.cov[0, 0], st.cov[0, 1], st.cov[1, 1])
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\r\n")
+    m, c = traj.means, traj.covs
+    _write_csv(path, ["t", "mean_q", "mean_p", "cov_qq", "cov_qp", "cov_pp"],
+               [traj.times, m[:, 0], m[:, 1], c[:, 0, 0], c[:, 0, 1], c[:, 1, 1]])

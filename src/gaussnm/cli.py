@@ -27,6 +27,7 @@ from .channels import (
 )
 from .measure import (
     MeasureResult,
+    ParamBounds,
     UnsupportedShapeError,
     _env_fields,
     closed_form_coherent_damping,
@@ -42,7 +43,7 @@ from .measure import (
 )
 from .experiments import fig_defaults, parse_config, run_experiment
 from .spectral import EnvironmentSpec, build_coefficients, write_coefficients_csv
-from .states import bures_distance, fidelity, make_gaussian
+from .states import StatePairParams, bures_distance, fidelity, make_gaussian
 
 _UNITS = "dimensionless, hbar = k_B = 1; frequencies in inverse time units"
 
@@ -124,33 +125,23 @@ def _cmd_evolve(args) -> int:
     if args.alpha <= 0.0:
         raise ValueError("--alpha must be > 0")
     times = np.linspace(0.0, args.t_end, args.points)
-    pair_like = dict(n1=args.n, r1=args.r, phi1=args.phi,
-                     beta1_mag=args.beta_mag, theta1=args.beta_arg)
-    from .states import StatePairParams
-    pair = StatePairParams(**pair_like)
-    mode = args.mode.replace("-", "_")
-    if args.channel == "damping":
-        channel = DampingChannel(alpha=args.alpha, rate=_rate_from_args(args),
-                                 mode=mode, t_max=args.t_end)
-    else:
-        env = _env_from_args(args)
-        coeffs = build_coefficients(env, alpha=args.alpha, t_end=args.t_end,
-                                    n_steps=args.n_steps)
-        channel = QbmChannel(coeffs, mode=mode)
+    pair = StatePairParams(n1=args.n, r1=args.r, phi1=args.phi,
+                           beta1_mag=args.beta_mag, theta1=args.beta_arg)
+    channel = _channel_from_args(args, mode=args.mode.replace("-", "_"))
     traj, _ = trajectory(pair, channel, times)
     write_trajectory_csv(traj, args.out)
     print(f"wrote {args.out} ({args.points} rows)")
     return 0
 
 
-def _measure_channel(args):
+def _channel_from_args(args, mode: str = "exact"):
     if args.channel == "damping":
         return DampingChannel(alpha=args.alpha, rate=_rate_from_args(args),
-                              t_max=args.t_end)
+                              mode=mode, t_max=args.t_end)
     env = _env_from_args(args)
     coeffs = build_coefficients(env, alpha=args.alpha, t_end=args.t_end,
                                 n_steps=args.n_steps)
-    return QbmChannel(coeffs)
+    return QbmChannel(coeffs, mode=mode)
 
 
 def _first_order_result(args, channel) -> MeasureResult:
@@ -205,9 +196,10 @@ def _cmd_measure(args) -> int:
     if args.alpha <= 0.0:
         raise ValueError("--alpha must be > 0")
     family = args.family.replace("-", "_")
-    channel = _measure_channel(args)
+    channel = _channel_from_args(args)
     if args.method == "numeric":
-        result = maximize_measure(family, channel, phi=args.phi)
+        result = maximize_measure(family, channel, phi=args.phi,
+                                  bounds=ParamBounds(r_max=args.r_max))
     elif args.method == "closed":
         result = _closed_result(args, channel)
     else:

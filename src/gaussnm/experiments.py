@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,14 +27,13 @@ from .measure import (
     first_order_squeezed_qbm_max,
     maximize_measure,
 )
-from .spectral import ChannelCoefficients, EnvironmentSpec, build_coefficients
+from .spectral import ChannelCoefficients, EnvironmentSpec, _write_csv, build_coefficients
 
 __all__ = [
     "ExperimentConfig",
     "parse_config",
     "format_config",
     "fig_defaults",
-    "rescale_coefficients",
     "run_experiment",
     "run_fig1",
     "run_fig2",
@@ -44,6 +43,14 @@ __all__ = [
 ]
 
 _EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5", "custom")
+# config-file key of each ExperimentConfig field whose name differs
+_ALIASES = {"temperatures": "T", "temperature_unit": "T_unit", "phis": "phi"}
+# list fields a sweep cannot run without: it reads their first entry, or
+# it would write no data column
+_NONEMPTY = {"fig2": ("omega0", "temperatures"),
+             "fig3": ("omega0", "temperatures"),
+             "fig4": ("omega0", "temperatures", "phis"),
+             "fig5": ("omega0", "temperatures", "phis")}
 SCHEMA_VERSION = 1
 
 
@@ -91,6 +98,11 @@ class ExperimentConfig:
         for p in self.phis:
             if not (0.0 < p <= math.pi):
                 raise ValueError("phi values must lie in (0, pi]")
+        for name in _NONEMPTY.get(self.experiment, ()):
+            if not getattr(self, name):
+                key = _ALIASES.get(name, name)
+                raise ValueError(f"{self.experiment} needs at least one "
+                                 f"{key!r} value")
 
     @property
     def alphas(self) -> np.ndarray:
@@ -106,15 +118,8 @@ class ExperimentConfig:
                            n_max=self.n_max)
 
 
-_LIST_KEYS = {"omega0": "omega0", "T": "temperatures", "phi": "phis"}
-_SCALARS = {
-    "experiment": str, "channel": str, "family": str,
-    "alpha_min": float, "alpha_max": float, "alpha_points": int,
-    "omega_c": float, "T_unit": str, "rate": str, "gamma0": float,
-    "t_end": float, "n_steps": int, "traj_points": int,
-    "r_max": float, "beta_max": float, "n_max": float, "workers": int,
-}
-_FIELD_OF = {"T_unit": "temperature_unit"}
+# config-file key -> ExperimentConfig field, in field order
+_FIELDS = {_ALIASES.get(f.name, f.name): f for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -129,42 +134,27 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"malformed config line: {ln!r}")
         key, _, raw = ln.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key in _LIST_KEYS:
-            kwargs[_LIST_KEYS[key]] = (tuple(float(v) for v in raw.split(","))
-                                       if raw else ())
-        elif key in _SCALARS:
-            kwargs[_FIELD_OF.get(key, key)] = _SCALARS[key](raw)
-        else:
+        if key not in _FIELDS:
             raise ValueError(f"unknown config key {key!r}")
+        f = _FIELDS[key]
+        kind = type(f.default)
+        if kind is tuple:
+            kwargs[f.name] = (tuple(float(v) for v in raw.split(","))
+                              if raw else ())
+        else:
+            kwargs[f.name] = kind(raw)
     return ExperimentConfig(**kwargs)
 
 
 def format_config(cfg: ExperimentConfig) -> str:
     """Serialize a config in the flat key=value format."""
     def fmt(v):
+        if isinstance(v, tuple):
+            return ",".join(fmt(x) for x in v)
         return f"{v:.12g}" if isinstance(v, float) else str(v)
 
     lines = [f"schema={SCHEMA_VERSION}"]
-    lines.append(f"experiment={cfg.experiment}")
-    lines.append(f"channel={cfg.channel}")
-    lines.append(f"family={cfg.family}")
-    lines.append(f"alpha_min={fmt(cfg.alpha_min)}")
-    lines.append(f"alpha_max={fmt(cfg.alpha_max)}")
-    lines.append(f"alpha_points={cfg.alpha_points}")
-    lines.append("omega0=" + ",".join(fmt(v) for v in cfg.omega0))
-    lines.append(f"omega_c={fmt(cfg.omega_c)}")
-    lines.append("T=" + ",".join(fmt(v) for v in cfg.temperatures))
-    lines.append(f"T_unit={cfg.temperature_unit}")
-    lines.append("phi=" + ",".join(fmt(v) for v in cfg.phis))
-    lines.append(f"rate={cfg.rate}")
-    lines.append(f"gamma0={fmt(cfg.gamma0)}")
-    lines.append(f"t_end={fmt(cfg.t_end)}")
-    lines.append(f"n_steps={cfg.n_steps}")
-    lines.append(f"traj_points={cfg.traj_points}")
-    lines.append(f"r_max={fmt(cfg.r_max)}")
-    lines.append(f"beta_max={fmt(cfg.beta_max)}")
-    lines.append(f"n_max={fmt(cfg.n_max)}")
-    lines.append(f"workers={cfg.workers}")
+    lines += [f"{key}={fmt(getattr(cfg, f.name))}" for key, f in _FIELDS.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -196,17 +186,6 @@ def fig_defaults(figure: int) -> ExperimentConfig:
     raise ValueError(f"figure must be 1..5, got {figure}")
 
 
-def rescale_coefficients(coeffs: ChannelCoefficients,
-                         alpha: float) -> ChannelCoefficients:
-    """Same coefficient table at a different coupling (x, y scale with alpha)."""
-    scale = alpha / coeffs.alpha
-    return ChannelCoefficients(times=coeffs.times, gamma=coeffs.gamma,
-                               delta=coeffs.delta, x=scale * coeffs.x,
-                               y=scale * coeffs.y, alpha=alpha,
-                               kernel_abserr=coeffs.kernel_abserr,
-                               env=coeffs.env)
-
-
 def _resolve_workers(cfg: ExperimentConfig) -> int:
     workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
     cap = os.environ.get("GAUSSNM_THREADS")
@@ -229,23 +208,19 @@ def _run_tasks(tasks, workers: int):
         return [f.result() for f in futures]
 
 
-def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = zip(*columns)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\r\n")
-
-
-def _write_summary(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+def _write_outputs(cfg: ExperimentConfig, out_dir, name: str, header: list[str],
+                   cols, **sections) -> list[str]:
+    """Write ``<name>.csv`` and its JSON run summary; returns both paths."""
+    csv_path = os.path.join(out_dir, f"{name}.csv")
+    _write_csv(csv_path, header, cols)
+    summary = {"schema": SCHEMA_VERSION, "experiment": cfg.experiment,
+               "config": asdict(cfg), "outputs": [os.path.basename(csv_path)],
+               **sections}
+    sum_path = os.path.join(out_dir, f"{name}_summary.json")
+    with open(sum_path, "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _summary_base(cfg: ExperimentConfig, outputs: list[str]) -> dict:
-    return {"schema": SCHEMA_VERSION, "experiment": cfg.experiment,
-            "config": asdict(cfg), "outputs": [os.path.basename(p) for p in outputs]}
+    return [csv_path, sum_path]
 
 
 def _phi_label(p: float) -> str:
@@ -254,10 +229,8 @@ def _phi_label(p: float) -> str:
 
 def _merge_diag(acc: dict, diag: dict) -> None:
     """Add one ``maximize_measure`` diagnostics dict to the sweep totals."""
-    acc["iterations"] = acc.get("iterations", 0) + diag.get("iterations", 0)
-    acc["restarts"] = acc.get("restarts", 0) + diag.get("restarts", 0)
-    acc["grid_evaluations"] = (acc.get("grid_evaluations", 0)
-                               + diag.get("grid_evaluations", 0))
+    for key in ("iterations", "restarts", "grid_evaluations"):
+        acc[key] = acc.get(key, 0) + diag.get(key, 0)
     acc["stagnation_count"] = (acc.get("stagnation_count", 0)
                                + int(diag.get("stagnation", False)))
 
@@ -311,14 +284,8 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[str]:
     for p, col in zip(cfg.phis, first):
         header.append(f"squeezed_first_order_phi{_phi_label(p)}")
         cols.append(col)
-    csv_path = os.path.join(out_dir, "fig1.csv")
-    _write_csv(csv_path, header, cols)
-    summary = _summary_base(cfg, [csv_path])
-    summary["optimizer"] = diag
-    summary["quadrature"] = {"kernel_abserr": 0.0}
-    sum_path = os.path.join(out_dir, "fig1_summary.json")
-    _write_summary(sum_path, summary)
-    return [csv_path, sum_path]
+    return _write_outputs(cfg, out_dir, "fig1", header, cols, optimizer=diag,
+                          quadrature={"kernel_abserr": 0.0})
 
 
 # --- coefficient curves (fig 2) --------------------------------------------
@@ -345,15 +312,9 @@ def run_fig2(cfg: ExperimentConfig, out_dir) -> list[str]:
     results = _run_tasks(tasks, _resolve_workers(cfg))
     header = ["t"] + labels
     cols = [ts] + [delta for delta, _ in results]
-    csv_path = os.path.join(out_dir, "fig2.csv")
-    _write_csv(csv_path, header, cols)
-    summary = _summary_base(cfg, [csv_path])
-    summary["quadrature"] = {
-        "kernel_abserr": max(err for _, err in results),
-    }
-    sum_path = os.path.join(out_dir, "fig2_summary.json")
-    _write_summary(sum_path, summary)
-    return [csv_path, sum_path]
+    return _write_outputs(
+        cfg, out_dir, "fig2", header, cols,
+        quadrature={"kernel_abserr": max(err for _, err in results)})
 
 
 # --- QBM measure sweeps (figs 3-5) ------------------------------------------
@@ -369,7 +330,7 @@ def _qbm_point(cfg: ExperimentConfig, base: ChannelCoefficients, family: str,
                phi: float, equal_squeezing: bool, want_first_order: bool,
                alpha: float):
     times = np.linspace(0.0, cfg.t_end, cfg.traj_points + 1)
-    coeffs = rescale_coefficients(base, alpha)
+    coeffs = base.rescaled(alpha)
     channel = QbmChannel(coeffs)
     res = maximize_measure(family, channel, bounds=cfg.bounds(), phi=phi,
                            equal_squeezing=equal_squeezing, times=times)
@@ -407,16 +368,9 @@ def _run_qbm_sweep(cfg: ExperimentConfig, out_dir, name: str, specs,
         if include_first_order:
             header.append(f"{label}_first_order")
             cols.append(fo)
-    csv_path = os.path.join(out_dir, f"{name}.csv")
-    _write_csv(csv_path, header, cols)
-    summary = _summary_base(cfg, [csv_path])
-    summary["optimizer"] = diag
-    summary["quadrature"] = {
-        "kernel_abserr": max([0.0, *(t.kernel_abserr for t in tables.values())]),
-    }
-    sum_path = os.path.join(out_dir, f"{name}_summary.json")
-    _write_summary(sum_path, summary)
-    return [csv_path, sum_path]
+    abserr = max([0.0, *(t.kernel_abserr for t in tables.values())])
+    return _write_outputs(cfg, out_dir, name, header, cols, optimizer=diag,
+                          quadrature={"kernel_abserr": abserr})
 
 
 def run_fig3(cfg: ExperimentConfig, out_dir) -> list[str]:

@@ -21,14 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .channels import DampingChannel, DampingRateSpec, QbmChannel, damping_x
-from .spectral import ChannelCoefficients
-from .states import (
-    StatePairParams,
-    fidelity_arrays,
-    fidelity_zero_mean_branch,
-    squeezed_thermal_cov,
+from .channels import (
+    DampingChannel,
+    DampingRateSpec,
+    QbmChannel,
+    damping_x,
+    evolve_arrays,
 )
+from .spectral import ChannelCoefficients
+from .states import StatePairParams, fidelity_arrays, squeezed_thermal_cov
 
 __all__ = [
     "UnsupportedShapeError",
@@ -158,42 +159,23 @@ def squeezed_pair(r1: float, r2: float, phi: float) -> StatePairParams:
     return StatePairParams(r1=r1, r2=r2, phi1=phi, phi2=0.0)
 
 
-class _PairEngine:
-    """Shared evolution maps for fast fidelity evaluation of one pair."""
+def _grid(times) -> np.ndarray:
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or ts.size < 1:
+        raise ValueError("times must be a 1-d grid")
+    return ts
 
-    def __init__(self, channel, times):
-        self.channel = channel
-        self.times = np.asarray(times, dtype=float)
-        if self.times.ndim != 1 or self.times.size < 1:
-            raise ValueError("times must be a 1-d grid")
-        self._grid_maps = channel.maps(self.times)
-        self._eye = np.eye(2)
 
-    def set_pair(self, pair: StatePairParams):
-        s1, s2 = pair.states()
-        self.m1, self.c1 = s1.mean, s1.cov
-        self.m2, self.c2 = s2.mean, s2.cov
+def _pair_fidelity(maps, s1, s2) -> np.ndarray:
+    """F of the pair (s1, s2) evolved by the ``maps`` factors.
 
-    def _fid(self, maps):
-        # physical-branch continuation: the exact QBM solution can dip a
-        # hair below the Heisenberg floor at finite coupling, and the
-        # first-order maps do so by construction
-        mf, cf, nf = maps
-        mf = np.asarray(mf, float)
-        noise = np.multiply.outer(np.asarray(nf, float), self._eye)
-        m1 = mf[..., None] * self.m1
-        m2 = mf[..., None] * self.m2
-        cf = np.asarray(cf, float)[..., None, None]
-        return fidelity_arrays(m1, cf * self.c1 + noise, m2, cf * self.c2 + noise,
-                               branch=True)
-
-    def fidelity_grid(self) -> np.ndarray:
-        return self._fid(self._grid_maps)
-
-    def fidelity(self, ts) -> np.ndarray:
-        """Fidelity at arbitrary times of any shape, with one ``maps`` call."""
-        ts = np.asarray(ts, dtype=float)
-        return self._fid(self.channel.maps(ts.ravel())).reshape(ts.shape)
+    Taken on the physical branch: the exact QBM solution can dip a hair
+    below the Heisenberg floor at finite coupling, and the first-order maps
+    do so by construction.
+    """
+    m1, c1 = evolve_arrays(maps, s1.mean, s1.cov)
+    m2, c2 = evolve_arrays(maps, s2.mean, s2.cov)
+    return fidelity_arrays(m1, c1, m2, c2, branch=True)
 
 
 def _filled_signs(df: np.ndarray) -> np.ndarray:
@@ -209,7 +191,7 @@ def _filled_signs(df: np.ndarray) -> np.ndarray:
     return sgn[idx]
 
 
-def _locate_extrema(engine: _PairEngine, fvals: np.ndarray):
+def _locate_extrema(ts: np.ndarray, fvals: np.ndarray, fid):
     """Refined (t, F, kind) of every grid extremum, batched over brackets.
 
     Each sign change of the grid differences brackets one extremum in
@@ -218,8 +200,8 @@ def _locate_extrema(engine: _PairEngine, fvals: np.ndarray):
     sample is evaluated in one more call, and it replaces that sample only
     where it is better.  The vertex shift is clipped to one sub-step so it
     stays inside the bracket when the best sample sits at a bracket end.
+    ``fid(t)`` evaluates F at times of any shape.
     """
-    ts = engine.times
     if ts.size < 3:
         return []
     df = np.diff(fvals)
@@ -232,7 +214,7 @@ def _locate_extrema(engine: _PairEngine, fvals: np.ndarray):
     lo, hi = ts[idx], ts[idx + 2]
     step = (hi - lo) / (_SUBGRID - 1)
     sub_t = lo[:, None] + step[:, None] * np.arange(_SUBGRID)
-    sub_f = engine.fidelity(sub_t)
+    sub_f = fid(sub_t)
     # signed so that every row is a maximization
     signed = kinds[:, None] * sub_f
     rows = np.arange(idx.size)
@@ -243,34 +225,39 @@ def _locate_extrema(engine: _PairEngine, fvals: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.where(curv < 0.0, 0.5 * (f_m - f_p) / curv, 0.0)
     t_v = sub_t[rows, mid] + np.clip(shift, -1.0, 1.0) * step
-    f_v = engine.fidelity(t_v)
+    f_v = fid(t_v)
     take = kinds * f_v > signed[rows, best]
     t_out = np.where(take, t_v, sub_t[rows, best])
     f_out = np.where(take, f_v, sub_f[rows, best])
     return [(float(t), float(f), int(k)) for t, f, k in zip(t_out, f_out, kinds)]
 
 
+def _trajectory_on(pair: StatePairParams, channel, ts: np.ndarray,
+                   grid_maps) -> FidelityTrajectory:
+    """Fidelity trajectory on the grid ts, whose maps are ``grid_maps``."""
+    s1, s2 = pair.states()
+
+    def fid(t):
+        t = np.asarray(t, dtype=float)
+        return _pair_fidelity(channel.maps(t.ravel()), s1, s2).reshape(t.shape)
+
+    fvals = _pair_fidelity(grid_maps, s1, s2)
+    return FidelityTrajectory(times=ts, fidelities=fvals,
+                              extrema=tuple(_locate_extrema(ts, fvals, fid)),
+                              channel=channel.tag, params=pair)
+
+
 def fidelity_trajectory(pair: StatePairParams, channel, times) -> FidelityTrajectory:
     """Fidelity of the evolved pair on a grid, with refined extrema."""
-    engine = _PairEngine(channel, times)
-    engine.set_pair(pair)
-    fvals = engine.fidelity_grid()
-    extrema = _locate_extrema(engine, fvals)
-    return FidelityTrajectory(times=engine.times, fidelities=fvals,
-                              extrema=tuple(extrema), channel=channel.tag,
-                              params=pair)
-
-
-def _breakpoints(traj: FidelityTrajectory):
-    pts = [(float(traj.times[0]), float(traj.fidelities[0]))]
-    pts += [(t, f) for t, f, _ in traj.extrema]
-    pts.append((float(traj.times[-1]), float(traj.fidelities[-1])))
-    return pts
+    ts = _grid(times)
+    return _trajectory_on(pair, channel, ts, channel.maps(ts))
 
 
 def backflow_intervals(traj: FidelityTrajectory) -> list[NegativityInterval]:
     """Fidelity-decrease intervals with their contributions F(t+) - F(t-)."""
-    pts = _breakpoints(traj)
+    pts = [(float(traj.times[0]), float(traj.fidelities[0]))]
+    pts += [(t, f) for t, f, _ in traj.extrema]
+    pts.append((float(traj.times[-1]), float(traj.fidelities[-1])))
     out = []
     for (t_a, f_a), (t_b, f_b) in zip(pts[:-1], pts[1:]):
         drop = f_a - f_b
@@ -349,7 +336,8 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     if times is None:
         times = np.linspace(0.0, channel.t_max, 2001)
     dims, build = _family_space(family, bounds, phi, equal_squeezing)
-    engine = _PairEngine(channel, times)
+    ts = _grid(times)
+    grid_maps = channel.maps(ts)
 
     evaluations = 0
 
@@ -357,12 +345,8 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
         nonlocal evaluations
         evaluations += 1
         vec = np.clip(vec, [lo for lo, _ in dims], [hi for _, hi in dims])
-        engine.set_pair(build(vec))
-        fvals = engine.fidelity_grid()
-        pts = [(float(engine.times[0]), float(fvals[0]))]
-        pts += [(t, f) for t, f, _ in _locate_extrema(engine, fvals)]
-        pts.append((float(engine.times[-1]), float(fvals[-1])))
-        return float(sum(max(a[1] - b[1], 0.0) for a, b in zip(pts[:-1], pts[1:])))
+        return measure_from_trajectory(
+            _trajectory_on(build(vec), channel, ts, grid_maps))
 
     n_per_dim = _coarse_counts(len(dims), cfg.coarse_points)
     axes = [np.linspace(lo, hi, n_per_dim) for lo, hi in dims]
@@ -389,7 +373,7 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
             best_val, best_vec = float(-res.fun), np.asarray(res.x, float)
 
     argmax = build(np.clip(best_vec, [lo for lo, _ in dims], [hi for _, hi in dims]))
-    traj = fidelity_trajectory(argmax, channel, times)
+    traj = fidelity_trajectory(argmax, channel, ts)
     intervals = backflow_intervals(traj)
     diagnostics = {
         "grid_evaluations": int(grid.shape[0]),
@@ -497,6 +481,11 @@ def closed_form_coherent_qbm(coeffs: ChannelCoefficients,
 # first-order (weak-coupling) laws
 # ---------------------------------------------------------------------------
 
+def _total_backflow(channel) -> float:
+    """Sum of the channel's positive exponent backflows."""
+    return sum(max(b, 0.0) for _, _, b in channel.exponent_backflows())
+
+
 def first_order_coherent(channel) -> float:
     """First-order coherent measure: (2/e) alpha |int_{coeff<0} coeff dt|.
 
@@ -505,7 +494,7 @@ def first_order_coherent(channel) -> float:
     cumulative exponent backflows this is sum_I (x+ - x-)_I / e, which is
     zero when there is no negativity region.
     """
-    return INV_E * sum(max(b, 0.0) for _, _, b in channel.exponent_backflows())
+    return INV_E * _total_backflow(channel)
 
 
 def first_order_coherent_thermal(n: float, channel) -> float:
@@ -529,10 +518,25 @@ def g1_squeezed(r: float, phi: float) -> float:
     return 8.0 * math.cosh(2.0 * r) * (k - math.sqrt(k)) / k ** 2
 
 
-def _richardson_central(fn, step: float) -> float:
-    d1 = (fn(step) - fn(-step)) / (2.0 * step)
-    d2 = (fn(0.5 * step) - fn(-0.5 * step)) / step
-    return (4.0 * d2 - d1) / 3.0
+_PROBES = np.array([1.0, -1.0, 0.5, -0.5])  # probe offsets, in steps
+
+
+def _richardson_central(f, step: float) -> float:
+    """Richardson-extrapolated central difference from F at the _PROBES."""
+    d1 = (f[0] - f[1]) / (2.0 * step)
+    d2 = (f[2] - f[3]) / step
+    return float((4.0 * d2 - d1) / 3.0)
+
+
+def _branch_fidelity(covs1, covs2) -> np.ndarray:
+    """Fidelity of zero-mean states, continued past det = 1/4.
+
+    Response coefficients are derivatives of F at the pure-state boundary,
+    where the closed form has a |.|-type kink; the physical branch
+    (``branch=True``) is its analytic continuation.
+    """
+    zeros = np.zeros(np.shape(covs1)[:-1])
+    return fidelity_arrays(zeros, covs1, zeros, covs2, branch=True)
 
 
 def squeezed_response(r1: float, r2: float, phi: float,
@@ -548,15 +552,11 @@ def squeezed_response(r1: float, r2: float, phi: float,
     """
     c1 = squeezed_thermal_cov(0.0, r1, 0.0)
     c2 = squeezed_thermal_cov(0.0, r2, phi)
-    eye = np.eye(2)
-
-    def f_x(h):
-        return fidelity_zero_mean_branch((1.0 - h) * c1, (1.0 - h) * c2)
-
-    def f_y(h):
-        return fidelity_zero_mean_branch(c1 + 0.5 * h * eye, c2 + 0.5 * h * eye)
-
-    return _richardson_central(f_x, step), _richardson_central(f_y, step)
+    h = step * _PROBES[:, None, None]
+    noise = 0.5 * h * np.eye(2)
+    f = _branch_fidelity(np.concatenate([(1.0 - h) * c1, c1 + noise]),
+                         np.concatenate([(1.0 - h) * c2, c2 + noise]))
+    return _richardson_central(f[:4], step), _richardson_central(f[4:], step)
 
 
 def damping_response(r1: float, r2: float, phi: float,
@@ -569,22 +569,19 @@ def damping_response(r1: float, r2: float, phi: float,
     """
     c1 = squeezed_thermal_cov(0.0, r1, 0.0)
     c2 = squeezed_thermal_cov(0.0, r2, phi)
-    eye = np.eye(2)
-
-    def f(h):
-        u = math.exp(-h)
-        return fidelity_zero_mean_branch(u * c1 + 0.5 * (1.0 - u) * eye,
-                                         u * c2 + 0.5 * (1.0 - u) * eye)
-
-    return _richardson_central(f, step)
+    # math.exp, not np.exp: the two differ by a few ulp, and the difference
+    # quotient amplifies that into printed digits
+    u = np.array([math.exp(-h) for h in step * _PROBES])[:, None, None]
+    noise = 0.5 * (1.0 - u) * np.eye(2)
+    return _richardson_central(_branch_fidelity(u * c1 + noise, u * c2 + noise),
+                               step)
 
 
 def first_order_squeezed_qbm(r1: float, r2: float, phi: float,
                              coeffs: ChannelCoefficients) -> float:
     """First-order squeezed QBM measure: alpha S_delta |int_{Delta<0} 2 Delta|."""
     _, s_delta = squeezed_response(r1, r2, phi)
-    backflow = sum(max(b, 0.0) for _, _, b in QbmChannel(coeffs).exponent_backflows())
-    return s_delta * backflow
+    return s_delta * _total_backflow(QbmChannel(coeffs))
 
 
 def _max_over_r(coefficient_fn, r_max: float) -> tuple[float, float]:
@@ -601,17 +598,15 @@ def _max_over_r(coefficient_fn, r_max: float) -> tuple[float, float]:
 def first_order_squeezed_qbm_max(coeffs: ChannelCoefficients, phi: float,
                                  r_max: float = 5.0) -> tuple[float, float]:
     """(measure, argmax r) of the first-order squeezed QBM law, r1 = r2 = r."""
-    backflow = sum(max(b, 0.0) for _, _, b in QbmChannel(coeffs).exponent_backflows())
     r_star, s = _max_over_r(lambda r: squeezed_response(r, r, phi)[1], r_max)
-    return s * backflow, r_star
+    return s * _total_backflow(QbmChannel(coeffs)), r_star
 
 
 def first_order_squeezed_damping_max(channel: DampingChannel, phi: float,
                                      r_max: float = 5.0) -> tuple[float, float]:
     """(measure, argmax r) of the first-order squeezed damping law."""
-    backflow = sum(max(b, 0.0) for _, _, b in channel.exponent_backflows())
     r_star, s = _max_over_r(lambda r: damping_response(r, r, phi), r_max)
-    return s * backflow, r_star
+    return s * _total_backflow(channel), r_star
 
 
 def first_order_pure_combination(k: float, r1: float, r2: float,
@@ -627,7 +622,7 @@ def first_order_pure_combination(k: float, r1: float, r2: float,
         raise ValueError("K must be >= 0")
     c1 = squeezed_thermal_cov(0.0, r1, 0.0)
     c2 = squeezed_thermal_cov(0.0, r2, phi)
-    s0 = fidelity_zero_mean_branch(c1, c2)
+    s0 = float(_branch_fidelity(c1, c2))
     # displaced along the q axis; C is the ratio of the full zero-time
     # fidelity to the zero-displacement one
     pair = StatePairParams(beta1_mag=math.sqrt(2.0 * k), r1=r1, r2=r2,

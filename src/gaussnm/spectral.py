@@ -103,6 +103,15 @@ class ChannelCoefficients:
     def t_end(self) -> float:
         return float(self.times[-1])
 
+    def rescaled(self, alpha: float) -> "ChannelCoefficients":
+        """Same table at a different coupling (x and y scale with alpha)."""
+        scale = alpha / self.alpha
+        return ChannelCoefficients(times=self.times, gamma=self.gamma,
+                                   delta=self.delta, x=scale * self.x,
+                                   y=scale * self.y, alpha=alpha,
+                                   kernel_abserr=self.kernel_abserr,
+                                   env=self.env)
+
 
 def spectral_density(omega, env: EnvironmentSpec):
     """Ohmic spectral density J(w) = w exp(-w/w_c); domain w >= 0."""
@@ -228,6 +237,22 @@ def _cumulative(values: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _table_grid(t_end: float, n_steps: int) -> np.ndarray:
+    if not t_end > 0.0:
+        raise ValueError("t_end must be positive")
+    if n_steps < 2:
+        raise ValueError("n_steps must be >= 2")
+    return np.linspace(0.0, float(t_end), int(n_steps) + 1)
+
+
+def _table(ts, gamma, delta, alpha: float, **extra) -> ChannelCoefficients:
+    """Coefficient table with the exponents x = 2 alpha int gamma, y = 2 alpha int Delta."""
+    return ChannelCoefficients(times=ts, gamma=gamma, delta=delta,
+                               x=_cumulative(2.0 * alpha * gamma, ts),
+                               y=_cumulative(2.0 * alpha * delta, ts),
+                               alpha=alpha, **extra)
+
+
 def build_coefficients(env: EnvironmentSpec, alpha: float, t_end: float,
                        n_steps: int) -> ChannelCoefficients:
     """Tabulate gamma, Delta, x, y on a uniform grid of n_steps intervals.
@@ -235,11 +260,7 @@ def build_coefficients(env: EnvironmentSpec, alpha: float, t_end: float,
     The time integrals are composite Simpson over the sampled integrands,
     so the cumulative columns are O(h^4) accurate in the grid spacing.
     """
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
-    if n_steps < 2:
-        raise ValueError("n_steps must be >= 2")
-    ts = np.linspace(0.0, float(t_end), int(n_steps) + 1)
+    ts = _table_grid(t_end, n_steps)
     a = 1.0 / env.omega_c
     gam_rate = _sin_kernel(ts, a) * np.sin(env.omega0 * ts)
     dlt_rate = 0.5 * _cos_kernel(ts, a) * np.cos(env.omega0 * ts)
@@ -250,28 +271,17 @@ def build_coefficients(env: EnvironmentSpec, alpha: float, t_end: float,
             thermal[i], err = thermal_cos_kernel(s, env)
             kernel_abserr = max(kernel_abserr, err)
         dlt_rate = dlt_rate + thermal * np.cos(env.omega0 * ts)
-    gamma = _cumulative(gam_rate, ts)
-    delta = _cumulative(dlt_rate, ts)
-    x = _cumulative(2.0 * alpha * gamma, ts)
-    y = _cumulative(2.0 * alpha * delta, ts)
-    return ChannelCoefficients(times=ts, gamma=gamma, delta=delta, x=x, y=y,
-                               alpha=alpha, kernel_abserr=kernel_abserr, env=env)
+    return _table(ts, _cumulative(gam_rate, ts), _cumulative(dlt_rate, ts),
+                  alpha, kernel_abserr=kernel_abserr, env=env)
 
 
 def coefficients_from_functions(gamma_fn, delta_fn, alpha: float, t_end: float,
                                 n_steps: int) -> ChannelCoefficients:
     """Tabulate user-supplied gamma(t), Delta(t) callables (test hook)."""
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
-    if n_steps < 2:
-        raise ValueError("n_steps must be >= 2")
-    ts = np.linspace(0.0, float(t_end), int(n_steps) + 1)
+    ts = _table_grid(t_end, n_steps)
     gamma = np.asarray([float(gamma_fn(t)) for t in ts])
     delta = np.asarray([float(delta_fn(t)) for t in ts])
-    x = _cumulative(2.0 * alpha * gamma, ts)
-    y = _cumulative(2.0 * alpha * delta, ts)
-    return ChannelCoefficients(times=ts, gamma=gamma, delta=delta, x=x, y=y,
-                               alpha=alpha)
+    return _table(ts, gamma, delta, alpha)
 
 
 def divisibility_check(coeffs: ChannelCoefficients) -> list[tuple[float, float]]:
@@ -318,9 +328,15 @@ def settle_horizon(env: EnvironmentSpec, rel_tol: float = 1e-3,
         t_end *= 2.0
 
 
+def _write_csv(path, header: list[str], columns) -> None:
+    """CSV of equal-length columns, 12 significant digits, CRLF line ends."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{v:.12g}" for v in row) + "\r\n")
+
+
 def write_coefficients_csv(coeffs: ChannelCoefficients, path) -> None:
     """Write the coefficient table as CSV with 12 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,gamma,delta,x,y\r\n")
-        for row in zip(coeffs.times, coeffs.gamma, coeffs.delta, coeffs.x, coeffs.y):
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\r\n")
+    _write_csv(path, ["t", "gamma", "delta", "x", "y"],
+               [coeffs.times, coeffs.gamma, coeffs.delta, coeffs.x, coeffs.y])

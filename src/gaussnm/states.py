@@ -227,32 +227,6 @@ def bures_distance(a: GaussianState, b: GaussianState) -> float:
     return math.sqrt(max(2.0 - 2.0 * math.sqrt(f), 0.0))
 
 
-def fidelity_zero_mean_branch(cov1: np.ndarray, cov2: np.ndarray) -> float:
-    """Fidelity of two zero-mean states, smoothly continued past det = 1/4.
-
-    The closed form contains sqrt((det1 - 1/4)(det2 - 1/4)), which has a
-    |.|-type kink where the states cross the pure-state boundary.  For
-    response coefficients (derivatives of F at the boundary) we need the
-    analytic continuation of the physical branch: the square root is taken
-    with the sign of the (det - 1/4) factors.  Requires both factors to
-    carry the same sign, which holds for the symmetric probe pairs used by
-    the finite-difference oracles.
-    """
-    c1 = np.asarray(cov1, float)
-    c2 = np.asarray(cov2, float)
-    g1 = float(_det2(c1)) - 0.25
-    g2 = float(_det2(c2)) - 0.25
-    prod = g1 * g2
-    if prod < -1e-15:
-        raise ValueError(
-            "branch-continued fidelity needs (det - 1/4) factors of equal sign"
-        )
-    root = math.copysign(math.sqrt(max(prod, 0.0)), g1 + g2)
-    big = 4.0 * float(_det2(c1 + c2))
-    f2 = 2.0 / (math.sqrt(big + 16.0 * max(prod, 0.0)) - 4.0 * root)
-    return math.sqrt(f2)
-
-
 def rotation_matrix(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])

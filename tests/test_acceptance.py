@@ -27,7 +27,7 @@ from gaussnm import (
     make_gaussian,
     maximize_measure,
 )
-from gaussnm.experiments import fig_defaults, rescale_coefficients, run_experiment
+from gaussnm.experiments import fig_defaults, run_experiment
 from gaussnm.spectral import EnvironmentSpec, delta_thermal
 from fock_oracle import fock_fidelity, fock_gaussian
 
@@ -161,7 +161,7 @@ def test_criterion_05_family_orderings(qbm_base):
                 channel = DampingChannel(alpha=alpha, rate=RATE, t_max=25.0)
                 times = np.linspace(0.0, 25.0, 1501)
             else:
-                channel = QbmChannel(rescale_coefficients(qbm_base, alpha))
+                channel = QbmChannel(qbm_base.rescaled(alpha))
                 times = np.linspace(0.0, 40.0, 1501)
             values = [
                 maximize_measure("squeezed", channel, phi=phi,
@@ -187,7 +187,7 @@ def test_criterion_06_qbm_interval_alignment(qbm_base):
     tol = 0.02 * period
     worst = 0.0
     for alpha in (0.01, 0.05):
-        channel = QbmChannel(rescale_coefficients(qbm_base, alpha))
+        channel = QbmChannel(qbm_base.rescaled(alpha))
         roots = [t for iv in channel.propagator.delta_negativity_intervals()
                  for t in iv]
         traj = fidelity_trajectory(coherent_pair(1.0), channel,

@@ -7,23 +7,30 @@ from gaussnm import (
     ApproximationWarning,
     DampingChannel,
     DampingRateSpec,
+    GaussianState,
     PhysicalityWarning,
     QbmChannel,
     StatePairParams,
     build_coefficients,
     coefficients_from_functions,
     damping_x,
-    evolve_damping,
-    evolve_qbm,
-    fidelity,
     make_gaussian,
     rotate_state,
     trajectory,
     write_trajectory_csv,
 )
 from gaussnm.spectral import EnvironmentSpec
+from gaussnm.states import _det2, fidelity_arrays
 
 RATE = DampingRateSpec.decaying_sine()
+
+
+def damped(state, t, alpha, spec, mode="exact"):
+    return DampingChannel(alpha=alpha, rate=spec, mode=mode).evolve(state, t)
+
+
+def qbm_evolved(state, t, table, mode="exact"):
+    return QbmChannel(table, mode=mode).evolve(state, t)
 
 
 def x_oracle(t, alpha):
@@ -98,37 +105,37 @@ class TestEvolveDamping:
     def test_vacuum_fixed_point(self):
         v = make_gaussian()
         for t in (0.5, 3.0, 12.0):
-            out = evolve_damping(v, t, 0.1, RATE)
+            out = damped(v, t, 0.1, RATE)
             assert np.allclose(out.cov, np.eye(2) / 2.0, atol=1e-14)
             assert np.allclose(out.mean, 0.0)
 
     def test_constant_rate_amplitude_decay(self):
         spec = DampingRateSpec.constant(0.8)
         s = make_gaussian(beta=1.0 + 0.0j)
-        out = evolve_damping(s, 2.0, 0.3, spec)
+        out = damped(s, 2.0, 0.3, spec)
         assert out.mean[0] == pytest.approx(math.sqrt(2.0) * math.exp(-0.3 * 0.8 * 2.0),
                                             rel=1e-12)
 
     def test_amplitude_at_pi(self):
         s = make_gaussian(beta=1.0 + 0.0j)
-        out = evolve_damping(s, math.pi, 0.1, RATE)
+        out = damped(s, math.pi, 0.1, RATE)
         assert out.mean[0] / math.sqrt(2.0) == pytest.approx(
             math.exp(-x_oracle(math.pi, 0.1) / 2.0), rel=1e-12)
 
     def test_semigroup_composition_constant_rate(self):
         spec = DampingRateSpec.constant(0.4)
         s = make_gaussian(n=0.5, r=0.6, phi=1.0, beta=0.7 + 0.3j)
-        one = evolve_damping(evolve_damping(s, 1.3, 0.2, spec), 0.9, 0.2, spec)
+        one = damped(damped(s, 1.3, 0.2, spec), 0.9, 0.2, spec)
         # time-homogeneous: shift the second leg back to the origin
-        two = evolve_damping(s, 2.2, 0.2, spec)
+        two = damped(s, 2.2, 0.2, spec)
         assert np.max(np.abs(one.cov - two.cov)) <= 1e-10
         assert np.max(np.abs(one.mean - two.mean)) <= 1e-10
 
     def test_rotation_covariance(self):
         s = make_gaussian(r=0.8, phi=0.7, beta=1.0 + 0.5j)
         theta = 1.1
-        a = evolve_damping(rotate_state(s, theta), 2.0, 0.1, RATE)
-        b = rotate_state(evolve_damping(s, 2.0, 0.1, RATE), theta)
+        a = damped(rotate_state(s, theta), 2.0, 0.1, RATE)
+        b = rotate_state(damped(s, 2.0, 0.1, RATE), theta)
         assert np.max(np.abs(a.cov - b.cov)) <= 1e-10
         assert np.max(np.abs(a.mean - b.mean)) <= 1e-10
 
@@ -137,18 +144,18 @@ class TestEvolveDamping:
         channel = DampingChannel(alpha=0.1, rate=RATE, t_max=25.0)
         t1, t2 = trajectory(pair, channel, np.linspace(0.0, 25.0, 501))
         for tr in (t1, t2):
-            assert all(s.det_cov >= 0.25 - 1e-9 for s in tr.states)
+            assert np.all(_det2(tr.covs) >= 0.25 - 1e-9)
 
     def test_first_order_flags_large_x(self):
         s = make_gaussian()
         spec = DampingRateSpec.constant(1.0)
         with pytest.warns(ApproximationWarning):
-            evolve_damping(s, 5.0, 0.2, spec, mode="first_order")
+            damped(s, 5.0, 0.2, spec, mode="first_order")
 
     def test_first_order_close_to_exact_at_small_x(self):
         s = make_gaussian(n=0.2, r=0.4, beta=0.5 + 0.1j)
-        exact = evolve_damping(s, 1.0, 0.01, RATE)
-        first = evolve_damping(s, 1.0, 0.01, RATE, mode="first_order")
+        exact = damped(s, 1.0, 0.01, RATE)
+        first = damped(s, 1.0, 0.01, RATE, mode="first_order")
         assert np.max(np.abs(exact.cov - first.cov)) <= 1e-4
 
     def test_first_order_error_scales_quadratically(self):
@@ -156,8 +163,8 @@ class TestEvolveDamping:
         t = 2.0
         errors = []
         for alpha in (0.05, 0.025, 0.0125):
-            exact = evolve_damping(s, t, alpha, RATE)
-            first = evolve_damping(s, t, alpha, RATE, mode="first_order")
+            exact = damped(s, t, alpha, RATE)
+            first = damped(s, t, alpha, RATE, mode="first_order")
             errors.append(np.max(np.abs(exact.cov - first.cov)))
         assert errors[0] / errors[1] >= 3.5
         assert errors[1] / errors[2] >= 3.5
@@ -172,7 +179,7 @@ def qbm_table():
 class TestEvolveQbm:
     def test_identity_at_t0(self, qbm_table):
         s = make_gaussian(n=0.3, r=0.5, beta=1.0 + 0.0j)
-        out = evolve_qbm(s, 0.0, qbm_table)
+        out = qbm_evolved(s, 0.0, qbm_table)
         assert np.allclose(out.cov, s.cov, atol=1e-12)
         assert np.allclose(out.mean, s.mean, atol=1e-12)
 
@@ -182,7 +189,7 @@ class TestEvolveQbm:
         table = coefficients_from_functions(lambda t: g, lambda t: 0.0,
                                             alpha=0.2, t_end=4.0, n_steps=400)
         s = make_gaussian(n=1.0)
-        out = evolve_qbm(s, 3.0, table)
+        out = qbm_evolved(s, 3.0, table)
         factor = math.exp(-2.0 * 0.2 * g * 3.0)
         assert np.max(np.abs(out.cov - factor * s.cov)) <= 1e-8
 
@@ -190,8 +197,8 @@ class TestEvolveQbm:
         s = make_gaussian(r=0.8, phi=0.4)
         worst = 0.0
         for t in np.linspace(0.5, 30.0, 30):
-            exact = evolve_qbm(s, t, qbm_table)
-            first = evolve_qbm(s, t, qbm_table, mode="first_order")
+            exact = qbm_evolved(s, t, qbm_table)
+            first = qbm_evolved(s, t, qbm_table, mode="first_order")
             worst = max(worst, np.max(np.abs(exact.cov - first.cov)))
         assert worst <= 1e-3
 
@@ -203,8 +210,8 @@ class TestEvolveQbm:
             table = build_coefficients(env, alpha=alpha, t_end=20.0, n_steps=800)
             worst = 0.0
             for t in np.linspace(1.0, 20.0, 15):
-                exact = evolve_qbm(s, t, table)
-                first = evolve_qbm(s, t, table, mode="first_order")
+                exact = qbm_evolved(s, t, table)
+                first = qbm_evolved(s, t, table, mode="first_order")
                 worst = max(worst, np.max(np.abs(exact.cov - first.cov)))
             errs.append(worst)
         assert errs[0] / errs[1] >= 3.5
@@ -213,15 +220,15 @@ class TestEvolveQbm:
     def test_rotation_covariance(self, qbm_table):
         s = make_gaussian(r=0.7, phi=1.3, beta=0.4 - 0.6j)
         theta = 0.9
-        a = evolve_qbm(rotate_state(s, theta), 8.0, qbm_table)
-        b = rotate_state(evolve_qbm(s, 8.0, qbm_table), theta)
+        a = qbm_evolved(rotate_state(s, theta), 8.0, qbm_table)
+        b = rotate_state(qbm_evolved(s, 8.0, qbm_table), theta)
         assert np.max(np.abs(a.cov - b.cov)) <= 1e-10
         assert np.max(np.abs(a.mean - b.mean)) <= 1e-10
 
     def test_out_of_range_time_rejected(self, qbm_table):
         s = make_gaussian()
         with pytest.raises(ValueError, match="grid"):
-            evolve_qbm(s, 31.0, qbm_table)
+            qbm_evolved(s, 31.0, qbm_table)
 
     def test_transient_heisenberg_dip_is_flagged(self):
         # the exact solution carries no vacuum floor beyond the diffusion
@@ -233,7 +240,7 @@ class TestEvolveQbm:
         pair = StatePairParams(beta1_mag=1.0)
         with pytest.warns(PhysicalityWarning):
             t1, _ = trajectory(pair, channel, np.linspace(0.0, 40.0, 801))
-        min_det = min(s.det_cov for s in t1.states)
+        min_det = _det2(t1.covs).min()
         assert 0.25 - 3.0 * 0.05 <= min_det < 0.25 - 1e-9
 
 
@@ -242,22 +249,48 @@ class TestTrajectory:
         pair = StatePairParams(r1=0.4, r2=0.4, phi1=0.2, phi2=0.2)
         channel = DampingChannel(alpha=0.1, rate=RATE)
         t1, t2 = trajectory(pair, channel, np.linspace(0.0, 10.0, 101))
-        for a, b in zip(t1.states, t2.states):
-            assert a.close_to(b)
+        for m1, c1, m2, c2 in zip(t1.means, t1.covs, t2.means, t2.covs):
+            assert GaussianState(m1, c1).close_to(GaussianState(m2, c2))
 
     def test_single_point_grid(self):
         pair = StatePairParams(beta1_mag=1.0)
         channel = DampingChannel(alpha=0.1, rate=RATE)
         t1, _ = trajectory(pair, channel, np.array([0.0]))
         s1, _ = pair.states()
-        assert t1.states[0].close_to(s1)
+        assert GaussianState(t1.means[0], t1.covs[0]).close_to(s1)
 
     def test_divisible_fidelity_monotone(self):
         pair = StatePairParams(beta1_mag=1.2, r2=0.3)
         channel = DampingChannel(alpha=0.2, rate=DampingRateSpec.constant(0.6))
         t1, t2 = trajectory(pair, channel, np.linspace(0.0, 10.0, 201))
-        f = np.array([fidelity(a, b) for a, b in zip(t1.states, t2.states)])
+        f = fidelity_arrays(t1.means, t1.covs, t2.means, t2.covs)
         assert np.all(np.diff(f) >= -1e-12)
+
+    def test_damping_exact_heisenberg_violation_rejected(self):
+        pair = StatePairParams(r1=0.5)
+        channel = DampingChannel(alpha=0.1, rate=DampingRateSpec.constant(-0.5))
+        with pytest.raises(ValueError, match="Heisenberg"):
+            trajectory(pair, channel, np.linspace(0.0, 25.0, 501))
+
+    def test_first_order_dip_warns(self):
+        pair = StatePairParams(r1=0.5)
+        channel = DampingChannel(alpha=0.1, rate=DampingRateSpec.constant(-0.5),
+                                 mode="first_order")
+        with pytest.warns(PhysicalityWarning):
+            trajectory(pair, channel, np.linspace(0.0, 25.0, 501))
+
+    def test_arrays_match_single_state_evolution(self, qbm_table):
+        pair = StatePairParams(r1=0.6, phi1=0.3, beta1_mag=0.8, n2=0.4)
+        times = np.linspace(0.0, 30.0, 7)
+        for channel in (DampingChannel(alpha=0.1, rate=RATE),
+                        QbmChannel(qbm_table)):
+            trajs = trajectory(pair, channel, times)
+            for traj, state in zip(trajs, pair.states()):
+                assert traj.means.shape == (7, 2) and traj.covs.shape == (7, 2, 2)
+                for t, m, c in zip(times, traj.means, traj.covs):
+                    one = channel.evolve(state, t)
+                    assert np.array_equal(one.mean, m)
+                    assert np.array_equal(one.cov, c)
 
     def test_csv_export(self, tmp_path):
         pair = StatePairParams(beta1_mag=1.0)

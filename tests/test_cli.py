@@ -92,6 +92,16 @@ class TestEvolveCommand:
         first = [float(v) for v in lines[1].split(",")]
         assert first[1] == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
+    def test_heisenberg_violation_exits_2(self, tmp_path):
+        # a negative constant rate amplifies the squeezed quadrature
+        out = tmp_path / "traj.csv"
+        proc = run_cli("evolve", "--channel", "damping", "--alpha", "0.1",
+                       "--rate", "constant", "--gamma0", "-0.5",
+                       "--n", "0", "--r", "0.5", "--phi", "0",
+                       "--beta-mag", "0", "--beta-arg", "0", "--out", str(out))
+        assert proc.returncode == 2
+        assert "Heisenberg" in proc.stderr
+
 
 class TestMeasureCommand:
     def test_closed_form_value(self):
@@ -137,6 +147,16 @@ class TestMeasureCommand:
                        "--method", "closed")
         assert proc.returncode == 3
 
+    def test_numeric_respects_r_max(self):
+        proc = run_cli("measure", "--channel", "damping", "--family",
+                       "squeezed", "--alpha", "0.1", "--method", "numeric",
+                       "--r-max", "0.3")
+        assert proc.returncode == 0
+        header, row = proc.stdout.strip().splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert float(record["param_r1"]) <= 0.3
+        assert float(record["param_r2"]) <= 0.3
+
     def test_first_order_record(self):
         proc = run_cli("measure", "--channel", "damping", "--family",
                        "coherent-thermal", "--n-thermal", "0.5",
@@ -175,6 +195,16 @@ class TestReproduceCommand:
         assert run_cli("reproduce", "--figure", "2", "--config", str(cfg),
                        "--out", str(b)).returncode == 0
         assert (a / "fig2.csv").read_bytes() == (b / "fig2.csv").read_bytes()
+
+    def test_empty_list_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("schema=1\nexperiment=fig3\nchannel=qbm\nomega0=\n")
+        out = tmp_path / "out"
+        proc = run_cli("reproduce", "--figure", "3", "--config", str(cfg),
+                       "--out", str(out))
+        assert proc.returncode == 2
+        assert "'omega0'" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_figure_config_mismatch_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -11,7 +11,6 @@ from gaussnm.experiments import (
     fig_defaults,
     format_config,
     parse_config,
-    rescale_coefficients,
     run_experiment,
 )
 from gaussnm.spectral import EnvironmentSpec, build_coefficients
@@ -56,6 +55,17 @@ class TestConfig:
             ExperimentConfig(phis=(0.0,))
         with pytest.raises(ValueError, match="phi"):
             ExperimentConfig(phis=(3.5,))
+
+    @pytest.mark.parametrize("figure, key", [
+        (2, "omega0"), (2, "T"), (3, "omega0"), (3, "T"), (4, "omega0"),
+        (4, "T"), (4, "phi"), (5, "omega0"), (5, "T"), (5, "phi"),
+    ])
+    def test_empty_list_key_rejected(self, figure, key):
+        lines = format_config(fig_defaults(figure)).splitlines()
+        text = "\n".join(f"{key}=" if ln.startswith(f"{key}=") else ln
+                         for ln in lines)
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            parse_config(text)
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
@@ -264,7 +274,7 @@ class TestDeterminismAndWorkers:
 def test_rescale_coefficients():
     env = EnvironmentSpec(omega0=1.0, omega_c=0.5, temperature=0.0)
     base = build_coefficients(env, alpha=1.0, t_end=5.0, n_steps=100)
-    scaled = rescale_coefficients(base, 0.25)
+    scaled = base.rescaled(0.25)
     assert scaled.alpha == 0.25
     assert np.allclose(scaled.x, 0.25 * base.x)
     assert np.allclose(scaled.gamma, base.gamma)

@@ -74,9 +74,7 @@ def qbm_base():
 
 
 def qbm_channel(base, alpha):
-    scale = alpha / base.alpha
-    from gaussnm.experiments import rescale_coefficients
-    return QbmChannel(rescale_coefficients(base, alpha))
+    return QbmChannel(base.rescaled(alpha))
 
 
 class TestFidelityTrajectory:
@@ -153,20 +151,9 @@ class TestExtremumRefinement:
             assert t == pytest.approx(t_ref, abs=step / 32.0)
 
 
-class FunctionEngine:
-    """Pair-engine stand-in whose fidelity is a given function of t."""
-
-    def __init__(self, fn, times):
-        self.fn = fn
-        self.times = np.asarray(times, dtype=float)
-
-    def fidelity(self, ts):
-        return self.fn(np.asarray(ts, dtype=float))
-
-
 def located(fn, times):
-    engine = FunctionEngine(fn, times)
-    return _locate_extrema(engine, fn(engine.times))
+    times = np.asarray(times, dtype=float)
+    return _locate_extrema(times, fn(times), fn)
 
 
 class TestLocateExtremaEdges:
@@ -467,8 +454,7 @@ class TestSqueezedCoefficients:
 
 class TestFirstOrderSqueezed:
     def test_identical_pair_zero(self, qbm_base):
-        from gaussnm.experiments import rescale_coefficients
-        table = rescale_coefficients(qbm_base, 0.01)
+        table = qbm_base.rescaled(0.01)
         assert abs(first_order_squeezed_qbm(1.0, 1.0, 0.0, table)) <= 1e-9
 
     def test_slope_matches_numeric_measure(self, qbm_base):

@@ -40,15 +40,20 @@ def brute_force_delta(t, env, pieces=400):
     wmax = max(env.omega_c, env.temperature) * math.log(1e12) + 10 * max(
         env.omega_c, env.temperature)
 
+    temp = env.temperature
+    # the thermal peak sits near w ~ T, far below wmax at low T
+    peaks = [temp, 10.0 * temp] if temp > 0.0 else None
+
     def occupancy(w):
-        if env.temperature == 0.0:
+        if temp == 0.0:
             return 0.5
-        return 1.0 / math.expm1(w / env.temperature) + 0.5
+        # N(w) = e^{-w/T} / (1 - e^{-w/T}): no overflow for w >> T
+        return math.exp(-w / temp) / -math.expm1(-w / temp) + 0.5
 
     def inner(s):
         val, _ = quad(
             lambda w: w * np.exp(-w / env.omega_c) * occupancy(w) * np.cos(w * s),
-            0.0, wmax, limit=pieces)
+            0.0, wmax, limit=pieces, points=peaks)
         return val * np.cos(env.omega0 * s)
 
     val, _ = quad(inner, 0.0, t, limit=pieces)
@@ -105,6 +110,12 @@ class TestCoefficients:
         semi = delta_coefficient(t, ENV_REF)
         brute = brute_force_delta(t, ENV_REF)
         assert semi == pytest.approx(brute, rel=1e-6)
+        # low temperature, T / omega_c = 0.005 and 0.01
+        for temp in (0.001, 0.002):
+            env = EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=temp)
+            for t in (1.0, 3.0, 8.0):
+                assert delta_coefficient(t, env) == pytest.approx(
+                    brute_force_delta(t, env), rel=1e-6)
 
     def test_semi_analytic_vs_brute_force_sample(self):
         # 20-point (t, env) sample across frequency/temperature regimes
