@@ -382,18 +382,23 @@ def trajectory(pair: StatePairParams, channel, times) -> tuple[Trajectory, Traje
     dips and any first-order truncation artifacts are reported as a
     PhysicalityWarning instead of an error.
     """
+    return tuple(_trajectories(pair.states(), channel, times, pair))
+
+
+def _trajectories(states, channel, times, params) -> list[Trajectory]:
+    """``trajectory`` for any sequence of states: one maps call, one check."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size < 1 or np.any(ts < 0.0):
         raise ValueError("times must be a 1-d grid of non-negative instants")
     maps = channel.maps(ts)
     out = []
-    for st in pair.states():
+    for st in states:
         means, covs = evolve_arrays(maps, st.mean, st.cov)
         if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
             raise ValueError("state contains non-finite entries")
         out.append(Trajectory(times=ts, means=means, covs=covs,
-                              channel=channel.tag, params=pair))
-    covs = np.stack([out[0].covs, out[1].covs])
+                              channel=channel.tag, params=params))
+    covs = np.stack([traj.covs for traj in out])
     dets = _det2(covs)
     if channel.mode == "exact" and channel.tag == "damping":
         trace = covs[..., 0, 0] + covs[..., 1, 1]
@@ -404,9 +409,9 @@ def trajectory(pair: StatePairParams, channel, times) -> tuple[Trajectory, Traje
     elif dets.min() < 0.25 - 1e-9:
         warnings.warn(
             f"trajectory dips below the Heisenberg bound (min det = {dets.min():.6g})",
-            PhysicalityWarning, stacklevel=2,
+            PhysicalityWarning, stacklevel=3,
         )
-    return out[0], out[1]
+    return out
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -22,7 +22,7 @@ from .channels import (
     DampingChannel,
     DampingRateSpec,
     QbmChannel,
-    trajectory,
+    _trajectories,
     write_trajectory_csv,
 )
 from .measure import (
@@ -121,14 +121,15 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    state = _state_from_flags(args, "")
+    _state_from_flags(args, "")  # validates the flags, naming the bad one
     if args.alpha <= 0.0:
         raise ValueError("--alpha must be > 0")
     times = np.linspace(0.0, args.t_end, args.points)
     pair = StatePairParams(n1=args.n, r1=args.r, phi1=args.phi,
                            beta1_mag=args.beta_mag, theta1=args.beta_arg)
     channel = _channel_from_args(args, mode=args.mode.replace("-", "_"))
-    traj, _ = trajectory(pair, channel, times)
+    # evolve and check only the state that is written
+    traj, = _trajectories(pair.states()[:1], channel, times, pair)
     write_trajectory_csv(traj, args.out)
     print(f"wrote {args.out} ({args.points} rows)")
     return 0
@@ -232,6 +233,29 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+def _channel_flags(parser: argparse.ArgumentParser, temperature: float,
+                   t_end: float):
+    """Flags choosing the channel and its time range (evolve and measure)."""
+    parser.add_argument("--channel", choices=("damping", "qbm"), required=True)
+    parser.add_argument("--alpha", type=float, required=True,
+                        help="coupling constant")
+    parser.add_argument("--rate", choices=("decaying-sine", "constant"),
+                        default="decaying-sine",
+                        help="damping rate shape (damping channel)")
+    parser.add_argument("--gamma0", type=float, default=0.5,
+                        help="constant rate value (rate=constant)")
+    parser.add_argument("--omega0", type=float, default=1.0,
+                        help="system frequency (qbm)")
+    parser.add_argument("--omega-c", type=float, default=0.2,
+                        help="cutoff frequency (qbm)")
+    parser.add_argument("--T", type=float, default=temperature,
+                        help="temperature k_B T (qbm)")
+    parser.add_argument("--t-end", type=float, default=t_end,
+                        help="final time / coefficient table end")
+    parser.add_argument("--n-steps", type=int, default=2000,
+                        help="coefficient grid intervals (qbm)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussnm",
@@ -264,60 +288,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ev = sub.add_parser("evolve", help="evolve one state, CSV trajectory")
     _state_flags(p_ev, "")
-    p_ev.add_argument("--channel", choices=("damping", "qbm"), required=True)
+    _channel_flags(p_ev, temperature=0.0, t_end=25.0)
     p_ev.add_argument("--mode", choices=("exact", "first-order"),
                       default="exact")
-    p_ev.add_argument("--alpha", type=float, required=True,
-                      help="coupling constant")
-    p_ev.add_argument("--rate", choices=("decaying-sine", "constant"),
-                      default="decaying-sine",
-                      help="damping rate shape (damping channel)")
-    p_ev.add_argument("--gamma0", type=float, default=0.5,
-                      help="constant rate value (rate=constant)")
-    p_ev.add_argument("--omega0", type=float, default=1.0,
-                      help="system frequency (qbm)")
-    p_ev.add_argument("--omega-c", type=float, default=0.2,
-                      help="cutoff frequency (qbm)")
-    p_ev.add_argument("--T", type=float, default=0.0,
-                      help="temperature k_B T (qbm)")
-    p_ev.add_argument("--t-end", type=float, default=25.0)
     p_ev.add_argument("--points", type=int, default=501,
                       help="trajectory grid points")
-    p_ev.add_argument("--n-steps", type=int, default=2000,
-                      help="coefficient grid intervals (qbm)")
     p_ev.add_argument("--out", required=True, help="output CSV path")
     p_ev.set_defaults(fn=_cmd_evolve)
 
     p_me = sub.add_parser("measure", help="backflow non-Markovianity measure")
-    p_me.add_argument("--channel", choices=("damping", "qbm"), required=True)
+    _channel_flags(p_me, temperature=0.2, t_end=8.0 * math.pi)
     p_me.add_argument("--family",
                       choices=("coherent", "squeezed", "coherent-thermal",
                                "general-pure"), default="coherent")
     p_me.add_argument("--method", choices=("numeric", "closed", "first-order"),
                       default="numeric")
-    p_me.add_argument("--alpha", type=float, required=True,
-                      help="coupling constant")
-    p_me.add_argument("--rate", choices=("decaying-sine", "constant"),
-                      default="decaying-sine",
-                      help="damping rate shape (damping channel)")
-    p_me.add_argument("--gamma0", type=float, default=0.5,
-                      help="constant rate value (rate=constant)")
-    p_me.add_argument("--omega0", type=float, default=1.0,
-                      help="system frequency (qbm)")
-    p_me.add_argument("--omega-c", type=float, default=0.2,
-                      help="cutoff frequency (qbm)")
-    p_me.add_argument("--T", type=float, default=0.2,
-                      help="temperature k_B T (qbm)")
     p_me.add_argument("--phi", type=float, default=0.1,
                       help="relative squeezing angle (squeezed family)")
     p_me.add_argument("--n-thermal", type=float, default=0.0,
                       help="thermal occupation (coherent-thermal family)")
     p_me.add_argument("--r-max", type=float, default=5.0,
                       help="squeezing bound of the search box")
-    p_me.add_argument("--t-end", type=float, default=8.0 * math.pi,
-                      help="scan horizon / coefficient table end")
-    p_me.add_argument("--n-steps", type=int, default=2000,
-                      help="coefficient grid intervals (qbm)")
     p_me.add_argument("--out", default=None,
                       help="record destination (default stdout)")
     p_me.set_defaults(fn=_cmd_measure)

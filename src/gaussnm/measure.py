@@ -29,7 +29,7 @@ from .channels import (
     evolve_arrays,
 )
 from .spectral import ChannelCoefficients
-from .states import StatePairParams, fidelity_arrays, squeezed_thermal_cov
+from .states import StatePairParams, fidelity_arrays
 
 __all__ = [
     "UnsupportedShapeError",
@@ -509,8 +509,8 @@ def g1_squeezed(r: float, phi: float) -> float:
 
     k(r, phi) = 3 + cos(phi) + cosh(4r)(1 - cos(phi)).  Printed first-order
     coefficient for squeezed pairs under damping; its r -> 0 limit is 1
-    even though identical states carry no backflow, so the finite
-    difference oracle (damping_response) is authoritative at small r.
+    even though identical states carry no backflow, so the exact response
+    (damping_response) is authoritative at small r.
     """
     if r < 0.0:
         raise ValueError("squeezing magnitude must be >= 0")
@@ -518,69 +518,65 @@ def g1_squeezed(r: float, phi: float) -> float:
     return 8.0 * math.cosh(2.0 * r) * (k - math.sqrt(k)) / k ** 2
 
 
-_PROBES = np.array([1.0, -1.0, 0.5, -0.5])  # probe offsets, in steps
+def _pure_response(r1: float, r2: float, phi: float, dc: float,
+                   dn: float) -> float:
+    """dF/dh at h = 0 for a squeezed-vacuum pair on sigma_i(h) = c sigma_i + n I.
 
-
-def _richardson_central(f, step: float) -> float:
-    """Richardson-extrapolated central difference from F at the _PROBES."""
-    d1 = (f[0] - f[1]) / (2.0 * step)
-    d2 = (f[2] - f[3]) / step
-    return float((4.0 * d2 - d1) / 3.0)
-
-
-def _branch_fidelity(covs1, covs2) -> np.ndarray:
-    """Fidelity of zero-mean states, continued past det = 1/4.
-
-    Response coefficients are derivatives of F at the pure-state boundary,
-    where the closed form has a |.|-type kink; the physical branch
-    (``branch=True``) is its analytic continuation.
+    c(0) = 1, n(0) = 0, c' = dc, n' = dn.  On the physical branch of
+    fidelity_arrays, with S = sigma_1 + sigma_2 and g_i = dc/2 + dn tr sigma_i,
+    dF/dh = -(a - b) / (4 (det S)^(3/4)): a = (det S)' / sqrt(det S) with
+    (det S)' = 2 dc det S + 2 dn tr S, and b = 4 sqrt(g_1 g_2) with the sign
+    of g_1 + g_2 (the branch root is 4 h sqrt(g_1 g_2) to first order).
+    For pure states tr sigma_i = cosh 2r_i and det S = cosh^2(r1 - r2) + u,
+    u = sinh 2r1 sinh 2r2 sin^2(phi/2).  a and b nearly cancel for similar
+    states, so when they share a sign a - b = (a^2 - b^2) / (a + b), with
+    (a^2 - b^2) det S / 4 = (dc^2 - 4 dn^2)(sinh^2(2(r1 - r2)) / 4
+    + u cosh 2r1 cosh 2r2) - dc^2 u sinh 2r1 sinh 2r2 cos^2(phi/2).
     """
-    zeros = np.zeros(np.shape(covs1)[:-1])
-    return fidelity_arrays(zeros, covs1, zeros, covs2, branch=True)
+    c1, c2 = math.cosh(2.0 * r1), math.cosh(2.0 * r2)
+    s12 = math.sinh(2.0 * r1) * math.sinh(2.0 * r2)
+    u = s12 * math.sin(0.5 * phi) ** 2
+    det_s = math.cosh(r1 - r2) ** 2 + u
+    g1, g2 = 0.5 * dc + dn * c1, 0.5 * dc + dn * c2
+    a = 2.0 * (dc * det_s + dn * (c1 + c2)) / math.sqrt(det_s)
+    b = math.copysign(4.0 * math.sqrt(max(g1 * g2, 0.0)), g1 + g2)
+    if a * b > 0.0:
+        quarter = ((dc * dc - 4.0 * dn * dn)
+                   * (0.25 * math.sinh(2.0 * (r1 - r2)) ** 2 + u * c1 * c2)
+                   - dc * dc * u * s12 * math.cos(0.5 * phi) ** 2)
+        diff = 4.0 * quarter / det_s / (a + b)
+    else:
+        diff = a - b
+    return -diff / (4.0 * det_s ** 0.75)
 
 
-def squeezed_response(r1: float, r2: float, phi: float,
-                      step: float = 1e-5) -> tuple[float, float]:
+def squeezed_response(r1: float, r2: float, phi: float) -> tuple[float, float]:
     """(S_gamma, S_delta): fidelity response of a squeezed pair at t = 0.
 
-    Central finite differences (Richardson extrapolated) of the fidelity
-    along the weak-coupling surface sigma_i(x, y) = (1 - x) sigma_i(0)
-    + y I / 2, evaluated on the smooth physical branch.  S_gamma is the
-    x-derivative (damping response), S_delta the y-derivative (diffusion
-    response); the first-order decrease of F where the diffusion turns
-    negative is S_delta * dy.
+    Exact derivatives of the fidelity along the weak-coupling surface
+    sigma_i(x, y) = (1 - x) sigma_i(0) + y I / 2, on the smooth physical
+    branch.  S_gamma is the x-derivative (damping response), S_delta the
+    y-derivative (diffusion response); the first-order decrease of F where
+    the diffusion turns negative is S_delta * dy.
     """
-    c1 = squeezed_thermal_cov(0.0, r1, 0.0)
-    c2 = squeezed_thermal_cov(0.0, r2, phi)
-    h = step * _PROBES[:, None, None]
-    noise = 0.5 * h * np.eye(2)
-    f = _branch_fidelity(np.concatenate([(1.0 - h) * c1, c1 + noise]),
-                         np.concatenate([(1.0 - h) * c2, c2 + noise]))
-    return _richardson_central(f[:4], step), _richardson_central(f[4:], step)
+    return (_pure_response(r1, r2, phi, -1.0, 0.0),
+            _pure_response(r1, r2, phi, 0.0, 0.5))
 
 
-def damping_response(r1: float, r2: float, phi: float,
-                     step: float = 1e-5) -> float:
+def damping_response(r1: float, r2: float, phi: float) -> float:
     """dF/dx at x = 0 for a squeezed pair under the damping channel.
 
-    Finite-difference oracle on the exact damping surface
-    sigma_i(x) = e^{-x} sigma_i(0) + (1 - e^{-x}) I / 2 (smooth branch);
-    the independent check of the printed g1 coefficient.
+    Exact derivative on the damping surface sigma_i(x) = e^{-x} sigma_i(0)
+    + (1 - e^{-x}) I / 2 (smooth branch); the independent check of the
+    printed g1 coefficient.
     """
-    c1 = squeezed_thermal_cov(0.0, r1, 0.0)
-    c2 = squeezed_thermal_cov(0.0, r2, phi)
-    # math.exp, not np.exp: the two differ by a few ulp, and the difference
-    # quotient amplifies that into printed digits
-    u = np.array([math.exp(-h) for h in step * _PROBES])[:, None, None]
-    noise = 0.5 * (1.0 - u) * np.eye(2)
-    return _richardson_central(_branch_fidelity(u * c1 + noise, u * c2 + noise),
-                               step)
+    return _pure_response(r1, r2, phi, -1.0, 0.5)
 
 
 def first_order_squeezed_qbm(r1: float, r2: float, phi: float,
                              coeffs: ChannelCoefficients) -> float:
     """First-order squeezed QBM measure: alpha S_delta |int_{Delta<0} 2 Delta|."""
-    _, s_delta = squeezed_response(r1, r2, phi)
+    s_delta = _pure_response(r1, r2, phi, 0.0, 0.5)
     return s_delta * _total_backflow(QbmChannel(coeffs))
 
 
@@ -598,7 +594,7 @@ def _max_over_r(coefficient_fn, r_max: float) -> tuple[float, float]:
 def first_order_squeezed_qbm_max(coeffs: ChannelCoefficients, phi: float,
                                  r_max: float = 5.0) -> tuple[float, float]:
     """(measure, argmax r) of the first-order squeezed QBM law, r1 = r2 = r."""
-    r_star, s = _max_over_r(lambda r: squeezed_response(r, r, phi)[1], r_max)
+    r_star, s = _max_over_r(lambda r: _pure_response(r, r, phi, 0.0, 0.5), r_max)
     return s * _total_backflow(QbmChannel(coeffs)), r_star
 
 
@@ -614,20 +610,19 @@ def first_order_pure_combination(k: float, r1: float, r2: float,
     """Reporting-only first-order coefficient for displaced squeezed pairs.
 
     Combines the displacement part f1(K) = K e^{-K} and the squeezing part
-    (finite-difference oracle), weighted by the zero-time fidelity split
-    F = C * S with S the fidelity at zero displacement.  No maximization
-    claims: the two contributions share state-dependent weights.
+    (damping_response), weighted by the zero-time fidelity split F = C * S
+    with S the fidelity at zero displacement.  No maximization claims: the
+    two contributions share state-dependent weights.
     """
     if k < 0.0:
         raise ValueError("K must be >= 0")
-    c1 = squeezed_thermal_cov(0.0, r1, 0.0)
-    c2 = squeezed_thermal_cov(0.0, r2, phi)
-    s0 = float(_branch_fidelity(c1, c2))
     # displaced along the q axis; C is the ratio of the full zero-time
     # fidelity to the zero-displacement one
     pair = StatePairParams(beta1_mag=math.sqrt(2.0 * k), r1=r1, r2=r2,
                            phi1=0.0, phi2=phi)
     s1, s2 = pair.states()
+    zero = np.zeros(2)
+    s0 = float(fidelity_arrays(zero, s1.cov, zero, s2.cov))
     c_weight = float(fidelity_arrays(s1.mean, s1.cov, s2.mean, s2.cov)) / s0
     f1 = k * math.exp(-k)
     return s0 * f1 + c_weight * damping_response(r1, r2, phi)

@@ -270,7 +270,7 @@ def test_criterion_09_quadrature_integrity():
 
 
 def test_criterion_10_g1_resolution():
-    """Printed squeezing coefficient vs finite-difference oracle."""
+    """Printed squeezing coefficient vs the exact damping response."""
     phi = 0.1
     rs = np.arange(0.3, 3.31, 0.5)
     printed = np.array([g1_squeezed(r, phi) for r in rs])

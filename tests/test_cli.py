@@ -102,6 +102,18 @@ class TestEvolveCommand:
         assert proc.returncode == 2
         assert "Heisenberg" in proc.stderr
 
+    @pytest.mark.parametrize("n, warns", [("1", False), ("0", True)])
+    def test_warns_only_about_written_state(self, tmp_path, n, warns):
+        # the QBM solution dips below det = 1/4 for the vacuum (min det
+        # 0.2411) but never for the n = 1 thermal state (min det 2.09)
+        out = tmp_path / "traj.csv"
+        proc = run_cli("evolve", "--channel", "qbm", "--alpha", "0.05",
+                       "--T", "0.2", "--t-end", "40", "--n", n, "--r", "0",
+                       "--phi", "0", "--beta-mag", "0", "--beta-arg", "0",
+                       "--out", str(out))
+        assert proc.returncode == 0
+        assert ("PhysicalityWarning" in proc.stderr) is warns
+
 
 class TestMeasureCommand:
     def test_closed_form_value(self):

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from gaussnm import (
@@ -37,7 +40,7 @@ from gaussnm.measure import (
     first_order_pure_combination,
 )
 from gaussnm.spectral import EnvironmentSpec
-from gaussnm.states import fidelity
+from gaussnm.states import fidelity, fidelity_arrays, squeezed_thermal_cov
 
 RATE = DampingRateSpec.decaying_sine()
 ENV_REF = EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=0.2)
@@ -428,10 +431,10 @@ class TestSqueezedCoefficients:
             s_gamma_ref = f0 * (0.5 - 1.0 / math.sqrt(k))
             s_delta_ref = f0 * math.cosh(2 * r) * (math.sqrt(k) - 2.0) / k
             s_gamma, s_delta = squeezed_response(r, r, phi)
-            assert s_gamma == pytest.approx(s_gamma_ref, rel=1e-6)
-            assert s_delta == pytest.approx(s_delta_ref, rel=1e-6)
+            assert s_gamma == pytest.approx(s_gamma_ref, rel=1e-12)
+            assert s_delta == pytest.approx(s_delta_ref, rel=1e-12)
             assert damping_response(r, r, phi) == pytest.approx(
-                s_gamma_ref + s_delta_ref, rel=1e-6)
+                s_gamma_ref + s_delta_ref, rel=1e-12)
 
     def test_gamma_subdominant_at_large_squeezing(self):
         s_gamma, s_delta = squeezed_response(2.0, 2.0, 0.05)
@@ -450,6 +453,127 @@ class TestSqueezedCoefficients:
         r_printed = rs[int(np.argmax(printed))]
         r_oracle = rs[int(np.argmax(oracle))]
         assert abs(r_printed - r_oracle) <= 0.5 + 1e-12
+
+
+# Response oracles.  Each response is dF/dh at h = 0 along the path
+# sigma_i(h) = c(h) sigma_i + n(h) I of a squeezed-vacuum pair; the paths
+# give (c, n) at step h, in float (math.exp) and in mpmath arithmetic.
+PATHS = {
+    "gamma": (lambda h: (1.0 - h, 0.0), lambda h: (1 - h, 0)),
+    "delta": (lambda h: (1.0, 0.5 * h), lambda h: (1, h / 2)),
+    "damping": (lambda h: (math.exp(-h), 0.5 * (1.0 - math.exp(-h))),
+                lambda h: (mpmath.exp(-h), (1 - mpmath.exp(-h)) / 2)),
+}
+
+
+def closed_response(r1, r2, phi, path):
+    if path == "damping":
+        return damping_response(r1, r2, phi)
+    s_gamma, s_delta = squeezed_response(r1, r2, phi)
+    return s_gamma if path == "gamma" else s_delta
+
+
+def pair_covs(r1, r2, phi):
+    return squeezed_thermal_cov(0.0, r1, 0.0), squeezed_thermal_cov(0.0, r2, phi)
+
+
+def richardson_response(r1, r2, phi, path, step=1e-5):
+    """Richardson-extrapolated central difference of the float kernel."""
+    c1, c2 = pair_covs(r1, r2, phi)
+    f = []
+    for h in (step, -step, 0.5 * step, -0.5 * step):
+        c, n = PATHS[path][0](h)
+        f.append(float(fidelity_arrays(np.zeros(2), c * c1 + n * np.eye(2),
+                                       np.zeros(2), c * c2 + n * np.eye(2),
+                                       branch=True)))
+    d1 = (f[0] - f[1]) / (2.0 * step)
+    d2 = (f[2] - f[3]) / step
+    return (4.0 * d2 - d1) / 3.0
+
+
+def mp_branch_fidelity(a, b):
+    """Physical-branch fidelity of two zero-mean states, in mpmath."""
+    def det(m):
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+    s = [[a[i][j] + b[i][j] for j in range(2)] for i in range(2)]
+    g1, g2 = det(a) - mpmath.mpf(1) / 4, det(b) - mpmath.mpf(1) / 4
+    small = max(16 * g1 * g2, 0)
+    root = mpmath.sqrt(small) * mpmath.sign(g1 + g2)
+    return mpmath.sqrt(2 / (mpmath.sqrt(4 * det(s) + small) - root))
+
+
+def mp_squeezed_cov(r, phi):
+    ch, sh = mpmath.cosh(2 * r), mpmath.sinh(2 * r)
+    c, s = mpmath.cos(phi), mpmath.sin(phi)
+    return [[(ch - sh * c) / 2, -sh * s / 2], [-sh * s / 2, (ch + sh * c) / 2]]
+
+
+def mp_response(r1, r2, phi, path):
+    """50-digit central difference on 50-digit pure covariances.
+
+    The float covariances are pure only to rounding (det - 1/4 ~ 1e-16
+    tr^2), which moves the derivative by up to ~5e-10 relative at r = 3;
+    built at 50 digits, det = 1/4 holds far below the step, and a step of
+    1e-20 leaves truncation and rounding below 1e-25.
+    """
+    with mpmath.workdps(50):
+        covs = [mp_squeezed_cov(mpmath.mpf(r1), 0),
+                mp_squeezed_cov(mpmath.mpf(r2), mpmath.mpf(phi))]
+        h = mpmath.mpf("1e-20")
+
+        def f(x):
+            c, n = PATHS[path][1](x)
+            a, b = ([[c * m[i][j] + (n if i == j else 0) for j in range(2)]
+                     for i in range(2)] for m in covs)
+            return mp_branch_fidelity(a, b)
+
+        return float((f(h) - f(-h)) / (2 * h))
+
+
+# r up to 3 with r1 != r2, the vacuum on one side, and equal squeezing;
+# the damping response vanishes at phi = 0 and with a vacuum state
+RESPONSE_CASES = [(r1, r2, phi) for r1, r2 in ((0.0, 0.5), (0.05, 1.0),
+                                               (0.3, 2.0), (1.0, 3.0),
+                                               (2.5, 3.0), (3.0, 2.99),
+                                               (3.0, 0.2), (2.0, 2.0),
+                                               (3.0, 3.0))
+                  for phi in (0.0, 0.001, 0.1, 1.3, math.pi, 4.0)]
+
+
+class TestResponseOracles:
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_closed_form_against_mpmath(self, path):
+        for r1, r2, phi in RESPONSE_CASES:
+            ref = mp_response(r1, r2, phi, path)
+            got = closed_response(r1, r2, phi, path)
+            assert got == pytest.approx(ref, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_closed_form_against_richardson(self, path):
+        # the finite differences the closed form replaced (step 1e-5, float
+        # covariances) agree to ~1e-5 relative; the closed form is the
+        # more accurate of the two
+        for r1, r2, phi in RESPONSE_CASES:
+            ref = mp_response(r1, r2, phi, path)
+            fd = richardson_response(r1, r2, phi, path)
+            got = closed_response(r1, r2, phi, path)
+            assert got == pytest.approx(fd, rel=1e-4, abs=1e-9)
+            assert abs(got - ref) <= abs(fd - ref) + 1e-12 * abs(ref) + 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(r1=st.floats(0.0, 3.0), r2=st.floats(0.0, 3.0),
+           phi=st.floats(0.0, 2.0 * math.pi))
+    def test_swap_and_reflection_symmetry(self, r1, r2, phi):
+        # swapping the states equals a joint rotation by -phi, and
+        # phi -> 2 pi - phi a joint reflection p -> -p; neither changes F
+        # or its derivatives
+        for path in PATHS:
+            ref = closed_response(r1, r2, phi, path)
+            swapped = closed_response(r2, r1, phi, path)
+            reflected = closed_response(r1, r2, 2.0 * math.pi - phi, path)
+            assert swapped == pytest.approx(ref, rel=1e-9, abs=1e-14)
+            assert reflected == pytest.approx(ref, rel=1e-9, abs=1e-14)
 
 
 class TestFirstOrderSqueezed:
