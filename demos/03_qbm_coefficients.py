@@ -14,7 +14,7 @@ from gaussnm import (
     closed_form_coherent_qbm,
     divisibility_check,
     first_order_coherent,
-    first_order_squeezed_qbm_max,
+    first_order_squeezed_max,
     maximize_measure,
     write_coefficients_csv,
 )
@@ -39,7 +39,7 @@ print("\ncoherent measure, numeric:     ", numeric.value)
 print("closed form (first interval):  ", closed.value)
 print("first-order law:               ", first_order_coherent(channel))
 
-value, r_star = first_order_squeezed_qbm_max(coeffs, phi=0.05)
+value, r_star = first_order_squeezed_max(channel, phi=0.05)
 print("\nsqueezed first-order (phi=0.05):", value, "at r =", round(r_star, 3))
 numeric_sq = maximize_measure("squeezed", channel, phi=0.05,
                               equal_squeezing=True,

@@ -25,7 +25,6 @@ from .measure import (
     FidelityTrajectory,
     MeasureResult,
     NegativityInterval,
-    OptimizerConfig,
     ParamBounds,
     UnsupportedShapeError,
     backflow_intervals,
@@ -36,9 +35,8 @@ from .measure import (
     fidelity_trajectory,
     first_order_coherent,
     first_order_coherent_thermal,
-    first_order_squeezed_damping_max,
-    first_order_squeezed_qbm,
-    first_order_squeezed_qbm_max,
+    first_order_squeezed,
+    first_order_squeezed_max,
     g1_squeezed,
     maximize_measure,
     measure_from_trajectory,

@@ -281,6 +281,8 @@ class DampingChannel:
     def evolve(self, state: GaussianState, t: float) -> GaussianState:
         return _evolve_state(self, state, t)
 
+    response_direction = (-1.0, 0.5)  # (c', n') per unit x, first order
+
     def exponent_backflows(self) -> list[tuple[float, float, float]]:
         """(t_plus, t_minus, x(t_plus) - x(t_minus)) per negativity interval."""
         out = []
@@ -325,6 +327,8 @@ class QbmChannel:
 
     def evolve(self, state: GaussianState, t: float) -> GaussianState:
         return _evolve_state(self, state, t)
+
+    response_direction = (0.0, 0.5)  # (c', n') per unit y: n = y / 2
 
     def exponent_backflows(self) -> list[tuple[float, float, float]]:
         """(t_plus, t_minus, y(t_plus) - y(t_minus)) per Delta < 0 interval."""

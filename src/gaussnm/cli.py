@@ -35,8 +35,7 @@ from .measure import (
     coherent_pair,
     first_order_coherent,
     first_order_coherent_thermal,
-    first_order_squeezed_damping_max,
-    first_order_squeezed_qbm_max,
+    first_order_squeezed_max,
     maximize_measure,
     measure_record,
     squeezed_pair,
@@ -153,13 +152,7 @@ def _first_order_result(args, channel) -> MeasureResult:
         value = first_order_coherent_thermal(args.n_thermal, channel)
         argmax = coherent_pair(1.0)
     elif family == "squeezed":
-        if channel.tag == "damping":
-            value, r_star = first_order_squeezed_damping_max(channel, args.phi,
-                                                             r_max=args.r_max)
-        else:
-            value, r_star = first_order_squeezed_qbm_max(channel.coeffs,
-                                                         args.phi,
-                                                         r_max=args.r_max)
+        value, r_star = first_order_squeezed_max(channel, args.phi, r_max=args.r_max)
         argmax = squeezed_pair(r_star, r_star, args.phi)
     else:
         raise UnsupportedShapeError(

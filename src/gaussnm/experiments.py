@@ -23,8 +23,7 @@ from .measure import (
     ParamBounds,
     closed_form_coherent_damping,
     first_order_coherent,
-    first_order_squeezed_damping_max,
-    first_order_squeezed_qbm_max,
+    first_order_squeezed_max,
     maximize_measure,
 )
 from .spectral import ChannelCoefficients, EnvironmentSpec, _write_csv, build_coefficients
@@ -256,7 +255,7 @@ def _fig1_squeezed_point(cfg: ExperimentConfig, phi: float, alpha: float):
     channel = DampingChannel(alpha=alpha, rate=rate, t_max=cfg.t_end)
     res = maximize_measure("squeezed", channel, bounds=cfg.bounds(),
                            phi=phi, times=times)
-    first = first_order_squeezed_damping_max(channel, phi, r_max=cfg.r_max)[0]
+    first = first_order_squeezed_max(channel, phi, r_max=cfg.r_max)[0]
     return res.value, first, res.diagnostics
 
 
@@ -330,8 +329,7 @@ def _qbm_point(cfg: ExperimentConfig, base: ChannelCoefficients, family: str,
                phi: float, equal_squeezing: bool, want_first_order: bool,
                alpha: float):
     times = np.linspace(0.0, cfg.t_end, cfg.traj_points + 1)
-    coeffs = base.rescaled(alpha)
-    channel = QbmChannel(coeffs)
+    channel = QbmChannel(base.rescaled(alpha))
     res = maximize_measure(family, channel, bounds=cfg.bounds(), phi=phi,
                            equal_squeezing=equal_squeezing, times=times)
     first = None
@@ -339,8 +337,7 @@ def _qbm_point(cfg: ExperimentConfig, base: ChannelCoefficients, family: str,
         if family == "coherent":
             first = first_order_coherent(channel)
         else:
-            first = first_order_squeezed_qbm_max(coeffs, phi,
-                                                 r_max=cfg.r_max)[0]
+            first = first_order_squeezed_max(channel, phi, r_max=cfg.r_max)[0]
     return res.value, first, res.diagnostics
 
 

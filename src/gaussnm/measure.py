@@ -7,10 +7,10 @@ maximized over the pair parameters:
     N = max_P sum_I [ F(P, t+_I) - F(P, t-_I) ]
 
 with [t+_I, t-_I] the I-th decrease interval.  For a divisible map F is
-nondecreasing and N = 0.  Besides the numeric optimizer this module carries
-the analytic baselines: closed forms for coherent pairs under both channels
-and the first-order (small coupling) laws for coherent, squeezed and
-coherent-thermal pairs.
+nondecreasing and N = 0.  The coherent family is solved exactly, the others
+by a numeric optimizer.  The module also carries the analytic baselines:
+closed forms for coherent pairs under both channels and the first-order
+(small coupling) laws for coherent, squeezed and coherent-thermal pairs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .channels import (
-    DampingChannel,
     DampingRateSpec,
     QbmChannel,
     damping_x,
@@ -37,7 +36,6 @@ __all__ = [
     "FidelityTrajectory",
     "MeasureResult",
     "ParamBounds",
-    "OptimizerConfig",
     "fidelity_trajectory",
     "backflow_intervals",
     "measure_from_trajectory",
@@ -49,9 +47,8 @@ __all__ = [
     "g1_squeezed",
     "squeezed_response",
     "damping_response",
-    "first_order_squeezed_qbm",
-    "first_order_squeezed_qbm_max",
-    "first_order_squeezed_damping_max",
+    "first_order_squeezed",
+    "first_order_squeezed_max",
     "first_order_pure_combination",
     "measure_record",
     "coherent_pair",
@@ -61,6 +58,9 @@ __all__ = [
 INV_E = 1.0 / math.e
 _NOISE_FLOOR = 1e-14  # ignore grid-level fidelity wiggles below this
 _SUBGRID = 65  # samples per extremum bracket (two grid steps)
+_COARSE_POINTS = (9, 7, 7, 5)  # coarse grid points per axis, by family dimension
+_N_STARTS = 3  # Nelder-Mead restarts from the best coarse points
+_NM_OPTIONS = {"xatol": 1e-7, "fatol": 1e-13, "maxiter": 500}
 
 
 class UnsupportedShapeError(ValueError):
@@ -134,17 +134,6 @@ class ParamBounds:
     @property
     def k_max(self) -> float:
         return 2.0 * self.beta_max ** 2
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Coarse grid + multi-start simplex refinement settings."""
-
-    coarse_points: int = 0  # 0 = per-dimension default (9/7/5)
-    n_starts: int = 3
-    xatol: float = 1e-7
-    fatol: float = 1e-13
-    max_iter: int = 500
 
 
 def coherent_pair(k: float) -> StatePairParams:
@@ -280,12 +269,7 @@ _FAMILIES = ("coherent", "squeezed", "coherent_thermal", "general_pure")
 
 def _family_space(family: str, bounds: ParamBounds, phi: float,
                   equal_squeezing: bool):
-    if family == "coherent":
-        dims = [(1e-9, bounds.k_max)]
-
-        def build(v):
-            return coherent_pair(v[0])
-    elif family == "squeezed":
+    if family == "squeezed":
         if equal_squeezing:
             dims = [(0.0, bounds.r_max)]
 
@@ -314,31 +298,57 @@ def _family_space(family: str, bounds: ParamBounds, phi: float,
     return dims, build
 
 
-def _coarse_counts(n_dims: int, requested: int) -> int:
-    if requested:
-        return requested
-    return {1: 9, 2: 7, 3: 7}.get(n_dims, 5)
+def _k_optimum(a_lo: float, a_hi: float) -> tuple[float, float]:
+    """(K, e^{-K a_lo} - e^{-K a_hi}) at the K = ln(a_hi / a_lo) / (a_hi - a_lo)
+    that maximizes one drop; as a_hi -> a_lo, K -> 1 / a_lo and the drop -> 0.
+    A closed form's a can fall over its interval: that drop is clamped to 0."""
+    if abs(a_hi - a_lo) < 1e-15:
+        return 1.0 / a_lo, 0.0
+    k = math.log(a_hi / a_lo) / (a_hi - a_lo)
+    return k, max(math.exp(-k * a_lo) - math.exp(-k * a_hi), 0.0)
 
 
-def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
-                     optimizer: OptimizerConfig | None = None, phi: float = 0.1,
-                     equal_squeezing: bool = False, times=None) -> MeasureResult:
-    """Maximize the backflow measure over a family of initial pairs.
+def _coherent_optimum(channel, ts, grid_maps, k_max: float) -> tuple[float, float]:
+    """(N, K) of the coherent family, without an optimizer.
 
-    Coarse deterministic grid over the reduced family coordinates, then
-    Nelder-Mead refinement from the best ``n_starts`` grid points.  The
-    family reductions fix the symmetry freedom: coherent pairs reduce to
-    the single scalar K, squeezed pairs to (r1, r2) at fixed relative angle
-    ``phi`` (or a single r with ``equal_squeezing``).
+    On the physical branch F(t) = exp(-K a(t)), a = m^2 / (c + 2n): F falls
+    where a rises, for every K, and each rise contributes e^{-K a_lo} -
+    e^{-K a_hi}, peaking at its own K_I.  A geometric scan between the
+    extreme K_I (inside [1e-9, k_max]) is refined by a bounded search.
     """
-    bounds = bounds or ParamBounds()
-    cfg = optimizer or OptimizerConfig()
-    if times is None:
-        times = np.linspace(0.0, channel.t_max, 2001)
-    dims, build = _family_space(family, bounds, phi, equal_squeezing)
-    ts = _grid(times)
-    grid_maps = channel.maps(ts)
+    def a_of(maps):
+        m, c, n = maps
+        return m * m / (c + 2.0 * n)
 
+    avals = a_of(grid_maps)
+    extrema = _locate_extrema(
+        ts, avals, lambda t: a_of(channel.maps(t.ravel())).reshape(t.shape))
+    pts = [(ts[0], avals[0]), *((t, a) for t, a, _ in extrema), (ts[-1], avals[-1])]
+    rises = [(a_a, a_b) for (t_a, a_a), (t_b, a_b) in zip(pts[:-1], pts[1:])
+             if a_b > a_a and t_b > t_a]
+    if not rises:
+        return 0.0, 1.0  # no backflow; K = 1 is the first-order optimum
+    a_lo, a_hi = np.array(rises).T
+
+    def total(k):
+        k = np.asarray(k, dtype=float)[..., None]
+        return np.sum(np.exp(-k * a_lo) - np.exp(-k * a_hi), axis=-1)
+
+    k_opt = np.clip([_k_optimum(lo, hi)[0] for lo, hi in rises], 1e-9, k_max)
+    ks = np.geomspace(k_opt.min(), k_opt.max(), 129)
+    j = int(np.argmax(total(ks)))
+    k = ks[j]
+    if ks[0] < ks[-1]:
+        res = minimize_scalar(lambda k: -total(k), method="bounded",
+                              bounds=(ks[max(j - 1, 0)], ks[min(j + 1, 128)]),
+                              options={"xatol": 1e-12 * k})
+        k = res.x if total(res.x) > total(k) else k
+    return float(total(k)), float(k)
+
+
+def _nelder_mead(family: str, channel, ts, grid_maps, bounds, phi, equal_squeezing):
+    """(N, argmax, diagnostics): coarse grid, then Nelder-Mead restarts."""
+    dims, build = _family_space(family, bounds, phi, equal_squeezing)
     evaluations = 0
 
     def objective(vec) -> float:
@@ -348,7 +358,7 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
         return measure_from_trajectory(
             _trajectory_on(build(vec), channel, ts, grid_maps))
 
-    n_per_dim = _coarse_counts(len(dims), cfg.coarse_points)
+    n_per_dim = _COARSE_POINTS[len(dims) - 1]
     axes = [np.linspace(lo, hi, n_per_dim) for lo, hi in dims]
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     if family == "squeezed" and not equal_squeezing:
@@ -358,23 +368,19 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
         grid = np.concatenate([grid, np.stack([diag, diag], axis=-1)])
     grid_vals = np.array([objective(v) for v in grid])
     order = np.argsort(grid_vals)[::-1]
-    starts = grid[order[: cfg.n_starts]]
+    starts = grid[order[:_N_STARTS]]
     best_grid = float(grid_vals[order[0]])
 
     best_val, best_vec = best_grid, np.asarray(grid[order[0]], float)
     iterations = 0
     for start in starts:
         res = minimize(lambda v: -objective(v), np.asarray(start, float),
-                       method="Nelder-Mead", bounds=dims,
-                       options={"xatol": cfg.xatol, "fatol": cfg.fatol,
-                                "maxiter": cfg.max_iter})
+                       method="Nelder-Mead", bounds=dims, options=_NM_OPTIONS)
         iterations += int(res.nit)
         if -res.fun > best_val:
             best_val, best_vec = float(-res.fun), np.asarray(res.x, float)
 
     argmax = build(np.clip(best_vec, [lo for lo, _ in dims], [hi for _, hi in dims]))
-    traj = fidelity_trajectory(argmax, channel, ts)
-    intervals = backflow_intervals(traj)
     diagnostics = {
         "grid_evaluations": int(grid.shape[0]),
         "restarts": int(len(starts)),
@@ -383,8 +389,37 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
         "stagnation": bool(best_val <= best_grid * (1.0 + 1e-12) + 1e-15),
         "argmax_vector": [float(v) for v in best_vec],
     }
-    return MeasureResult(value=best_val, argmax=argmax, intervals=intervals,
-                         method="numeric_opt", diagnostics=diagnostics,
+    return best_val, argmax, diagnostics
+
+
+def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
+                     phi: float = 0.1, equal_squeezing: bool = False,
+                     times=None) -> MeasureResult:
+    """Maximize the backflow measure over a family of initial pairs.
+
+    Coherent pairs reduce to the scalar K, solved exactly (``"exact"``).
+    The others run a coarse grid, then Nelder-Mead from its best three
+    points (``"numeric_opt"``); squeezed pairs reduce to (r1, r2) at fixed
+    relative angle ``phi`` (or a single r with ``equal_squeezing``).
+    """
+    bounds = bounds or ParamBounds()
+    if times is None:
+        times = np.linspace(0.0, channel.t_max, 2001)
+    ts = _grid(times)
+    grid_maps = channel.maps(ts)
+    if family == "coherent":
+        value, k = _coherent_optimum(channel, ts, grid_maps, bounds.k_max)
+        argmax, method = coherent_pair(k), "exact"
+        diagnostics = {"grid_evaluations": 0, "restarts": 0, "iterations": 0,
+                       "function_evaluations": 0, "stagnation": False,
+                       "argmax_vector": [k]}
+    else:
+        value, argmax, diagnostics = _nelder_mead(
+            family, channel, ts, grid_maps, bounds, phi, equal_squeezing)
+        method = "numeric_opt"
+    intervals = backflow_intervals(fidelity_trajectory(argmax, channel, ts))
+    return MeasureResult(value=value, argmax=argmax, intervals=intervals,
+                         method=method, diagnostics=diagnostics,
                          family=family, channel=channel.tag,
                          alpha=channel.alpha, **_env_fields(channel))
 
@@ -418,14 +453,7 @@ def closed_form_coherent_damping(alpha: float, spec: DampingRateSpec,
     (tp, tm), = intervals
     xp = float(damping_x(tp, alpha, spec))
     xm = float(damping_x(tm, alpha, spec))
-    ep, em = math.exp(-xp), math.exp(-xm)
-    if abs(ep - em) < 1e-15:
-        k = math.exp(xp)
-        value = 0.0
-    else:
-        k = (xm - xp) / (ep - em)
-        value = math.exp(-k * ep) - math.exp(-k * em)
-    value = max(value, 0.0)
+    k, value = _k_optimum(math.exp(-xp), math.exp(-xm))
     return MeasureResult(
         value=value, argmax=coherent_pair(k),
         intervals=[NegativityInterval(tp, tm, value)] if tm > tp else (),
@@ -458,15 +486,8 @@ def closed_form_coherent_qbm(coeffs: ChannelCoefficients,
         raise ValueError("unphysical table: e^{-x(t)} + y(t) <= 0 on the interval")
     xp, xm = float(prop.x(tp)), float(prop.x(tm))
     yp, ym = float(prop.y(tp)), float(prop.y(tm))
-    gp = math.exp(-xp) / (math.exp(-xp) + yp)
-    gm = math.exp(-xm) / (math.exp(-xm) + ym)
-    if abs(gp - gm) < 1e-15:
-        p = 1.0 / gp
-        value = 0.0
-    else:
-        p = math.log(gp / gm) / (gp - gm)
-        value = math.exp(-p * gp) - math.exp(-p * gm)
-    value = max(value, 0.0)
+    p, value = _k_optimum(math.exp(-xp) / (math.exp(-xp) + yp),
+                          math.exp(-xm) / (math.exp(-xm) + ym))
     return MeasureResult(
         value=value, argmax=coherent_pair(p),
         intervals=[NegativityInterval(tp, tm, value)],
@@ -573,36 +594,22 @@ def damping_response(r1: float, r2: float, phi: float) -> float:
     return _pure_response(r1, r2, phi, -1.0, 0.5)
 
 
-def first_order_squeezed_qbm(r1: float, r2: float, phi: float,
-                             coeffs: ChannelCoefficients) -> float:
-    """First-order squeezed QBM measure: alpha S_delta |int_{Delta<0} 2 Delta|."""
-    s_delta = _pure_response(r1, r2, phi, 0.0, 0.5)
-    return s_delta * _total_backflow(QbmChannel(coeffs))
+def first_order_squeezed(channel, r1: float, r2: float, phi: float) -> float:
+    """First-order squeezed measure: the pair's response times the backflow."""
+    return (_pure_response(r1, r2, phi, *channel.response_direction)
+            * _total_backflow(channel))
 
 
-def _max_over_r(coefficient_fn, r_max: float) -> tuple[float, float]:
-    res = minimize_scalar(lambda r: -coefficient_fn(r), bounds=(0.0, r_max),
+def first_order_squeezed_max(channel, phi: float,
+                             r_max: float = 5.0) -> tuple[float, float]:
+    """(measure, argmax r) of the first-order squeezed law, r1 = r2 = r."""
+    def response(r):
+        return _pure_response(r, r, phi, *channel.response_direction)
+
+    res = minimize_scalar(lambda r: -response(r), bounds=(0.0, r_max),
                           method="bounded", options={"xatol": 1e-8})
-    r_star = float(res.x)
-    best = float(-res.fun)
-    edge = coefficient_fn(r_max)
-    if edge > best:
-        return r_max, edge
-    return r_star, best
-
-
-def first_order_squeezed_qbm_max(coeffs: ChannelCoefficients, phi: float,
-                                 r_max: float = 5.0) -> tuple[float, float]:
-    """(measure, argmax r) of the first-order squeezed QBM law, r1 = r2 = r."""
-    r_star, s = _max_over_r(lambda r: _pure_response(r, r, phi, 0.0, 0.5), r_max)
-    return s * _total_backflow(QbmChannel(coeffs)), r_star
-
-
-def first_order_squeezed_damping_max(channel: DampingChannel, phi: float,
-                                     r_max: float = 5.0) -> tuple[float, float]:
-    """(measure, argmax r) of the first-order squeezed damping law."""
-    r_star, s = _max_over_r(lambda r: damping_response(r, r, phi), r_max)
-    return s * _total_backflow(channel), r_star
+    r_star = max(float(res.x), r_max, key=response)
+    return response(r_star) * _total_backflow(channel), r_star
 
 
 def first_order_pure_combination(k: float, r1: float, r2: float,

@@ -93,7 +93,11 @@ def test_criterion_01_fidelity_oracle():
 
 
 def test_criterion_02_coherent_damping_closed_form():
-    """Optimizer reproduces the coherent closed form to 1e-5."""
+    """maximize_measure's exact coherent solver reproduces the closed form.
+
+    The solver works on the time grid (refined extrema of a(t)), the closed
+    form on the analytic interval ends; they agree to 1e-5.
+    """
     times = np.linspace(0.0, 25.0, 2001)
     gaps = []
     for alpha in (0.01, 0.05, 0.1):

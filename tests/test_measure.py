@@ -11,6 +11,7 @@ from gaussnm import (
     DampingChannel,
     DampingRateSpec,
     FidelityTrajectory,
+    ParamBounds,
     QbmChannel,
     StatePairParams,
     UnsupportedShapeError,
@@ -24,15 +25,15 @@ from gaussnm import (
     fidelity_trajectory,
     first_order_coherent,
     first_order_coherent_thermal,
-    first_order_squeezed_damping_max,
-    first_order_squeezed_qbm,
-    first_order_squeezed_qbm_max,
+    first_order_squeezed,
+    first_order_squeezed_max,
     g1_squeezed,
     maximize_measure,
     measure_from_trajectory,
     measure_record,
     squeezed_response,
 )
+from gaussnm import measure
 from gaussnm.measure import (
     _NOISE_FLOOR,
     NegativityInterval,
@@ -240,9 +241,13 @@ class TestMaximizeDamping:
         res = maximize_measure(family, channel, phi=0.1,
                                times=np.linspace(0.0, 10.0, 401))
         assert res.value <= 1e-9
-        # a flat objective cannot improve over the coarse grid: reported as
-        # a stagnation diagnostic, not an error
-        assert res.diagnostics["stagnation"] is True
+        if family == "coherent":
+            # solved exactly: no optimizer runs, so none can stagnate
+            assert res.intervals == ()
+        else:
+            # a flat objective cannot improve over the coarse grid: reported
+            # as a stagnation diagnostic, not an error
+            assert res.diagnostics["stagnation"] is True
 
     def test_coherent_matches_closed_form(self):
         res = maximize_measure("coherent", damping_channel(0.1),
@@ -275,6 +280,145 @@ class TestMaximizeDamping:
         assert res.diagnostics["argmax_vector"][1] <= 0.01
         pure = closed_form_coherent_damping(0.05, RATE).value
         assert res.value == pytest.approx(pure, rel=1e-3)
+
+
+def oracle_coherent(channel, times, k_max):
+    """(N, K) by a K search through the full F(t) path of each pair.
+
+    Independent of the exact solver: every K evolves the pair, takes its
+    fidelity trajectory and its backflow, on a dense geometric K grid plus
+    a bounded search around the best grid point.
+    """
+    def backflow(k):
+        return measure_from_trajectory(
+            fidelity_trajectory(coherent_pair(k), channel, times))
+
+    ks = np.geomspace(1e-3, k_max, 64)
+    vals = [backflow(k) for k in ks]
+    j = int(np.argmax(vals))
+    res = minimize_scalar(lambda k: -backflow(k), method="bounded",
+                          bounds=(ks[max(j - 1, 0)], ks[min(j + 1, 63)]),
+                          options={"xatol": 1e-10})
+    if -res.fun > vals[j]:
+        return float(-res.fun), float(res.x)
+    return float(vals[j]), float(ks[j])
+
+
+@pytest.fixture(scope="module")
+def fig3_tables():
+    # fig3/fig4-shaped unit-coupling tables on a coarse grid: two Delta < 0
+    # intervals at T = 0.2, three at T = 0.5
+    return {temp: build_coefficients(
+                EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=temp),
+                alpha=1.0, t_end=40.0, n_steps=400)
+            for temp in (0.2, 0.5)}
+
+
+def two_interval_damping(mode="exact"):
+    ts = np.linspace(0.0, 12.0, 1201)
+    return DampingChannel(alpha=0.1, rate=DampingRateSpec.from_table(ts, np.sin(ts)),
+                          mode=mode, t_max=12.0)
+
+
+class KnotChannel:
+    """Stand-in channel: vacuum covariances and mean factor sqrt(a(t)).
+
+    a(t) eases by half cosines through ``knots`` at t = 0, 1, 2, ..., so a
+    coherent pair's F(t) = exp(-K a(t)) has its extrema at the knots.
+    """
+
+    tag, alpha = "damping", 1.0
+
+    def __init__(self, knots):
+        self.knots = np.asarray(knots, dtype=float)
+
+    def maps(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        i = np.clip(ts.astype(int), 0, self.knots.size - 2)
+        step = self.knots[i + 1] - self.knots[i]
+        a = self.knots[i] + step * (1.0 - np.cos(np.pi * (ts - i))) / 2.0
+        return np.sqrt(a), np.ones_like(ts), np.zeros_like(ts)
+
+
+class TestExactCoherent:
+    @pytest.mark.parametrize("make, t_end, points, n_intervals", [
+        (lambda tabs: QbmChannel(tabs[0.2].rescaled(0.02)), 40.0, 401, 2),
+        (lambda tabs: QbmChannel(tabs[0.2].rescaled(0.15)), 40.0, 401, 2),
+        (lambda tabs: QbmChannel(tabs[0.5].rescaled(0.02)), 40.0, 401, 3),
+        (lambda tabs: QbmChannel(tabs[0.5].rescaled(0.15)), 40.0, 401, 3),
+        (lambda tabs: QbmChannel(tabs[0.5].rescaled(0.1), mode="first_order"),
+         40.0, 401, 3),
+        (lambda tabs: two_interval_damping(), 12.0, 601, 2),
+        (lambda tabs: two_interval_damping("first_order"), 12.0, 601, 2),
+        (lambda tabs: damping_channel(0.1), 25.0, 801, 1),
+    ], ids=["qbm-T0.2-a0.02", "qbm-T0.2-a0.15", "qbm-T0.5-a0.02",
+            "qbm-T0.5-a0.15", "qbm-first-order", "damping-two-intervals",
+            "damping-first-order", "damping-one-interval"])
+    def test_matches_oracle(self, make, t_end, points, n_intervals,
+                            fig3_tables):
+        channel = make(fig3_tables)
+        times = np.linspace(0.0, t_end, points)
+        exact = maximize_measure("coherent", channel, times=times)
+        n_ref, _ = oracle_coherent(channel, times, ParamBounds().k_max)
+        assert exact.method == "exact"
+        assert len(exact.intervals) == n_intervals
+        assert exact.value >= n_ref - (1e-12 * n_ref + 1e-15)
+        assert exact.value <= n_ref + 1e-9 * n_ref
+
+    def test_several_optima_in_k(self):
+        # rises 0.9 -> 1.4, 0.19 -> 0.25 and 0.07 -> 0.11 peak at K_I = 0.88,
+        # 4.6 and 11.3; their sum has two local maxima, and a plain bounded
+        # search of [0.88, 11.3] stops at the lower one (0.242 < 0.254)
+        channel = KnotChannel([1.0, 0.9, 1.4, 0.19, 0.25, 0.07, 0.11, 0.05])
+        times = np.linspace(0.0, 7.0, 701)
+        exact = maximize_measure("coherent", channel, times=times)
+        n_ref, _ = oracle_coherent(channel, times, ParamBounds().k_max)
+        assert len(exact.intervals) == 3
+        assert exact.value == pytest.approx(0.254, abs=1e-3)
+        assert exact.value >= n_ref - (1e-12 * n_ref + 1e-15)
+        assert exact.value <= n_ref + 1e-9 * n_ref
+
+    def test_one_interval_is_the_closed_form(self):
+        exact = maximize_measure("coherent", damping_channel(0.1),
+                                 times=np.linspace(0.0, 25.0, 2001))
+        closed = closed_form_coherent_damping(0.1, RATE)
+        assert exact.value == pytest.approx(closed.value, rel=1e-12)
+        assert exact.diagnostics["argmax_vector"][0] == pytest.approx(
+            closed.diagnostics["K"], rel=1e-12)
+
+    def test_divisible_rate_has_no_backflow(self):
+        channel = DampingChannel(alpha=0.1, rate=DampingRateSpec.constant(0.5))
+        res = maximize_measure("coherent", channel,
+                               times=np.linspace(0.0, 10.0, 401))
+        assert res.value == 0.0 and res.intervals == ()
+        assert res.diagnostics["argmax_vector"] == [1.0]
+
+    def test_optimum_beyond_the_box_sits_on_its_edge(self):
+        # K* = 1.114 lies above k_max = 2 * 0.5^2 = 0.5
+        bounds = ParamBounds(beta_max=0.5)
+        times = np.linspace(0.0, 25.0, 801)
+        exact = maximize_measure("coherent", damping_channel(0.1),
+                                 bounds=bounds, times=times)
+        n_ref, k_ref = oracle_coherent(damping_channel(0.1), times, bounds.k_max)
+        assert exact.diagnostics["argmax_vector"] == [bounds.k_max]
+        assert k_ref == bounds.k_max
+        assert exact.value >= n_ref - (1e-12 * n_ref + 1e-15)
+        assert exact.value <= n_ref + 1e-9 * n_ref
+
+    def test_runs_no_optimizer(self, monkeypatch, fig3_tables):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the coherent family needs no minimize")
+
+        monkeypatch.setattr(measure, "minimize", forbidden)
+        res = maximize_measure("coherent",
+                               QbmChannel(fig3_tables[0.5].rescaled(0.1)),
+                               times=np.linspace(0.0, 40.0, 401))
+        assert res.value > 0.0
+        assert {k: res.diagnostics[k] for k in (
+            "grid_evaluations", "restarts", "iterations",
+            "function_evaluations", "stagnation")} == {
+            "grid_evaluations": 0, "restarts": 0, "iterations": 0,
+            "function_evaluations": 0, "stagnation": False}
 
 
 class TestClosedFormDamping:
@@ -354,6 +498,18 @@ class TestClosedFormQbm:
         numeric = maximize_measure("coherent", channel,
                                    times=np.linspace(0.0, 1.5 * math.pi, 1001))
         assert closed.value == pytest.approx(numeric.value, rel=5e-3)
+
+    def test_falling_exponent_gives_zero(self):
+        # strong damping outweighs a shallow Delta dip: the weak-coupling
+        # exponent e^{-x} / (e^{-x} + y) falls over the interval, so there
+        # is no backflow to report, and no error either
+        table = coefficients_from_functions(
+            lambda t: 1.0, lambda t: 2.0 - 2.2 * math.exp(-(t - 5.0) ** 2),
+            alpha=0.5, t_end=10.0, n_steps=1000)
+        (iv,) = QbmChannel(table).propagator.delta_negativity_intervals()
+        res = closed_form_coherent_qbm(table, iv)
+        assert res.value == 0.0
+        assert res.diagnostics["P"] > 0.0
 
     def test_positive_interval_rejected(self, qbm_base):
         with pytest.raises(UnsupportedShapeError):
@@ -579,14 +735,14 @@ class TestResponseOracles:
 class TestFirstOrderSqueezed:
     def test_identical_pair_zero(self, qbm_base):
         table = qbm_base.rescaled(0.01)
-        assert abs(first_order_squeezed_qbm(1.0, 1.0, 0.0, table)) <= 1e-9
+        assert abs(first_order_squeezed(QbmChannel(table), 1.0, 1.0, 0.0)) <= 1e-9
 
     def test_slope_matches_numeric_measure(self, qbm_base):
         channel = qbm_channel(qbm_base, 0.005)
         numeric = maximize_measure("squeezed", channel, phi=0.05,
                                    equal_squeezing=True,
                                    times=np.linspace(0.0, 40.0, 2001))
-        first, _ = first_order_squeezed_qbm_max(channel.coeffs, 0.05)
+        first, _ = first_order_squeezed_max(channel, 0.05)
         assert numeric.value == pytest.approx(first, rel=0.10)
 
     def test_damping_slope_matches_numeric_measure(self):
@@ -594,7 +750,7 @@ class TestFirstOrderSqueezed:
         numeric = maximize_measure("squeezed", channel, phi=0.1,
                                    equal_squeezing=True,
                                    times=np.linspace(0.0, 25.0, 2001))
-        first, _ = first_order_squeezed_damping_max(channel, 0.1)
+        first, _ = first_order_squeezed_max(channel, 0.1)
         assert numeric.value == pytest.approx(first, rel=0.10)
 
     def test_pure_combination_reduces_to_coherent_part(self):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,3 +166,54 @@ class TestBures:
             a = state_of(random_params(rng))
             b = state_of(random_params(rng))
             assert bures_distance(a, b) <= math.sqrt(2.0) + 1e-12
+
+
+def mp_state(n, r, phi, beta):
+    """50-digit (mean, cov) of make_gaussian(n, r, phi, beta)."""
+    n, r, phi = (mpmath.mpf(v) for v in (n, r, phi))
+    ch, sh = mpmath.cosh(2 * r), mpmath.sinh(2 * r)
+    c, s = mpmath.cos(phi), mpmath.sin(phi)
+    k = n + mpmath.mpf(1) / 2
+    cov = [[k * (ch - sh * c), -k * sh * s], [-k * sh * s, k * (ch + sh * c)]]
+    beta = complex(beta)
+    return [mpmath.sqrt(2) * beta.real, mpmath.sqrt(2) * beta.imag], cov
+
+
+def mp_fidelity(a, b):
+    """The closed-form fidelity evaluated in mpmath."""
+    (m1, c1), (m2, c2) = a, b
+
+    def det(m):
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+    s = [[c1[i][j] + c2[i][j] for j in range(2)] for i in range(2)]
+    d = [m1[0] - m2[0], m1[1] - m2[1]]
+    quad = (s[1][1] * d[0] ** 2 - 2 * s[0][1] * d[0] * d[1]
+            + s[0][0] * d[1] ** 2) / det(s)
+    quarter = mpmath.mpf(1) / 4
+    small = max(16 * (det(c1) - quarter) * (det(c2) - quarter), 0)
+    return mpmath.sqrt(2 / (mpmath.sqrt(4 * det(s) + small) - mpmath.sqrt(small))
+                       * mpmath.exp(-quad / 2))
+
+
+class TestPureStatePrecision:
+    """Pins the float kernel's precision where one state is pure.
+
+    For a pure state det(cov) - 1/4 comes out of float entries as ~1e-16
+    tr^2 instead of 0, and the square root of 16 (det1 - 1/4)(det2 - 1/4)
+    turns that into an error of ~1e-8 in F: 7.7e-8 relative on the pair
+    below, ~1e-7 at worst for r <= 3.
+    """
+
+    def test_pure_vs_mixed_against_mpmath(self):
+        rng = np.random.default_rng(20261018)
+        pairs = [((0.0, 2.0, 0.3, 0.0), (0.5, 1.0, 0.0, 1.0))]
+        for _ in range(40):
+            pure = random_params(rng, n_max=0.0, r_max=3.0)
+            mixed = random_params(rng, r_max=3.0)
+            pairs.append((pure, (max(mixed[0], 0.05),) + mixed[1:]))
+        with mpmath.workdps(50):
+            for a, b in pairs:
+                ref = mp_fidelity(mp_state(*a), mp_state(*b))
+                got = fidelity(state_of(a), state_of(b))
+                assert float(abs(got - ref) / ref) <= 1e-6
