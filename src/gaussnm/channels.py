@@ -187,14 +187,20 @@ def damping_x(t, alpha: float, spec: DampingRateSpec):
     return alpha * spec.x_per_alpha(t)
 
 
-def _finish_state(mean, cov, mode: str, x_abs: float) -> GaussianState:
-    if mode == "exact":
-        return GaussianState(mean=mean, cov=cov)
+def _warn_first_order(x_abs: float, stacklevel: int) -> None:
+    """ApproximationWarning when first-order maps reach |x| > FIRST_ORDER_X_LIMIT;
+    ``stacklevel`` counts from the caller."""
     if x_abs > FIRST_ORDER_X_LIMIT:
         warnings.warn(
             f"first-order evolution with |x| = {x_abs:.3g} > {FIRST_ORDER_X_LIMIT}",
-            ApproximationWarning, stacklevel=4,
+            ApproximationWarning, stacklevel=stacklevel + 1,
         )
+
+
+def _finish_state(mean, cov, mode: str, x_abs: float) -> GaussianState:
+    if mode == "exact":
+        return GaussianState(mean=mean, cov=cov)
+    _warn_first_order(x_abs, stacklevel=4)
     state = GaussianState(mean=mean, cov=cov, validate=False)
     if not state.is_physical:
         warnings.warn(

@@ -8,7 +8,7 @@ maximized over the pair parameters:
 
 with [t+_I, t-_I] the I-th decrease interval.  For a divisible map F is
 nondecreasing and N = 0.  The coherent family is solved exactly, the others
-by a numeric optimizer.  The module also carries the analytic baselines:
+by batched grid searches.  The module also carries the analytic baselines:
 closed forms for coherent pairs under both channels and the first-order
 (small coupling) laws for coherent, squeezed and coherent-thermal pairs.
 """
@@ -25,7 +25,7 @@ from .channels import (
     DampingRateSpec,
     QbmChannel,
     damping_x,
-    evolve_arrays,
+    _warn_first_order,
 )
 from .spectral import ChannelCoefficients
 from .states import StatePairParams, fidelity_arrays
@@ -58,8 +58,10 @@ __all__ = [
 INV_E = 1.0 / math.e
 _NOISE_FLOOR = 1e-14  # ignore grid-level fidelity wiggles below this
 _SUBGRID = 65  # samples per extremum bracket (two grid steps)
-_COARSE_POINTS = (9, 7, 7, 5)  # coarse grid points per axis, by family dimension
+_COARSE_POINTS = (33, 7, 7, 5)  # coarse grid points per axis, by family dimension
+_ZOOM_LEVELS, _ZOOM_POINTS = 7, 17  # one-parameter zoom after the coarse grid
 _N_STARTS = 3  # Nelder-Mead restarts from the best coarse points
+_BATCH_SAMPLES = 2 ** 18  # pairs x grid times per batch, bounds its memory
 _NM_OPTIONS = {"xatol": 1e-7, "fatol": 1e-13, "maxiter": 500}
 
 
@@ -155,91 +157,93 @@ def _grid(times) -> np.ndarray:
     return ts
 
 
-def _pair_fidelity(maps, s1, s2) -> np.ndarray:
-    """F of the pair (s1, s2) evolved by the ``maps`` factors.
-
-    Taken on the physical branch: the exact QBM solution can dip a hair
-    below the Heisenberg floor at finite coupling, and the first-order maps
-    do so by construction.
-    """
-    m1, c1 = evolve_arrays(maps, s1.mean, s1.cov)
-    m2, c2 = evolve_arrays(maps, s2.mean, s2.cov)
-    return fidelity_arrays(m1, c1, m2, c2, branch=True)
-
-
 def _filled_signs(df: np.ndarray) -> np.ndarray:
-    """Signs of df with zeros carried over from the nearest nonzero value."""
+    """Signs of each row of df, zeros carried over from the nearest nonzero."""
     sgn = np.sign(df)
-    nz = np.flatnonzero(sgn)
-    if nz.size == 0:
-        return sgn
-    idx = np.zeros(len(sgn), dtype=int)
-    idx[nz] = nz
-    np.maximum.accumulate(idx, out=idx)
-    idx[: nz[0]] = nz[0]
-    return sgn[idx]
+    nz = sgn != 0.0
+    idx = np.where(nz, np.arange(sgn.shape[1]), 0)
+    np.maximum.accumulate(idx, axis=1, out=idx)
+    # leading zeros take the row's first nonzero sign
+    idx = np.maximum(idx, np.argmax(nz, axis=1)[:, None])
+    return np.take_along_axis(sgn, idx, axis=1)
 
 
-def _locate_extrema(ts: np.ndarray, fvals: np.ndarray, fid):
-    """Refined (t, F, kind) of every grid extremum, batched over brackets.
+def _locate_extrema(ts: np.ndarray, fvals: np.ndarray, fid) -> list[list]:
+    """Refined (t, F, kind) of every grid extremum of each row of fvals (R, T).
 
-    Each sign change of the grid differences brackets one extremum in
-    [ts[i], ts[i + 2]].  All brackets are sampled on one _SUBGRID-point
-    sub-grid, the three-point parabolic vertex around each row's best
-    sample is evaluated in one more call, and it replaces that sample only
-    where it is better.  The vertex shift is clipped to one sub-step so it
-    stays inside the bracket when the best sample sits at a bracket end.
-    ``fid(t)`` evaluates F at times of any shape.
+    Each sign change of a row's grid differences brackets one extremum in
+    [ts[i], ts[i + 2]].  The brackets of all rows are sampled on one
+    _SUBGRID-point sub-grid, the three-point parabolic vertex around each
+    bracket's best sample is evaluated in one more call, and it replaces
+    that sample only where it is better.  The vertex shift is clipped to
+    one sub-step so it stays inside the bracket when the best sample sits
+    at a bracket end.  ``fid(rows, t)`` evaluates F of the rows ``rows``
+    (B,) at times t (B, S), one row of t per bracket.  Returns one list of
+    extrema per row, in time order.
     """
+    out = [[] for _ in range(len(fvals))]
     if ts.size < 3:
-        return []
-    df = np.diff(fvals)
+        return out
+    df = np.diff(fvals, axis=1)
     sgn = _filled_signs(df)
-    idx = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
-    idx = idx[np.maximum(np.abs(df[idx]), np.abs(df[idx + 1])) >= _NOISE_FLOOR]
+    row, idx = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
+    keep = np.maximum(np.abs(df[row, idx]), np.abs(df[row, idx + 1])) >= _NOISE_FLOOR
+    row, idx = row[keep], idx[keep]
     if idx.size == 0:
-        return []
-    kinds = np.where(sgn[idx] > 0, 1, -1)
+        return out
+    kinds = np.where(sgn[row, idx] > 0, 1, -1)
     lo, hi = ts[idx], ts[idx + 2]
     step = (hi - lo) / (_SUBGRID - 1)
     sub_t = lo[:, None] + step[:, None] * np.arange(_SUBGRID)
-    sub_f = fid(sub_t)
-    # signed so that every row is a maximization
+    sub_f = fid(row, sub_t)
+    # signed so that every bracket is a maximization
     signed = kinds[:, None] * sub_f
-    rows = np.arange(idx.size)
+    brackets = np.arange(idx.size)
     best = np.argmax(signed, axis=1)
     mid = np.clip(best, 1, _SUBGRID - 2)
-    f_m, f_0, f_p = (signed[rows, mid + k] for k in (-1, 0, 1))
+    f_m, f_0, f_p = (signed[brackets, mid + k] for k in (-1, 0, 1))
     curv = f_m - 2.0 * f_0 + f_p
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.where(curv < 0.0, 0.5 * (f_m - f_p) / curv, 0.0)
-    t_v = sub_t[rows, mid] + np.clip(shift, -1.0, 1.0) * step
-    f_v = fid(t_v)
-    take = kinds * f_v > signed[rows, best]
-    t_out = np.where(take, t_v, sub_t[rows, best])
-    f_out = np.where(take, f_v, sub_f[rows, best])
-    return [(float(t), float(f), int(k)) for t, f, k in zip(t_out, f_out, kinds)]
+    t_v = sub_t[brackets, mid] + np.clip(shift, -1.0, 1.0) * step
+    f_v = fid(row, t_v[:, None])[:, 0]
+    take = kinds * f_v > signed[brackets, best]
+    t_out = np.where(take, t_v, sub_t[brackets, best])
+    f_out = np.where(take, f_v, sub_f[brackets, best])
+    for r, t, f, k in zip(row, t_out, f_out, kinds):
+        out[r].append((float(t), float(f), int(k)))
+    return out
 
 
-def _trajectory_on(pair: StatePairParams, channel, ts: np.ndarray,
-                   grid_maps) -> FidelityTrajectory:
-    """Fidelity trajectory on the grid ts, whose maps are ``grid_maps``."""
-    s1, s2 = pair.states()
+def _fidelity_trajectories(pairs, channel, ts: np.ndarray,
+                           grid_maps) -> list[FidelityTrajectory]:
+    """Fidelity trajectories of many pairs on the grid ts, in one batch.
 
-    def fid(t):
-        t = np.asarray(t, dtype=float)
-        return _pair_fidelity(channel.maps(t.ravel()), s1, s2).reshape(t.shape)
+    ``grid_maps`` are the channel's maps on ts.  The batch costs one
+    fidelity call on the grid, then one ``channel.maps`` call and one
+    fidelity call for the extremum sub-grids of all pairs, and one of each
+    for their vertices.  F is taken on the physical branch: the exact QBM
+    solution can dip a hair below the Heisenberg floor at finite coupling,
+    and the first-order maps do so by construction.
+    """
+    states = [pair.states() for pair in pairs]
+    means1, covs1, means2, covs2 = (np.array([getattr(s[i], attr) for s in states])
+                                    for i in (0, 1) for attr in ("mean", "cov"))
 
-    fvals = _pair_fidelity(grid_maps, s1, s2)
-    return FidelityTrajectory(times=ts, fidelities=fvals,
-                              extrema=tuple(_locate_extrema(ts, fvals, fid)),
-                              channel=channel.tag, params=pair)
+    def fid(rows, t):
+        return fidelity_arrays(means1[rows], covs1[rows], means2[rows], covs2[rows],
+                               branch=True, maps=channel.maps(t))
+
+    fvals = fidelity_arrays(means1, covs1, means2, covs2, branch=True, maps=grid_maps)
+    return [FidelityTrajectory(times=ts, fidelities=f, extrema=tuple(ext),
+                               channel=channel.tag, params=pair)
+            for pair, f, ext in zip(pairs, fvals, _locate_extrema(ts, fvals, fid))]
 
 
 def fidelity_trajectory(pair: StatePairParams, channel, times) -> FidelityTrajectory:
     """Fidelity of the evolved pair on a grid, with refined extrema."""
     ts = _grid(times)
-    return _trajectory_on(pair, channel, ts, channel.maps(ts))
+    return _fidelity_trajectories([pair], channel, ts, channel.maps(ts))[0]
 
 
 def backflow_intervals(traj: FidelityTrajectory) -> list[NegativityInterval]:
@@ -301,7 +305,11 @@ def _family_space(family: str, bounds: ParamBounds, phi: float,
 def _k_optimum(a_lo: float, a_hi: float) -> tuple[float, float]:
     """(K, e^{-K a_lo} - e^{-K a_hi}) at the K = ln(a_hi / a_lo) / (a_hi - a_lo)
     that maximizes one drop; as a_hi -> a_lo, K -> 1 / a_lo and the drop -> 0.
-    A closed form's a can fall over its interval: that drop is clamped to 0."""
+    A closed form's a can fall over its interval: that drop is clamped to 0.
+    A rise from a_lo = 0 has no finite optimum: the drop 1 - e^{-K a_hi}
+    grows towards 1 with K, so K = inf (callers clip it to their box)."""
+    if a_lo <= 0.0:
+        return math.inf, 1.0
     if abs(a_hi - a_lo) < 1e-15:
         return 1.0 / a_lo, 0.0
     k = math.log(a_hi / a_lo) / (a_hi - a_lo)
@@ -321,8 +329,7 @@ def _coherent_optimum(channel, ts, grid_maps, k_max: float) -> tuple[float, floa
         return m * m / (c + 2.0 * n)
 
     avals = a_of(grid_maps)
-    extrema = _locate_extrema(
-        ts, avals, lambda t: a_of(channel.maps(t.ravel())).reshape(t.shape))
+    extrema, = _locate_extrema(ts, avals[None], lambda rows, t: a_of(channel.maps(t)))
     pts = [(ts[0], avals[0]), *((t, a) for t, a, _ in extrema), (ts[-1], avals[-1])]
     rises = [(a_a, a_b) for (t_a, a_a), (t_b, a_b) in zip(pts[:-1], pts[1:])
              if a_b > a_a and t_b > t_a]
@@ -346,50 +353,78 @@ def _coherent_optimum(channel, ts, grid_maps, k_max: float) -> tuple[float, floa
     return float(total(k)), float(k)
 
 
-def _nelder_mead(family: str, channel, ts, grid_maps, bounds, phi, equal_squeezing):
-    """(N, argmax, diagnostics): coarse grid, then Nelder-Mead restarts."""
+def _numeric_optimum(family: str, channel, ts, grid_maps, bounds, phi,
+                     equal_squeezing):
+    """(N, argmax, diagnostics) of a family by batched grid search.
+
+    Every batch of candidate pairs is one ``_fidelity_trajectories`` call
+    (split when pairs x grid times exceed _BATCH_SAMPLES).
+    A one-parameter family evaluates a _COARSE_POINTS[0]-point grid, then
+    zooms _ZOOM_LEVELS times on _ZOOM_POINTS points spanning one previous
+    step on each side of the best point so far.  Larger families evaluate
+    their whole coarse grid in one batch, then run Nelder-Mead from its
+    best _N_STARTS points, one pair per objective evaluation.
+    """
     dims, build = _family_space(family, bounds, phi, equal_squeezing)
+    lo, hi = np.array(dims).T
     evaluations = 0
 
-    def objective(vec) -> float:
+    def measures(vecs) -> np.ndarray:
         nonlocal evaluations
-        evaluations += 1
-        vec = np.clip(vec, [lo for lo, _ in dims], [hi for _, hi in dims])
-        return measure_from_trajectory(
-            _trajectory_on(build(vec), channel, ts, grid_maps))
+        evaluations += len(vecs)
+        pairs = [build(v) for v in np.clip(vecs, lo, hi)]
+        size = max(1, _BATCH_SAMPLES // ts.size)
+        return np.array([
+            measure_from_trajectory(traj) for i in range(0, len(pairs), size)
+            for traj in _fidelity_trajectories(pairs[i:i + size], channel, ts,
+                                               grid_maps)])
 
     n_per_dim = _COARSE_POINTS[len(dims) - 1]
-    axes = [np.linspace(lo, hi, n_per_dim) for lo, hi in dims]
+    axes = [np.linspace(a, b, n_per_dim) for a, b in dims]
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     if family == "squeezed" and not equal_squeezing:
         # the maximum sits on (or next to) the equal-squeezing ridge, which
         # a coarse product grid samples poorly; scan the diagonal too
-        diag = np.linspace(dims[0][0], dims[0][1], 4 * n_per_dim + 1)
+        diag = np.linspace(lo[0], hi[0], 4 * n_per_dim + 1)
         grid = np.concatenate([grid, np.stack([diag, diag], axis=-1)])
-    grid_vals = np.array([objective(v) for v in grid])
+    grid_vals = measures(grid)
     order = np.argsort(grid_vals)[::-1]
-    starts = grid[order[:_N_STARTS]]
     best_grid = float(grid_vals[order[0]])
+    best_val, best_vec = best_grid, grid[order[0]]
 
-    best_val, best_vec = best_grid, np.asarray(grid[order[0]], float)
-    iterations = 0
-    for start in starts:
-        res = minimize(lambda v: -objective(v), np.asarray(start, float),
-                       method="Nelder-Mead", bounds=dims, options=_NM_OPTIONS)
-        iterations += int(res.nit)
-        if -res.fun > best_val:
-            best_val, best_vec = float(-res.fun), np.asarray(res.x, float)
+    if len(dims) == 1:
+        starts = ()
+        half = axes[0][1] - axes[0][0]
+        for _ in range(_ZOOM_LEVELS):
+            r = best_vec[0]
+            zoom = np.linspace(max(lo[0], r - half), min(hi[0], r + half),
+                               _ZOOM_POINTS)[:, None]
+            vals = measures(zoom)
+            j = int(np.argmax(vals))
+            if vals[j] > best_val:
+                best_val, best_vec = float(vals[j]), zoom[j]
+            half = zoom[1, 0] - zoom[0, 0]
+        iterations = _ZOOM_LEVELS
+    else:
+        starts = grid[order[:_N_STARTS]]
+        iterations = 0
+        for start in starts:
+            res = minimize(lambda v: -measures(v[None])[0], start,
+                           method="Nelder-Mead", bounds=dims, options=_NM_OPTIONS)
+            iterations += int(res.nit)
+            if -res.fun > best_val:
+                best_val, best_vec = float(-res.fun), res.x
 
-    argmax = build(np.clip(best_vec, [lo for lo, _ in dims], [hi for _, hi in dims]))
+    best_vec = np.clip(best_vec, lo, hi)
     diagnostics = {
         "grid_evaluations": int(grid.shape[0]),
-        "restarts": int(len(starts)),
+        "restarts": len(starts),
         "iterations": int(iterations),
         "function_evaluations": int(evaluations),
         "stagnation": bool(best_val <= best_grid * (1.0 + 1e-12) + 1e-15),
         "argmax_vector": [float(v) for v in best_vec],
     }
-    return best_val, argmax, diagnostics
+    return best_val, build(best_vec), diagnostics
 
 
 def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
@@ -398,15 +433,20 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     """Maximize the backflow measure over a family of initial pairs.
 
     Coherent pairs reduce to the scalar K, solved exactly (``"exact"``).
-    The others run a coarse grid, then Nelder-Mead from its best three
-    points (``"numeric_opt"``); squeezed pairs reduce to (r1, r2) at fixed
-    relative angle ``phi`` (or a single r with ``equal_squeezing``).
+    The others search by batched grids (``"numeric_opt"``): squeezed pairs
+    reduce to (r1, r2) at fixed relative angle ``phi``, or to a single r
+    with ``equal_squeezing``, which is zoomed in on; the larger families
+    refine their grid with Nelder-Mead.  A first-order channel whose
+    |x| = |1 - c| exceeds FIRST_ORDER_X_LIMIT on the grid is used outside
+    its validity: that raises one ApproximationWarning.
     """
     bounds = bounds or ParamBounds()
     if times is None:
         times = np.linspace(0.0, channel.t_max, 2001)
     ts = _grid(times)
     grid_maps = channel.maps(ts)
+    if channel.mode == "first_order":
+        _warn_first_order(float(np.max(np.abs(1.0 - grid_maps[1]))), stacklevel=2)
     if family == "coherent":
         value, k = _coherent_optimum(channel, ts, grid_maps, bounds.k_max)
         argmax, method = coherent_pair(k), "exact"
@@ -414,11 +454,12 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
                        "function_evaluations": 0, "stagnation": False,
                        "argmax_vector": [k]}
     else:
-        value, argmax, diagnostics = _nelder_mead(
+        value, argmax, diagnostics = _numeric_optimum(
             family, channel, ts, grid_maps, bounds, phi, equal_squeezing)
         method = "numeric_opt"
-    intervals = backflow_intervals(fidelity_trajectory(argmax, channel, ts))
-    return MeasureResult(value=value, argmax=argmax, intervals=intervals,
+    traj, = _fidelity_trajectories([argmax], channel, ts, grid_maps)
+    return MeasureResult(value=value, argmax=argmax,
+                         intervals=backflow_intervals(traj),
                          method=method, diagnostics=diagnostics,
                          family=family, channel=channel.tag,
                          alpha=channel.alpha, **_env_fields(channel))

@@ -147,11 +147,16 @@ class StatePairParams:
 
 
 def squeezed_thermal_cov(n: float, r: float, phi: float) -> np.ndarray:
-    """Covariance (n + 1/2) R(phi/2) diag(e^-2r, e^2r) R(phi/2)^T."""
-    ch = math.cosh(2.0 * r)
-    sh = math.sinh(2.0 * r)
-    c, s = math.cos(phi), math.sin(phi)
-    return (n + 0.5) * np.array([[ch - sh * c, -sh * s], [-sh * s, ch + sh * c]])
+    """Covariance (n + 1/2) R(phi/2) diag(e^-2r, e^2r) R(phi/2)^T.
+
+    The diagonal is written as sums of positive terms,
+    e^{-2r} cos^2(phi/2) + e^{2r} sin^2(phi/2) and its mirror, rather than
+    cosh 2r -+ sinh 2r cos phi, which cancels at large r.
+    """
+    lo, hi = math.exp(-2.0 * r), math.exp(2.0 * r)
+    c2, s2 = math.cos(0.5 * phi) ** 2, math.sin(0.5 * phi) ** 2
+    off = -math.sinh(2.0 * r) * math.sin(phi)
+    return (n + 0.5) * np.array([[lo * c2 + hi * s2, off], [off, hi * c2 + lo * s2]])
 
 
 def make_gaussian(n: float = 0.0, r: float = 0.0, phi: float = 0.0,
@@ -176,7 +181,15 @@ def _det2(c: np.ndarray) -> np.ndarray:
     return c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]
 
 
-def fidelity_arrays(means1, covs1, means2, covs2, branch: bool = False):
+def _adj_quad(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """d^T adj(s) d, the numerator of d^T s^{-1} d (explicit 2x2 inverse)."""
+    return (s[..., 1, 1] * d[..., 0] ** 2
+            - 2.0 * s[..., 0, 1] * d[..., 0] * d[..., 1]
+            + s[..., 0, 0] * d[..., 1] ** 2)
+
+
+def fidelity_arrays(means1, covs1, means2, covs2, branch: bool = False,
+                    maps=None):
     """Vectorized Uhlmann fidelity over stacked means (..., 2) and covs (..., 2, 2).
 
     Internal fast path; inputs are trusted (no invariant checks beyond a
@@ -184,25 +197,44 @@ def fidelity_arrays(means1, covs1, means2, covs2, branch: bool = False):
     sqrt of the (det1 - 1/4)(det2 - 1/4) product carries the sign of the
     factors, which continues the physical branch smoothly through the
     pure-state boundary; the two expressions agree on physical states.
+
+    With ``maps=(m, c, n)`` the inputs are P initial pairs, (P, 2) and
+    (P, 2, 2), and F is that of the pairs evolved by mean -> m mean,
+    cov -> c cov + n I, the maps broadcast against (P, 1): K grid times
+    give (P, K), maps of shape (P, S) give each pair its own S times.  No
+    evolved matrix is built.  With S0 = V1 + V2 and d0 = mu1 - mu2:
+        det s         = c^2 det S0 + 2cn tr S0 + 4n^2
+        d^T adj(s) d  = m^2 (c d0^T adj(S0) d0 + 2n |d0|^2)
+        det Vi        = c^2 det Vi0 + cn tr Vi0 + n^2
     """
-    s = covs1 + covs2
-    det_s = _det2(s)
+    if maps is None:
+        s = covs1 + covs2
+        det_s = _det2(s)
+        dad = _adj_quad(s, means1 - means2)
+        g1 = _det2(covs1) - 0.25
+        g2 = _det2(covs2) - 0.25
+    else:
+        m, c, n = maps
+        s0, d0 = covs1 + covs2, means1 - means2
+        # the 8 pair invariants, as (P, 1) columns
+        det0, tr0, dad0, dd0, det1, tr1, det2, tr2 = (v[:, None] for v in (
+            _det2(s0), s0[:, 0, 0] + s0[:, 1, 1], _adj_quad(s0, d0),
+            d0[:, 0] ** 2 + d0[:, 1] ** 2, _det2(covs1),
+            covs1[:, 0, 0] + covs1[:, 1, 1], _det2(covs2),
+            covs2[:, 0, 0] + covs2[:, 1, 1]))
+        cc, cn, nn = c * c, c * n, n * n
+        det_s = cc * det0 + 2.0 * cn * tr0 + 4.0 * nn
+        dad = m * m * (c * dad0 + 2.0 * n * dd0)
+        g1 = cc * det1 + cn * tr1 + (nn - 0.25)
+        g2 = cc * det2 + cn * tr2 + (nn - 0.25)
     if np.any(det_s <= 0.0):
         raise RuntimeError(
             "singular summed covariance in fidelity; internal invariant violation"
         )
-    d = means1 - means2
-    # d^T s^{-1} d with the explicit 2x2 inverse
-    quad = (
-        s[..., 1, 1] * d[..., 0] ** 2
-        - 2.0 * s[..., 0, 1] * d[..., 0] * d[..., 1]
-        + s[..., 0, 0] * d[..., 1] ** 2
-    ) / det_s
+    quad = dad / det_s
     big = 4.0 * det_s
     # product of (det - 1/4) factors is >= 0 for physical states; clip the
     # float roundoff so sqrt stays real
-    g1 = _det2(covs1) - 0.25
-    g2 = _det2(covs2) - 0.25
     small = np.clip(16.0 * g1 * g2, 0.0, None)
     root = np.sqrt(small)
     if branch:

@@ -1,13 +1,16 @@
 import math
+import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from gaussnm import (
+    ApproximationWarning,
     DampingChannel,
     DampingRateSpec,
     FidelityTrajectory,
@@ -31,9 +34,11 @@ from gaussnm import (
     maximize_measure,
     measure_from_trajectory,
     measure_record,
+    squeezed_pair,
     squeezed_response,
 )
 from gaussnm import measure
+from gaussnm.experiments import _qbm_table, fig_defaults
 from gaussnm.measure import (
     _NOISE_FLOOR,
     NegativityInterval,
@@ -157,7 +162,8 @@ class TestExtremumRefinement:
 
 def located(fn, times):
     times = np.asarray(times, dtype=float)
-    return _locate_extrema(times, fn(times), fn)
+    extrema, = _locate_extrema(times, fn(times)[None], lambda rows, t: fn(t))
+    return extrema
 
 
 class TestLocateExtremaEdges:
@@ -327,7 +333,7 @@ class KnotChannel:
     coherent pair's F(t) = exp(-K a(t)) has its extrema at the knots.
     """
 
-    tag, alpha = "damping", 1.0
+    tag, alpha, mode = "damping", 1.0, "exact"
 
     def __init__(self, knots):
         self.knots = np.asarray(knots, dtype=float)
@@ -338,6 +344,109 @@ class KnotChannel:
         step = self.knots[i + 1] - self.knots[i]
         a = self.knots[i] + step * (1.0 - np.cos(np.pi * (ts - i))) / 2.0
         return np.sqrt(a), np.ones_like(ts), np.zeros_like(ts)
+
+
+class TestBatchedTrajectories:
+    def test_ragged_batch_matches_lone_pairs(self, fig3_tables):
+        # on [0, 6.24] these pairs have 0, 1, 2, 2 and 1 extrema, so the
+        # bracket rows of one batch belong to pairs unevenly
+        channel = QbmChannel(fig3_tables[0.5].rescaled(0.1))
+        ts = np.linspace(0.0, 6.24, 401)
+        pairs = [StatePairParams(r1=0.5, r2=0.5), coherent_pair(1.0),
+                 StatePairParams(n1=1.0), StatePairParams(n1=0.2, r1=1.5, phi1=2.0),
+                 squeezed_pair(2.0, 0.3, 1.0)]
+        batch = measure._fidelity_trajectories(pairs, channel, ts, channel.maps(ts))
+        assert [len(traj.extrema) for traj in batch] == [0, 1, 2, 2, 1]
+        for pair, traj in zip(pairs, batch):
+            lone = fidelity_trajectory(pair, channel, ts)
+            assert traj.params == pair
+            assert np.array_equal(traj.fidelities, lone.fidelities)
+            assert traj.extrema == lone.extrema
+            assert measure_from_trajectory(traj) == measure_from_trajectory(lone)
+
+
+def oracle_equal_squeezing(channel, phi, times, r_max):
+    """N of the r1 = r2 squeezed family by the search the zoom replaced.
+
+    A 9-point grid, then bounded Nelder-Mead (xatol 1e-7, fatol 1e-13, at
+    most 500 iterations) from its best three points, one pair per
+    evaluation through ``fidelity_trajectory``.
+    """
+    def backflow(v):
+        r = float(np.clip(v[0], 0.0, r_max))
+        return measure_from_trajectory(
+            fidelity_trajectory(squeezed_pair(r, r, phi), channel, times))
+
+    grid = np.linspace(0.0, r_max, 9)
+    vals = [backflow([r]) for r in grid]
+    best = max(vals)
+    for j in np.argsort(vals)[::-1][:3]:
+        res = minimize(lambda v: -backflow(v), [grid[j]], method="Nelder-Mead",
+                       bounds=[(0.0, r_max)],
+                       options={"xatol": 1e-7, "fatol": 1e-13, "maxiter": 500})
+        best = max(best, -res.fun)
+    return best
+
+
+def tiny_squeezed_points():
+    """(table T, phi) of the squeezed curves of the tiny fig4 and fig5 sweeps."""
+    fig4 = replace(fig_defaults(4), alpha_points=2, n_steps=300, traj_points=300)
+    fig5 = replace(fig_defaults(5), alpha_points=2, n_steps=300, traj_points=300,
+                   temperatures=(0.3, 0.9))
+    return [(fig4, 0.2, phi) for phi in fig4.phis] + [
+        (fig5, tv, fig5.phis[0]) for tv in fig5.temperatures]
+
+
+class TestEqualSqueezingSearch:
+    @pytest.mark.parametrize("cfg, tv, phi", tiny_squeezed_points(),
+                             ids=["fig4-phi0.05", "fig4-phi0.1", "fig5-T0.3",
+                                  "fig5-T0.9"])
+    def test_no_worse_than_nelder_mead(self, cfg, tv, phi):
+        base = _qbm_table(cfg, tv)
+        times = np.linspace(0.0, cfg.t_end, cfg.traj_points + 1)
+        for alpha in cfg.alphas:
+            channel = QbmChannel(base.rescaled(alpha))
+            res = maximize_measure("squeezed", channel, bounds=cfg.bounds(),
+                                   phi=phi, equal_squeezing=True, times=times)
+            oracle = oracle_equal_squeezing(channel, phi, times, cfg.r_max)
+            assert res.value >= oracle - 1e-12 * res.value
+            d = res.diagnostics
+            assert (d["grid_evaluations"], d["iterations"], d["restarts"]) == (33, 7, 0)
+            assert d["function_evaluations"] == 33 + 7 * 17
+
+
+class TestFirstOrderRange:
+    def test_out_of_range_maps_warn_once(self):
+        # x reaches 8.8 on [0, 25]: the first-order mean factor 1 - x/2
+        # changes sign and N exceeds 1
+        channel = DampingChannel(alpha=1.0, mode="first_order", t_max=25.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            maximize_measure("coherent", channel, times=np.linspace(0.0, 25.0, 401))
+        approx = [w for w in caught if w.category is ApproximationWarning]
+        assert len(approx) == 1
+        assert str(approx[0].message).startswith("first-order evolution with |x| = 8.")
+        assert approx[0].filename == __file__
+
+    def test_exact_and_in_range_maps_do_not_warn(self):
+        times = np.linspace(0.0, 25.0, 401)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ApproximationWarning)
+            maximize_measure("coherent", DampingChannel(alpha=1.0, t_max=25.0),
+                             times=times)
+            maximize_measure("coherent", DampingChannel(alpha=0.01, mode="first_order",
+                                                        t_max=25.0), times=times)
+
+    def test_rise_from_zero_has_no_finite_optimum(self):
+        # 1 - e^{-K a_hi} grows towards 1 with K
+        assert measure._k_optimum(0.0, 0.5) == (math.inf, 1.0)
+        # a(t) falls to exactly 0 at the grid point t = 1, then rises: the
+        # optimum sits on the box edge
+        res = maximize_measure("coherent", KnotChannel([1.0, 0.0, 0.5]),
+                               times=np.linspace(0.0, 2.0, 201))
+        k_max = ParamBounds().k_max
+        assert res.diagnostics["argmax_vector"] == [k_max]
+        assert res.value == pytest.approx(1.0 - math.exp(-0.5 * k_max), abs=1e-12)
 
 
 class TestExactCoherent:

@@ -7,13 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussnm import (
+    DampingChannel,
     GaussianState,
+    QbmChannel,
     StatePairParams,
+    build_coefficients,
     bures_distance,
     fidelity,
     make_gaussian,
     rotate_state,
 )
+from gaussnm.channels import evolve_arrays
+from gaussnm.spectral import EnvironmentSpec
+from gaussnm.states import _det2, fidelity_arrays, squeezed_thermal_cov
 from fock_oracle import oracle_fidelity
 
 
@@ -201,8 +207,8 @@ class TestPureStatePrecision:
 
     For a pure state det(cov) - 1/4 comes out of float entries as ~1e-16
     tr^2 instead of 0, and the square root of 16 (det1 - 1/4)(det2 - 1/4)
-    turns that into an error of ~1e-8 in F: 7.7e-8 relative on the pair
-    below, ~1e-7 at worst for r <= 3.
+    turns that into an error of ~1e-8 in F: 6.6e-8 relative at worst for
+    r <= 3.  The first pair below is the README's example.
     """
 
     def test_pure_vs_mixed_against_mpmath(self):
@@ -217,3 +223,117 @@ class TestPureStatePrecision:
                 ref = mp_fidelity(mp_state(*a), mp_state(*b))
                 got = fidelity(state_of(a), state_of(b))
                 assert float(abs(got - ref) / ref) <= 1e-6
+
+
+class TestSqueezedThermalCov:
+    def test_entries_against_mpmath(self):
+        # the diagonal is a sum of positive terms, so every entry is exact
+        # to a few ulp; cosh 2r - sinh 2r cos(phi) lost 2.7e-8 at r = 5
+        rng = np.random.default_rng(5)
+        cases = [(0.0, 5.0, 0.0), (0.3, 3.0, 0.0), (1.0, 5.0, math.pi)]
+        cases += [(rng.uniform(0.0, 2.0), rng.uniform(0.0, 5.0),
+                   rng.uniform(0.0, 2.0 * math.pi)) for _ in range(40)]
+        with mpmath.workdps(50):
+            for n, r, phi in cases:
+                _, ref = mp_state(n, r, phi, 0.0)
+                got = squeezed_thermal_cov(n, r, phi)
+                for i in range(2):
+                    for j in range(2):
+                        assert abs(got[i, j] - ref[i][j]) <= 2e-15 * abs(ref[i][j])
+
+
+def old_fidelity_arrays(means1, covs1, means2, covs2, branch=False):
+    """The kernel as it stood before the maps path, kept verbatim."""
+    s = covs1 + covs2
+    det_s = _det2(s)
+    d = means1 - means2
+    quad = (
+        s[..., 1, 1] * d[..., 0] ** 2
+        - 2.0 * s[..., 0, 1] * d[..., 0] * d[..., 1]
+        + s[..., 0, 0] * d[..., 1] ** 2
+    ) / det_s
+    big = 4.0 * det_s
+    g1 = _det2(covs1) - 0.25
+    g2 = _det2(covs2) - 0.25
+    small = np.clip(16.0 * g1 * g2, 0.0, None)
+    root = np.sqrt(small)
+    if branch:
+        root = np.copysign(root, g1 + g2)
+    f2 = 2.0 / (np.sqrt(big + small) - root) * np.exp(-0.5 * quad)
+    return np.sqrt(f2)
+
+
+def stacked_pairs(rng, count, **ranges):
+    """(means1, covs1, means2, covs2) of ``count`` random pairs."""
+    pairs = [(state_of(random_params(rng, **ranges)),
+              state_of(random_params(rng, **ranges))) for _ in range(count)]
+    return tuple(np.array([getattr(p[i], attr) for p in pairs])
+                 for i in (0, 1) for attr in ("mean", "cov"))
+
+
+@pytest.fixture(scope="module")
+def kernel_channels():
+    table = build_coefficients(
+        EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=0.2),
+        alpha=0.1, t_end=40.0, n_steps=400)
+    return {"damping-exact": DampingChannel(alpha=0.1),
+            "damping-first-order": DampingChannel(alpha=0.1, mode="first_order"),
+            "qbm-exact": QbmChannel(table)}
+
+
+class TestPairInvariantKernel:
+    def test_without_maps_is_the_old_expression(self):
+        rng = np.random.default_rng(11)
+        args = stacked_pairs(rng, 200, r_max=3.0)
+        for branch in (False, True):
+            assert np.array_equal(fidelity_arrays(*args, branch=branch),
+                                  old_fidelity_arrays(*args, branch=branch))
+        one = tuple(a[0] for a in args)
+        assert fidelity_arrays(*one) == old_fidelity_arrays(*one)
+
+    @pytest.mark.parametrize("name", ["damping-exact", "damping-first-order",
+                                      "qbm-exact"])
+    def test_maps_path_matches_evolved_states(self, name, kernel_channels):
+        channel = kernel_channels[name]
+        rng = np.random.default_rng(64)
+        means1, covs1, means2, covs2 = stacked_pairs(rng, 64, r_max=2.0,
+                                                     beta_max=1.5)
+        maps = channel.maps(np.linspace(0.0, channel.t_max, 2001))
+        got = fidelity_arrays(means1, covs1, means2, covs2, branch=True,
+                              maps=maps)
+        assert got.shape == (64, 2001)
+        ref = np.array([fidelity_arrays(*evolve_arrays(maps, means1[p], covs1[p]),
+                                        *evolve_arrays(maps, means2[p], covs2[p]),
+                                        branch=True) for p in range(64)])
+        assert np.max(np.abs(got / ref - 1.0)) <= 2e-13
+        # maps of shape (P, S) give each pair its own times
+        rows = np.array([3, 3, 17])
+        cols = np.array([[0, 5, 2000], [7, 7, 8], [1999, 3, 4]])
+        per_row = fidelity_arrays(means1[rows], covs1[rows], means2[rows],
+                                  covs2[rows], branch=True,
+                                  maps=tuple(v[cols] for v in maps))
+        assert np.array_equal(per_row, got[rows[:, None], cols])
+
+    def test_maps_path_against_mpmath(self, kernel_channels):
+        # at r <= 3 the 2x2 determinants of evolved matrices lose ~1e-12
+        # relative; the invariants are formed once, before the maps scale them
+        channel = kernel_channels["qbm-exact"]
+        rng = np.random.default_rng(3)
+        params = [(random_params(rng, r_max=3.0, beta_max=1.0),
+                   random_params(rng, r_max=3.0, beta_max=1.0)) for _ in range(8)]
+        ts = np.array([0.0, 3.0, 11.0, 40.0])
+        m, c, n = channel.maps(ts)
+        args = tuple(np.array([getattr(state_of(p[i]), attr) for p in params])
+                     for i in (0, 1) for attr in ("mean", "cov"))
+        got = fidelity_arrays(*args, branch=True, maps=(m, c, n))
+        with mpmath.workdps(50):
+            for p, (a, b) in enumerate(params):
+                for k in range(ts.size):
+                    evolved = []
+                    for mean, cov in (mp_state(*a), mp_state(*b)):
+                        mk, ck, nk = (mpmath.mpf(float(v[k])) for v in (m, c, n))
+                        evolved.append(([mk * x for x in mean],
+                                        [[ck * cov[i][j] + (nk if i == j else 0)
+                                          for j in range(2)] for i in range(2)]))
+                    ref = mp_fidelity(*evolved)
+                    assert float(abs(got[p, k] - ref) / ref) <= 1e-12
