@@ -8,7 +8,7 @@ maximized over the pair parameters:
 
 with [t+_I, t-_I] the I-th decrease interval.  For a divisible map F is
 nondecreasing and N = 0.  The coherent family is solved exactly, the others
-by batched grid searches.  The module also carries the analytic baselines:
+by batched zoom searches.  The module also carries the analytic baselines:
 closed forms for coherent pairs under both channels and the first-order
 (small coupling) laws for coherent, squeezed and coherent-thermal pairs.
 """
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .channels import (
     DampingRateSpec,
@@ -58,11 +57,11 @@ __all__ = [
 INV_E = 1.0 / math.e
 _NOISE_FLOOR = 1e-14  # ignore grid-level fidelity wiggles below this
 _SUBGRID = 65  # samples per extremum bracket (two grid steps)
-_COARSE_POINTS = (33, 7, 7, 5)  # coarse grid points per axis, by family dimension
-_ZOOM_LEVELS, _ZOOM_POINTS = 7, 17  # one-parameter zoom after the coarse grid
-_N_STARTS = 3  # Nelder-Mead restarts from the best coarse points
+_GRID_POINTS = (0, 7, 7, 5)  # product-grid points per axis, by family dimension
+_CHORD_POINTS, _K_POINTS = 33, 129  # first-grid points of a chord, of the log K range
+_ZOOM_LEVELS, _ZOOM_POINTS = 7, 17  # zoom levels after a coarse 1-d grid
+_MAX_CHORDS = 8  # chord searches per family parameter, at most
 _BATCH_SAMPLES = 2 ** 18  # pairs x grid times per batch, bounds its memory
-_NM_OPTIONS = {"xatol": 1e-7, "fatol": 1e-13, "maxiter": 500}
 
 
 class UnsupportedShapeError(ValueError):
@@ -271,35 +270,60 @@ def measure_from_trajectory(traj: FidelityTrajectory) -> float:
 _FAMILIES = ("coherent", "squeezed", "coherent_thermal", "general_pure")
 
 
+def _zoom_max(f, lo: float, hi: float, points: int) -> tuple[float, float, float]:
+    """(x, f(x), best value of the first grid) of a batched zoom of [lo, hi].
+
+    ``f`` maps an array of abscissae to their values.  A ``points``-point
+    grid over [lo, hi] is followed by _ZOOM_LEVELS levels of _ZOOM_POINTS
+    points, each spanning one previous step either side of the best x.
+    """
+    xs = np.linspace(lo, hi, points)
+    vals = f(xs)
+    j = int(np.argmax(vals))
+    best_x, best_val, coarse = xs[j], vals[j], vals[j]
+    for _ in range(_ZOOM_LEVELS):
+        half = xs[1] - xs[0]
+        xs = np.linspace(max(lo, best_x - half), min(hi, best_x + half), _ZOOM_POINTS)
+        vals = f(xs)
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best_x, best_val = xs[j], vals[j]
+    return float(best_x), float(best_val), float(coarse)
+
+
 def _family_space(family: str, bounds: ParamBounds, phi: float,
                   equal_squeezing: bool):
+    """(box, pair builder, chord directions) of a numerically searched family."""
     if family == "squeezed":
         if equal_squeezing:
-            dims = [(0.0, bounds.r_max)]
+            dims, dirs = [(0.0, bounds.r_max)], [[1.0]]
 
             def build(v):
                 return squeezed_pair(v[0], v[0], phi)
         else:
-            dims = [(0.0, bounds.r_max), (0.0, bounds.r_max)]
+            # N(r1, r2) = N(r2, r1) (a joint rotation and reflection swap the
+            # pair and commute with the channels), so on the diagonal a
+            # maximum along both (1, 1) and (1, -1) is one in (r1, r2)
+            dims, dirs = [(0.0, bounds.r_max)] * 2, [[1.0, 1.0], [1.0, -1.0]]
 
             def build(v):
                 return squeezed_pair(v[0], v[1], phi)
     elif family == "coherent_thermal":
-        dims = [(1e-9, bounds.k_max), (0.0, bounds.n_max)]
+        dims, dirs = [(1e-9, bounds.k_max), (0.0, bounds.n_max)], np.eye(2)
 
-        def build(v):
-            n = max(v[1], 0.0)
-            return StatePairParams(n1=n, n2=n, beta1_mag=math.sqrt(2.0 * v[0]))
+        def build(v):  # v is clipped to the box, so n = v[1] >= 0
+            return StatePairParams(n1=v[1], n2=v[1], beta1_mag=math.sqrt(2.0 * v[0]))
     elif family == "general_pure":
         dims = [(1e-9, 2.0 * bounds.beta_max), (0.0, math.pi),
                 (0.0, bounds.r_max), (0.0, bounds.r_max)]
+        dirs = np.eye(4)
 
         def build(v):
             return StatePairParams(beta1_mag=v[0], theta1=v[1],
                                    r1=v[2], r2=v[3], phi1=phi, phi2=0.0)
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
-    return dims, build
+    return dims, build, np.asarray(dirs, dtype=float)
 
 
 def _k_optimum(a_lo: float, a_hi: float) -> tuple[float, float]:
@@ -317,12 +341,12 @@ def _k_optimum(a_lo: float, a_hi: float) -> tuple[float, float]:
 
 
 def _coherent_optimum(channel, ts, grid_maps, k_max: float) -> tuple[float, float]:
-    """(N, K) of the coherent family, without an optimizer.
+    """(N, K) of the coherent family, without a search over pairs.
 
     On the physical branch F(t) = exp(-K a(t)), a = m^2 / (c + 2n): F falls
     where a rises, for every K, and each rise contributes e^{-K a_lo} -
-    e^{-K a_hi}, peaking at its own K_I.  A geometric scan between the
-    extreme K_I (inside [1e-9, k_max]) is refined by a bounded search.
+    e^{-K a_hi}, peaking at its own K_I.  The optimum lies between the
+    extreme K_I (inside [1e-9, k_max]), and is zoomed in on in log K.
     """
     def a_of(maps):
         m, c, n = maps
@@ -336,42 +360,32 @@ def _coherent_optimum(channel, ts, grid_maps, k_max: float) -> tuple[float, floa
     if not rises:
         return 0.0, 1.0  # no backflow; K = 1 is the first-order optimum
     a_lo, a_hi = np.array(rises).T
+    k_opt = np.clip([_k_optimum(lo, hi)[0] for lo, hi in rises], 1e-9, k_max)
+    k_lo, ratio = k_opt.min(), k_opt.max() / k_opt.min()
 
-    def total(k):
-        k = np.asarray(k, dtype=float)[..., None]
+    def total(u):  # K = k_lo ratio^u, geometric in u on [0, 1]
+        k = k_lo * ratio ** u[:, None]
         return np.sum(np.exp(-k * a_lo) - np.exp(-k * a_hi), axis=-1)
 
-    k_opt = np.clip([_k_optimum(lo, hi)[0] for lo, hi in rises], 1e-9, k_max)
-    ks = np.geomspace(k_opt.min(), k_opt.max(), 129)
-    j = int(np.argmax(total(ks)))
-    k = ks[j]
-    if ks[0] < ks[-1]:
-        res = minimize_scalar(lambda k: -total(k), method="bounded",
-                              bounds=(ks[max(j - 1, 0)], ks[min(j + 1, 128)]),
-                              options={"xatol": 1e-12 * k})
-        k = res.x if total(res.x) > total(k) else k
-    return float(total(k)), float(k)
+    u, value, _ = _zoom_max(total, 0.0, 1.0, _K_POINTS)
+    return value, float(k_lo * ratio ** u)
 
 
 def _numeric_optimum(family: str, channel, ts, grid_maps, bounds, phi,
                      equal_squeezing):
-    """(N, argmax, diagnostics) of a family by batched grid search.
+    """(N, argmax, diagnostics) of a family by batched chord zooms.
 
-    Every batch of candidate pairs is one ``_fidelity_trajectories`` call
-    (split when pairs x grid times exceed _BATCH_SAMPLES).
-    A one-parameter family evaluates a _COARSE_POINTS[0]-point grid, then
-    zooms _ZOOM_LEVELS times on _ZOOM_POINTS points spanning one previous
-    step on each side of the best point so far.  Larger families evaluate
-    their whole coarse grid in one batch, then run Nelder-Mead from its
-    best _N_STARTS points, one pair per objective evaluation.
+    Each batch of pairs is one ``_fidelity_trajectories`` call (split when
+    pairs x grid times exceed _BATCH_SAMPLES).  From the best point of a
+    coarse product grid, or from the lower end of a one-parameter box,
+    ``_zoom_max`` searches the box's chords through the best point along the
+    family's directions in turn, until every direction has been searched
+    from the current best without improving it (at most _MAX_CHORDS each).
     """
-    dims, build = _family_space(family, bounds, phi, equal_squeezing)
+    dims, build, dirs = _family_space(family, bounds, phi, equal_squeezing)
     lo, hi = np.array(dims).T
-    evaluations = 0
 
     def measures(vecs) -> np.ndarray:
-        nonlocal evaluations
-        evaluations += len(vecs)
         pairs = [build(v) for v in np.clip(vecs, lo, hi)]
         size = max(1, _BATCH_SAMPLES // ts.size)
         return np.array([
@@ -379,7 +393,7 @@ def _numeric_optimum(family: str, channel, ts, grid_maps, bounds, phi,
             for traj in _fidelity_trajectories(pairs[i:i + size], channel, ts,
                                                grid_maps)])
 
-    n_per_dim = _COARSE_POINTS[len(dims) - 1]
+    n_per_dim = _GRID_POINTS[len(dims) - 1]
     axes = [np.linspace(a, b, n_per_dim) for a, b in dims]
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     if family == "squeezed" and not equal_squeezing:
@@ -387,43 +401,30 @@ def _numeric_optimum(family: str, channel, ts, grid_maps, bounds, phi,
         # a coarse product grid samples poorly; scan the diagonal too
         diag = np.linspace(lo[0], hi[0], 4 * n_per_dim + 1)
         grid = np.concatenate([grid, np.stack([diag, diag], axis=-1)])
-    grid_vals = measures(grid)
-    order = np.argsort(grid_vals)[::-1]
-    best_grid = float(grid_vals[order[0]])
-    best_val, best_vec = best_grid, grid[order[0]]
-
-    if len(dims) == 1:
-        starts = ()
-        half = axes[0][1] - axes[0][0]
-        for _ in range(_ZOOM_LEVELS):
-            r = best_vec[0]
-            zoom = np.linspace(max(lo[0], r - half), min(hi[0], r + half),
-                               _ZOOM_POINTS)[:, None]
-            vals = measures(zoom)
-            j = int(np.argmax(vals))
-            if vals[j] > best_val:
-                best_val, best_vec = float(vals[j]), zoom[j]
-            half = zoom[1, 0] - zoom[0, 0]
-        iterations = _ZOOM_LEVELS
-    else:
-        starts = grid[order[:_N_STARTS]]
-        iterations = 0
-        for start in starts:
-            res = minimize(lambda v: -measures(v[None])[0], start,
-                           method="Nelder-Mead", bounds=dims, options=_NM_OPTIONS)
-            iterations += int(res.nit)
-            if -res.fun > best_val:
-                best_val, best_vec = float(-res.fun), res.x
-
-    best_vec = np.clip(best_vec, lo, hi)
-    diagnostics = {
-        "grid_evaluations": int(grid.shape[0]),
-        "restarts": len(starts),
-        "iterations": int(iterations),
-        "function_evaluations": int(evaluations),
-        "stagnation": bool(best_val <= best_grid * (1.0 + 1e-12) + 1e-15),
-        "argmax_vector": [float(v) for v in best_vec],
-    }
+    vals = np.append(measures(grid), -math.inf)  # lo: a box without a grid
+    j = int(np.argmax(vals))
+    best_vec, best_val = np.vstack([grid, lo])[j], float(vals[j])
+    chords, searched, zoomed = 0, 0, False
+    while searched < len(dirs) and chords < _MAX_CHORDS * len(dims):
+        d = dirs[chords % len(dirs)]
+        moving = d != 0.0
+        ends = (np.array([lo, hi])[:, moving] - best_vec[moving]) / d[moving]
+        s, val, coarse = _zoom_max(lambda t: measures(best_vec + t[:, None] * d),
+                                   ends.min(axis=0).max(), ends.max(axis=0).min(),
+                                   _CHORD_POINTS)
+        chords += 1
+        # gains below 1e-12 are rounding: near the vacuum the kernel's pure-state
+        # error alone gives a divisible damping map N ~ 4e-14
+        zoomed |= val > coarse + 1e-12 * (1.0 + coarse)
+        if val > best_val:
+            best_vec, best_val, searched = np.clip(best_vec + s * d, lo, hi), val, 0
+        searched += 1
+    diagnostics = {"grid_evaluations": len(grid) + chords * _CHORD_POINTS,
+                   "restarts": 0, "iterations": chords * _ZOOM_LEVELS,
+                   "function_evaluations": len(grid) + chords * (
+                       _CHORD_POINTS + _ZOOM_LEVELS * _ZOOM_POINTS),
+                   "stagnation": not zoomed,
+                   "argmax_vector": [float(v) for v in best_vec]}
     return best_val, build(best_vec), diagnostics
 
 
@@ -433,10 +434,10 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     """Maximize the backflow measure over a family of initial pairs.
 
     Coherent pairs reduce to the scalar K, solved exactly (``"exact"``).
-    The others search by batched grids (``"numeric_opt"``): squeezed pairs
-    reduce to (r1, r2) at fixed relative angle ``phi``, or to a single r
-    with ``equal_squeezing``, which is zoomed in on; the larger families
-    refine their grid with Nelder-Mead.  A first-order channel whose
+    The others search by batched chord zooms (``"numeric_opt"``): squeezed
+    pairs reduce to (r1, r2) at fixed relative angle ``phi``, or to a single
+    r with ``equal_squeezing``; the families with several parameters start
+    from a coarse product grid.  A first-order channel whose
     |x| = |1 - c| exceeds FIRST_ORDER_X_LIMIT on the grid is used outside
     its validity: that raises one ApproximationWarning.
     """
@@ -644,13 +645,12 @@ def first_order_squeezed(channel, r1: float, r2: float, phi: float) -> float:
 def first_order_squeezed_max(channel, phi: float,
                              r_max: float = 5.0) -> tuple[float, float]:
     """(measure, argmax r) of the first-order squeezed law, r1 = r2 = r."""
-    def response(r):
-        return _pure_response(r, r, phi, *channel.response_direction)
+    def responses(rs):
+        return np.array([_pure_response(r, r, phi, *channel.response_direction)
+                         for r in rs])
 
-    res = minimize_scalar(lambda r: -response(r), bounds=(0.0, r_max),
-                          method="bounded", options={"xatol": 1e-8})
-    r_star = max(float(res.x), r_max, key=response)
-    return response(r_star) * _total_backflow(channel), r_star
+    r_star, response, _ = _zoom_max(responses, 0.0, r_max, _CHORD_POINTS)
+    return response * _total_backflow(channel), r_star
 
 
 def first_order_pure_combination(k: float, r1: float, r2: float,
@@ -664,14 +664,13 @@ def first_order_pure_combination(k: float, r1: float, r2: float,
     """
     if k < 0.0:
         raise ValueError("K must be >= 0")
-    # displaced along the q axis; C is the ratio of the full zero-time
-    # fidelity to the zero-displacement one
-    pair = StatePairParams(beta1_mag=math.sqrt(2.0 * k), r1=r1, r2=r2,
-                           phi1=0.0, phi2=phi)
-    s1, s2 = pair.states()
-    zero = np.zeros(2)
-    s0 = float(fidelity_arrays(zero, s1.cov, zero, s2.cov))
-    c_weight = float(fidelity_arrays(s1.mean, s1.cov, s2.mean, s2.cov)) / s0
+    # a pure pair: with S = sigma_1 + sigma_2 and the mean difference
+    # d = (2 sqrt(K), 0), S = (det S)^(-1/4) and C = exp(-d^T S^{-1} d / 4)
+    sin2, cos2 = math.sin(0.5 * phi) ** 2, math.cos(0.5 * phi) ** 2
+    det_s = math.cosh(r1 - r2) ** 2 + math.sinh(2.0 * r1) * math.sinh(2.0 * r2) * sin2
+    s_pp = 0.5 * (math.exp(2.0 * r1) + math.exp(2.0 * r2) * cos2
+                  + math.exp(-2.0 * r2) * sin2)
+    s0, c_weight = det_s ** -0.25, math.exp(-k * s_pp / det_s)
     f1 = k * math.exp(-k)
     return s0 * f1 + c_weight * damping_response(r1, r2, phi)
 

@@ -116,13 +116,21 @@ class TestFig1:
         assert np.all(data["squeezed_exact_phi01"] > data["squeezed_exact_phi02"])
 
     def test_summary_sidecar(self, small_fig1):
-        _, paths = small_fig1
+        cfg, paths = small_fig1
         with open(paths[1]) as fh:
             summary = json.load(fh)
         assert summary["schema"] == 1
         assert summary["experiment"] == "fig1"
         assert "optimizer" in summary and "quadrature" in summary
-        assert summary["optimizer"]["restarts"] > 0
+        # every (r1, r2) search: a 78-point grid, then chords of 33 grid
+        # points and 7 zoom levels, at least one along (1, 1) and (1, -1);
+        # the chord search never restarts
+        optimizer = summary["optimizer"]
+        searches = len(cfg.phis) * cfg.alpha_points
+        chords = optimizer["iterations"] // 7
+        assert optimizer["restarts"] == 0
+        assert optimizer["iterations"] == 7 * chords >= 7 * 2 * searches
+        assert optimizer["grid_evaluations"] == 78 * searches + 33 * chords
 
 
 class TestFig2:
