@@ -17,6 +17,16 @@ y(t) = 2 alpha int Delta):
 Each channel's ``maps(ts)`` returns (m, c, n) on a grid and is the only
 place these formulas live; ``evolve_arrays`` is the only place they are
 applied to a state.
+
+``_trajectories`` evolves and checks the states of ``trajectory``,
+``channel.evolve`` and ``gaussnm evolve``, with one policy (warnings point
+at the caller's line):
+  - exact damping preserves det(cov) >= 1/4, so a state below it (beyond
+    ``GaussianState``'s slack) raises ValueError;
+  - exact QBM, which keeps no vacuum floor beyond the diffusion integral,
+    and first order may dip below it: one PhysicalityWarning;
+  - first-order maps with |x| = |1 - c| > FIRST_ORDER_X_LIMIT give one
+    ApproximationWarning, as in ``maximize_measure``.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .spectral import ChannelCoefficients, _write_csv
-from .states import EPS_TOL, GaussianState, StatePairParams, _det2
+from .states import GaussianState, StatePairParams, _below_heisenberg, _det2
 
 __all__ = [
     "ApproximationWarning",
@@ -187,36 +197,18 @@ def damping_x(t, alpha: float, spec: DampingRateSpec):
     return alpha * spec.x_per_alpha(t)
 
 
-def _warn_first_order(x_abs: float, stacklevel: int) -> None:
-    """ApproximationWarning when first-order maps reach |x| > FIRST_ORDER_X_LIMIT;
-    ``stacklevel`` counts from the caller."""
+def _warn_first_order(channel, maps, stacklevel: int) -> None:
+    """ApproximationWarning when a first-order channel's ``maps`` reach
+    |x| > FIRST_ORDER_X_LIMIT; ``stacklevel`` counts from the caller."""
+    if channel.mode != "first_order":
+        return
+    # first order has c = 1 - x, so |x| = |1 - c|
+    x_abs = float(np.max(np.abs(1.0 - maps[1])))
     if x_abs > FIRST_ORDER_X_LIMIT:
         warnings.warn(
             f"first-order evolution with |x| = {x_abs:.3g} > {FIRST_ORDER_X_LIMIT}",
             ApproximationWarning, stacklevel=stacklevel + 1,
         )
-
-
-def _finish_state(mean, cov, mode: str, x_abs: float) -> GaussianState:
-    if mode == "exact":
-        return GaussianState(mean=mean, cov=cov)
-    _warn_first_order(x_abs, stacklevel=4)
-    state = GaussianState(mean=mean, cov=cov, validate=False)
-    if not state.is_physical:
-        warnings.warn(
-            "first-order evolution produced an unphysical covariance "
-            f"(det = {state.det_cov:.12g})",
-            ApproximationWarning, stacklevel=4,
-        )
-    return state
-
-
-def _evolve_state(channel, state: GaussianState, t: float) -> GaussianState:
-    """Evolve one state to time t through ``channel.maps``."""
-    maps = channel.maps(np.array([float(t)]))
-    means, covs = evolve_arrays(maps, state.mean, state.cov)
-    # first order has c = 1 - x, so |x| = |1 - c|
-    return _finish_state(means[0], covs[0], channel.mode, abs(1.0 - float(maps[1][0])))
 
 
 def _check_mode(mode: str):
@@ -285,7 +277,8 @@ class DampingChannel:
         return 1.0 - 0.5 * x, 1.0 - x, 0.5 * x
 
     def evolve(self, state: GaussianState, t: float) -> GaussianState:
-        return _evolve_state(self, state, t)
+        traj, = _trajectories([state], self, [t], None)
+        return GaussianState(traj.means[0], traj.covs[0], validate=False)
 
     response_direction = (-1.0, 0.5)  # (c', n') per unit x, first order
 
@@ -332,7 +325,8 @@ class QbmChannel:
         return 1.0 - 0.5 * x, 1.0 - x, 0.5 * prop.y(ts)
 
     def evolve(self, state: GaussianState, t: float) -> GaussianState:
-        return _evolve_state(self, state, t)
+        traj, = _trajectories([state], self, [t], None)
+        return GaussianState(traj.means[0], traj.covs[0], validate=False)
 
     response_direction = (0.0, 0.5)  # (c', n') per unit y: n = y / 2
 
@@ -383,24 +377,19 @@ def evolve_arrays(maps, mean0: np.ndarray, cov0: np.ndarray):
 
 
 def trajectory(pair: StatePairParams, channel, times) -> tuple[Trajectory, Trajectory]:
-    """Evolve both states of a pair over the grid.
-
-    Damping-exact trajectories must respect the Heisenberg bound (the map
-    preserves it), with ``GaussianState``'s tolerance.  The exact QBM
-    solution can dip slightly below the bound at finite coupling because
-    its stationary noise floor follows the diffusion integral alone; such
-    dips and any first-order truncation artifacts are reported as a
-    PhysicalityWarning instead of an error.
-    """
+    """Evolve both states of a pair over the grid, checked as the module
+    docstring states."""
     return tuple(_trajectories(pair.states(), channel, times, pair))
 
 
 def _trajectories(states, channel, times, params) -> list[Trajectory]:
-    """``trajectory`` for any sequence of states: one maps call, one check."""
+    """``trajectory`` for any sequence of states: one maps call, one check.
+    Warnings point at the line that called this function's caller."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size < 1 or np.any(ts < 0.0):
         raise ValueError("times must be a 1-d grid of non-negative instants")
     maps = channel.maps(ts)
+    _warn_first_order(channel, maps, stacklevel=3)
     out = []
     for st in states:
         means, covs = evolve_arrays(maps, st.mean, st.cov)
@@ -409,18 +398,17 @@ def _trajectories(states, channel, times, params) -> list[Trajectory]:
         out.append(Trajectory(times=ts, means=means, covs=covs,
                               channel=channel.tag, params=params))
     covs = np.stack([traj.covs for traj in out])
+    bad = _below_heisenberg(covs)
+    if not np.any(bad):
+        return out
     dets = _det2(covs)
     if channel.mode == "exact" and channel.tag == "damping":
-        trace = covs[..., 0, 0] + covs[..., 1, 1]
-        bad = dets < 0.25 - EPS_TOL * np.maximum(1.0, trace * trace)
-        if np.any(bad):
-            raise ValueError("covariance violates the Heisenberg bound: "
-                             f"det = {dets[bad][0]:.12g} < 1/4")
-    elif dets.min() < 0.25 - 1e-9:
-        warnings.warn(
-            f"trajectory dips below the Heisenberg bound (min det = {dets.min():.6g})",
-            PhysicalityWarning, stacklevel=3,
-        )
+        raise ValueError("covariance violates the Heisenberg bound: "
+                         f"det = {dets[bad][0]:.12g} < 1/4")
+    warnings.warn(
+        f"evolved state dips below the Heisenberg bound (min det = {dets.min():.6g})",
+        PhysicalityWarning, stacklevel=3,
+    )
     return out
 
 

@@ -190,10 +190,10 @@ def _cmd_measure(args) -> int:
     if args.alpha <= 0.0:
         raise ValueError("--alpha must be > 0")
     family = args.family.replace("-", "_")
+    bounds = ParamBounds(r_max=args.r_max)  # checks --r-max for every method
     channel = _channel_from_args(args)
     if args.method == "numeric":
-        result = maximize_measure(family, channel, phi=args.phi,
-                                  bounds=ParamBounds(r_max=args.r_max))
+        result = maximize_measure(family, channel, phi=args.phi, bounds=bounds)
     elif args.method == "closed":
         result = _closed_result(args, channel)
     else:

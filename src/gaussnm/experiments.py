@@ -102,6 +102,7 @@ class ExperimentConfig:
                 key = _ALIASES.get(name, name)
                 raise ValueError(f"{self.experiment} needs at least one "
                                  f"{key!r} value")
+        self.bounds()  # a bad search box fails here, not in a pool worker
 
     @property
     def alphas(self) -> np.ndarray:

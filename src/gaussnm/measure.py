@@ -132,6 +132,12 @@ class ParamBounds:
     r_max: float = 5.0
     n_max: float = 5.0
 
+    def __post_init__(self):
+        for name in ("beta_max", "r_max", "n_max"):
+            v = float(getattr(self, name))
+            if not math.isfinite(v) or v < 0.0:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+
     @property
     def k_max(self) -> float:
         return 2.0 * self.beta_max ** 2
@@ -446,8 +452,7 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
         times = np.linspace(0.0, channel.t_max, 2001)
     ts = _grid(times)
     grid_maps = channel.maps(ts)
-    if channel.mode == "first_order":
-        _warn_first_order(float(np.max(np.abs(1.0 - grid_maps[1]))), stacklevel=2)
+    _warn_first_order(channel, grid_maps, stacklevel=2)
     if family == "coherent":
         value, k = _coherent_optimum(channel, ts, grid_maps, bounds.k_max)
         argmax, method = coherent_pair(k), "exact"

@@ -36,9 +36,9 @@ class GaussianState:
 
     ``mean`` is the quadrature expectation vector, ``cov`` the symmetrized
     covariance matrix.  Construction validates symmetry, positivity and the
-    Heisenberg bound det(cov) >= 1/4 unless ``validate=False`` (used only by
-    the first-order evolvers, which may transiently produce unphysical
-    matrices).
+    Heisenberg bound det(cov) >= 1/4 unless ``validate=False``, which
+    ``channel.evolve`` uses: an exact-QBM or first-order state may dip below
+    the bound, with a warning (see ``gaussnm.channels``).
     """
 
     mean: np.ndarray
@@ -63,19 +63,12 @@ class GaussianState:
                     f"{cov[0, 1] - cov[1, 0]:.3e}"
                 )
             det = self.det_cov
-            if det < 0.25 - self._det_tol:
+            if _below_heisenberg(cov):
                 raise ValueError(
                     f"covariance violates the Heisenberg bound: det = {det:.12g} < 1/4"
                 )
             if cov[0, 0] <= 0.0 or det <= 0.0:
                 raise ValueError("covariance is not positive definite")
-
-    @property
-    def _det_tol(self) -> float:
-        # the determinant of a strongly squeezed matrix is a difference of
-        # large floats; scale the slack so the check stays meaningful
-        tr = self.cov[0, 0] + self.cov[1, 1]
-        return EPS_TOL * max(1.0, tr * tr)
 
     @property
     def det_cov(self) -> float:
@@ -88,7 +81,7 @@ class GaussianState:
         return (
             abs(c[0, 1] - c[1, 0]) <= EPS_TOL
             and c[0, 0] > 0.0
-            and self.det_cov >= 0.25 - self._det_tol
+            and not _below_heisenberg(c)
         )
 
     def close_to(self, other: "GaussianState", tol: float = 1e-12) -> bool:
@@ -179,6 +172,14 @@ def make_gaussian(n: float = 0.0, r: float = 0.0, phi: float = 0.0,
 
 def _det2(c: np.ndarray) -> np.ndarray:
     return c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]
+
+
+def _below_heisenberg(covs: np.ndarray) -> np.ndarray:
+    """det(cov) < 1/4 beyond the slack EPS_TOL max(1, tr^2), over (..., 2, 2):
+    the determinant of a strongly squeezed matrix is a difference of large
+    floats, so the slack scales with tr^2 to keep the check meaningful."""
+    tr = covs[..., 0, 0] + covs[..., 1, 1]
+    return _det2(covs) < 0.25 - EPS_TOL * np.maximum(1.0, tr * tr)
 
 
 def _adj_quad(s: np.ndarray, d: np.ndarray) -> np.ndarray:

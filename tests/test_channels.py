@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,10 +148,17 @@ class TestEvolveDamping:
             assert np.all(_det2(tr.covs) >= 0.25 - 1e-9)
 
     def test_first_order_flags_large_x(self):
+        # x = 2 at t = 5: one warning, at the line that called evolve
+        channel = DampingChannel(alpha=0.2, rate=DampingRateSpec.constant(1.0),
+                                 mode="first_order")
         s = make_gaussian()
-        spec = DampingRateSpec.constant(1.0)
-        with pytest.warns(ApproximationWarning):
-            damped(s, 5.0, 0.2, spec, mode="first_order")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            channel.evolve(s, 5.0)
+            trajectory(StatePairParams(), channel, np.linspace(0.0, 5.0, 11))
+        assert [w.category for w in caught] == [ApproximationWarning] * 2
+        assert all(str(w.message).startswith("first-order evolution with |x| = 2")
+                   and w.filename == __file__ for w in caught)
 
     def test_first_order_close_to_exact_at_small_x(self):
         s = make_gaussian(n=0.2, r=0.4, beta=0.5 + 0.1j)
@@ -242,6 +250,11 @@ class TestEvolveQbm:
             t1, _ = trajectory(pair, channel, np.linspace(0.0, 40.0, 801))
         min_det = _det2(t1.covs).min()
         assert 0.25 - 3.0 * 0.05 <= min_det < 0.25 - 1e-9
+        # a single evolved state gets the same verdict as its trajectory
+        with pytest.warns(PhysicalityWarning) as caught:
+            one = channel.evolve(pair.states()[0], 40.0)
+        assert caught[0].filename == __file__
+        assert one.det_cov < 0.25 and np.array_equal(one.cov, t1.covs[-1])
 
 
 class TestTrajectory:
@@ -271,19 +284,24 @@ class TestTrajectory:
         channel = DampingChannel(alpha=0.1, rate=DampingRateSpec.constant(-0.5))
         with pytest.raises(ValueError, match="Heisenberg"):
             trajectory(pair, channel, np.linspace(0.0, 25.0, 501))
+        with pytest.raises(ValueError, match="Heisenberg"):
+            channel.evolve(pair.states()[0], 25.0)
 
     def test_first_order_dip_warns(self):
+        # |x| reaches 2.5, and the squeezed quadrature shrinks below 1/4
         pair = StatePairParams(r1=0.5)
         channel = DampingChannel(alpha=0.1, rate=DampingRateSpec.constant(-0.5),
                                  mode="first_order")
-        with pytest.warns(PhysicalityWarning):
+        with pytest.warns(ApproximationWarning), pytest.warns(PhysicalityWarning):
             trajectory(pair, channel, np.linspace(0.0, 25.0, 501))
 
     def test_arrays_match_single_state_evolution(self, qbm_table):
         pair = StatePairParams(r1=0.6, phi1=0.3, beta1_mag=0.8, n2=0.4)
         times = np.linspace(0.0, 30.0, 7)
         for channel in (DampingChannel(alpha=0.1, rate=RATE),
-                        QbmChannel(qbm_table)):
+                        DampingChannel(alpha=0.01, rate=RATE, mode="first_order"),
+                        QbmChannel(qbm_table),
+                        QbmChannel(qbm_table, mode="first_order")):
             trajs = trajectory(pair, channel, times)
             for traj, state in zip(trajs, pair.states()):
                 assert traj.means.shape == (7, 2) and traj.covs.shape == (7, 2, 2)

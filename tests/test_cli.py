@@ -102,6 +102,17 @@ class TestEvolveCommand:
         assert proc.returncode == 2
         assert "Heisenberg" in proc.stderr
 
+    def test_first_order_beyond_limit_warns_once(self, tmp_path):
+        # |x| reaches 4.38 by t = 25; the coherent state stays physical
+        proc = run_cli("evolve", "--channel", "damping", "--alpha", "0.5",
+                       "--mode", "first-order", "--n", "0", "--r", "0",
+                       "--phi", "0", "--beta-mag", "1", "--beta-arg", "0",
+                       "--t-end", "25", "--points", "11",
+                       "--out", str(tmp_path / "traj.csv"))
+        assert proc.returncode == 0
+        assert proc.stderr.count("ApproximationWarning") == 1
+        assert "PhysicalityWarning" not in proc.stderr
+
     @pytest.mark.parametrize("n, warns", [("1", False), ("0", True)])
     def test_warns_only_about_written_state(self, tmp_path, n, warns):
         # the QBM solution dips below det = 1/4 for the vacuum (min det
@@ -168,6 +179,15 @@ class TestMeasureCommand:
         record = dict(zip(header.split(","), row.split(",")))
         assert float(record["param_r1"]) <= 0.3
         assert float(record["param_r2"]) <= 0.3
+
+    @pytest.mark.parametrize("family, method", [
+        ("coherent", "numeric"), ("squeezed", "numeric"),
+        ("squeezed", "first-order")])
+    def test_negative_r_max_exits_2(self, family, method):
+        proc = run_cli("measure", "--channel", "damping", "--family", family,
+                       "--alpha", "0.1", "--method", method, "--r-max", "-1")
+        assert proc.returncode == 2
+        assert "r_max must be finite and >= 0, got -1.0" in proc.stderr
 
     def test_first_order_record(self):
         proc = run_cli("measure", "--channel", "damping", "--family",

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import gaussnm.experiments as experiments
@@ -66,6 +67,13 @@ class TestConfig:
                          for ln in lines)
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)
+
+    @pytest.mark.parametrize("key, value", [
+        ("r_max", -1.0), ("beta_max", -2.0), ("n_max", math.nan)])
+    def test_bad_search_box_rejected(self, key, value):
+        # parse_config builds this object, so a bad file fails when parsed
+        with pytest.raises(ValueError, match=f"{key} must be finite and >= 0"):
+            ExperimentConfig(**{key: value})
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import replace
 
 import mpmath
@@ -133,7 +134,7 @@ def search_extremum(pair, channel, lo, hi, kind):
 
 def physical_qbm_channel():
     # Delta > gamma keeps both evolved states above the Heisenberg bound,
-    # which the GaussianState path of the search enforces
+    # below which channel.evolve warns
     table = coefficients_from_functions(RATE.rate, lambda t: RATE.rate(t) + 0.05,
                                         alpha=0.1, t_end=25.0, n_steps=1000)
     return QbmChannel(table)
@@ -507,6 +508,15 @@ class TestChordSearch:
         assert res.value >= n0 - 1e-12 * n0
 
 
+class TestParamBounds:
+    @pytest.mark.parametrize("field, value", [
+        ("beta_max", -2.0), ("r_max", -1.0), ("n_max", math.nan),
+        ("r_max", math.inf)])
+    def test_bad_search_box_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            ParamBounds(**{field: value})
+
+
 @pytest.fixture(scope="module")
 def swap_channels(fig3_tables):
     return {"damping": damping_channel(0.1),
@@ -534,6 +544,30 @@ class TestSwapSymmetry:
         for tag, t_end, slack in (("damping", 25.0, 1e-8), ("qbm", 40.0, 1e-15)):
             n12, n21 = self.swapped(swap_channels[tag], t_end, r1, r2, phi)
             assert n21 == pytest.approx(n12, rel=1e-12, abs=slack)
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           r=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+           phi=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi)),
+           beta=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+           theta=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi)),
+           rot=st.floats(0.0, 2.0 * math.pi))
+    def test_measure_is_joint_rotation_invariant(self, swap_channels, n, r, phi,
+                                                 beta, theta, rot):
+        # R(rot) on both states turns phi_i into phi_i + 2 rot and theta_i
+        # into theta_i + rot, and commutes with both channels
+        def pair(turn):
+            return StatePairParams(n1=n[0], n2=n[1], r1=r[0], r2=r[1],
+                                   phi1=phi[0] + 2.0 * turn, phi2=phi[1] + 2.0 * turn,
+                                   beta1_mag=beta[0], beta2_mag=beta[1],
+                                   theta1=theta[0] + turn, theta2=theta[1] + turn)
+
+        for tag, t_end, slack in (("damping", 25.0, 1e-8), ("qbm", 40.0, 1e-15)):
+            times = np.linspace(0.0, t_end, 801)
+            n0, n_rot = (measure_from_trajectory(fidelity_trajectory(
+                pair(turn), swap_channels[tag], times)) for turn in (0.0, rot))
+            assert 0.0 <= n0 <= 1.0
+            assert n_rot == pytest.approx(n0, rel=1e-12, abs=slack)
 
     @pytest.mark.xfail(strict=True, reason="pure-state boundary error of "
                        "fidelity_arrays: 3e-9 relative here")
@@ -594,7 +628,10 @@ class TestExactCoherent:
                             fig3_tables):
         channel = make(fig3_tables)
         times = np.linspace(0.0, t_end, points)
-        exact = maximize_measure("coherent", channel, times=times)
+        # first-order two-interval damping reaches |x| = 0.4 on purpose
+        beyond = channel.tag == "damping" and channel.mode == "first_order"
+        with pytest.warns(ApproximationWarning) if beyond else nullcontext():
+            exact = maximize_measure("coherent", channel, times=times)
         n_ref, _ = oracle_coherent(channel, times, ParamBounds().k_max)
         assert exact.method == "exact"
         assert len(exact.intervals) == n_intervals
