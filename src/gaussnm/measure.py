@@ -7,10 +7,11 @@ maximized over the pair parameters:
     N = max_P sum_I [ F(P, t+_I) - F(P, t-_I) ]
 
 with [t+_I, t-_I] the I-th decrease interval.  For a divisible map F is
-nondecreasing and N = 0.  The coherent family is solved exactly, the others
-by batched zoom searches.  The module also carries the analytic baselines:
-closed forms for coherent pairs under both channels and the first-order
-(small coupling) laws for coherent, squeezed and coherent-thermal pairs.
+nondecreasing and N = 0.  The coherent and coherent-thermal families are
+solved exactly, the squeezing families by batched zoom searches.  The module
+also carries the analytic baselines: closed forms for coherent pairs under
+both channels and the first-order (small coupling) laws for coherent,
+squeezed and coherent-thermal pairs.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "damping_response",
     "first_order_squeezed",
     "first_order_squeezed_max",
-    "first_order_pure_combination",
     "measure_record",
     "coherent_pair",
     "squeezed_pair",
@@ -314,11 +314,6 @@ def _family_space(family: str, bounds: ParamBounds, phi: float,
 
             def build(v):
                 return squeezed_pair(v[0], v[1], phi)
-    elif family == "coherent_thermal":
-        dims, dirs = [(1e-9, bounds.k_max), (0.0, bounds.n_max)], np.eye(2)
-
-        def build(v):  # v is clipped to the box, so n = v[1] >= 0
-            return StatePairParams(n1=v[1], n2=v[1], beta1_mag=math.sqrt(2.0 * v[0]))
     elif family == "general_pure":
         dims = [(1e-9, 2.0 * bounds.beta_max), (0.0, math.pi),
                 (0.0, bounds.r_max), (0.0, bounds.r_max)]
@@ -346,35 +341,45 @@ def _k_optimum(a_lo: float, a_hi: float) -> tuple[float, float]:
     return k, max(math.exp(-k * a_lo) - math.exp(-k * a_hi), 0.0)
 
 
-def _coherent_optimum(channel, ts, grid_maps, k_max: float) -> tuple[float, float]:
-    """(N, K) of the coherent family, without a search over pairs.
+def _coherent_optimum(channel, ts, grid_maps, k_max: float, ns) -> np.ndarray:
+    """(N, K) of coherent-thermal pairs at each occupation in ns, one row each.
 
-    On the physical branch F(t) = exp(-K a(t)), a = m^2 / (c + 2n): F falls
-    where a rises, for every K, and each rise contributes e^{-K a_lo} -
-    e^{-K a_hi}, peaking at its own K_I.  The optimum lies between the
-    extreme K_I (inside [1e-9, k_max]), and is zoomed in on in log K.
+    Two displaced thermal states with one occupation n share one isotropic
+    covariance, so on the physical branch F(t) = exp(-K a_n(t)), with
+    a_n = m^2 / ((2n + 1) c + 2 n_map); n = 0 is the coherent family.  F
+    falls where a_n rises, for every K, and each rise contributes
+    e^{-K a_lo} - e^{-K a_hi}, peaking at its own K_I.  A row's optimum lies
+    between its extreme K_I (inside [1e-9, k_max]), and is zoomed in on in
+    log K.  The extrema of all rows cost one ``_locate_extrema`` call.
     """
-    def a_of(maps):
+    ns = np.asarray(ns, dtype=float)[:, None]
+
+    def a_of(maps, rows=slice(None)):
         m, c, n = maps
-        return m * m / (c + 2.0 * n)
+        return m * m / ((2.0 * ns[rows] + 1.0) * c + 2.0 * n)
 
     avals = a_of(grid_maps)
-    extrema, = _locate_extrema(ts, avals[None], lambda rows, t: a_of(channel.maps(t)))
-    pts = [(ts[0], avals[0]), *((t, a) for t, a, _ in extrema), (ts[-1], avals[-1])]
-    rises = [(a_a, a_b) for (t_a, a_a), (t_b, a_b) in zip(pts[:-1], pts[1:])
-             if a_b > a_a and t_b > t_a]
-    if not rises:
-        return 0.0, 1.0  # no backflow; K = 1 is the first-order optimum
-    a_lo, a_hi = np.array(rises).T
-    k_opt = np.clip([_k_optimum(lo, hi)[0] for lo, hi in rises], 1e-9, k_max)
-    k_lo, ratio = k_opt.min(), k_opt.max() / k_opt.min()
+    out = []
+    for a_row, extrema in zip(avals, _locate_extrema(
+            ts, avals, lambda rows, t: a_of(channel.maps(t), rows))):
+        pts = [(ts[0], a_row[0]), *((t, a) for t, a, _ in extrema),
+               (ts[-1], a_row[-1])]
+        rises = [(a_a, a_b) for (t_a, a_a), (t_b, a_b) in zip(pts[:-1], pts[1:])
+                 if a_b > a_a and t_b > t_a]
+        if not rises:
+            out.append((0.0, 1.0))  # no backflow; K = 1 is the first-order optimum
+            continue
+        a_lo, a_hi = np.array(rises).T
+        k_opt = np.clip([_k_optimum(lo, hi)[0] for lo, hi in rises], 1e-9, k_max)
+        k_lo, ratio = k_opt.min(), k_opt.max() / k_opt.min()
 
-    def total(u):  # K = k_lo ratio^u, geometric in u on [0, 1]
-        k = k_lo * ratio ** u[:, None]
-        return np.sum(np.exp(-k * a_lo) - np.exp(-k * a_hi), axis=-1)
+        def total(u):  # K = k_lo ratio^u, geometric in u on [0, 1]
+            k = k_lo * ratio ** u[:, None]
+            return np.sum(np.exp(-k * a_lo) - np.exp(-k * a_hi), axis=-1)
 
-    u, value, _ = _zoom_max(total, 0.0, 1.0, _K_POINTS)
-    return value, float(k_lo * ratio ** u)
+        u, value, _ = _zoom_max(total, 0.0, 1.0, _K_POINTS)
+        out.append((value, float(k_lo * ratio ** u)))
+    return np.array(out)
 
 
 def _numeric_optimum(family: str, channel, ts, grid_maps, bounds, phi,
@@ -439,11 +444,13 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
                      times=None) -> MeasureResult:
     """Maximize the backflow measure over a family of initial pairs.
 
-    Coherent pairs reduce to the scalar K, solved exactly (``"exact"``).
-    The others search by batched chord zooms (``"numeric_opt"``): squeezed
-    pairs reduce to (r1, r2) at fixed relative angle ``phi``, or to a single
-    r with ``equal_squeezing``; the families with several parameters start
-    from a coarse product grid.  A first-order channel whose
+    Coherent pairs reduce to the scalar K, solved exactly (``"exact"``);
+    coherent-thermal pairs add a common occupation n, a batched zoom over
+    exact solves in n, also ``"exact"``.  The squeezing families search by
+    batched chord zooms (``"numeric_opt"``): squeezed pairs reduce to
+    (r1, r2) at fixed relative angle ``phi``, or to a single r with
+    ``equal_squeezing``; the families with several parameters start from a
+    coarse product grid.  A first-order channel whose
     |x| = |1 - c| exceeds FIRST_ORDER_X_LIMIT on the grid is used outside
     its validity: that raises one ApproximationWarning.
     """
@@ -453,12 +460,20 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     ts = _grid(times)
     grid_maps = channel.maps(ts)
     _warn_first_order(channel, grid_maps, stacklevel=2)
-    if family == "coherent":
-        value, k = _coherent_optimum(channel, ts, grid_maps, bounds.k_max)
-        argmax, method = coherent_pair(k), "exact"
+    if family in ("coherent", "coherent_thermal"):
+        def optima(ns):
+            return _coherent_optimum(channel, ts, grid_maps, bounds.k_max, ns)
+
+        # N(n) is not monotone under first-order maps: search n too
+        n = 0.0 if family == "coherent" else _zoom_max(
+            lambda ns: optima(ns)[:, 0], 0.0, bounds.n_max, _CHORD_POINTS)[0]
+        (value, k), = optima([n])
+        argmax = StatePairParams(n1=n, n2=n, beta1_mag=math.sqrt(2.0 * k))
+        method = "exact"
         diagnostics = {"grid_evaluations": 0, "restarts": 0, "iterations": 0,
                        "function_evaluations": 0, "stagnation": False,
-                       "argmax_vector": [k]}
+                       "argmax_vector": [float(k)] if family == "coherent"
+                       else [float(k), n]}
     else:
         value, argmax, diagnostics = _numeric_optimum(
             family, channel, ts, grid_maps, bounds, phi, equal_squeezing)
@@ -656,28 +671,6 @@ def first_order_squeezed_max(channel, phi: float,
 
     r_star, response, _ = _zoom_max(responses, 0.0, r_max, _CHORD_POINTS)
     return response * _total_backflow(channel), r_star
-
-
-def first_order_pure_combination(k: float, r1: float, r2: float,
-                                 phi: float) -> float:
-    """Reporting-only first-order coefficient for displaced squeezed pairs.
-
-    Combines the displacement part f1(K) = K e^{-K} and the squeezing part
-    (damping_response), weighted by the zero-time fidelity split F = C * S
-    with S the fidelity at zero displacement.  No maximization claims: the
-    two contributions share state-dependent weights.
-    """
-    if k < 0.0:
-        raise ValueError("K must be >= 0")
-    # a pure pair: with S = sigma_1 + sigma_2 and the mean difference
-    # d = (2 sqrt(K), 0), S = (det S)^(-1/4) and C = exp(-d^T S^{-1} d / 4)
-    sin2, cos2 = math.sin(0.5 * phi) ** 2, math.cos(0.5 * phi) ** 2
-    det_s = math.cosh(r1 - r2) ** 2 + math.sinh(2.0 * r1) * math.sinh(2.0 * r2) * sin2
-    s_pp = 0.5 * (math.exp(2.0 * r1) + math.exp(2.0 * r2) * cos2
-                  + math.exp(-2.0 * r2) * sin2)
-    s0, c_weight = det_s ** -0.25, math.exp(-k * s_pp / det_s)
-    f1 = k * math.exp(-k)
-    return s0 * f1 + c_weight * damping_response(r1, r2, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -203,31 +203,26 @@ def fidelity_arrays(means1, covs1, means2, covs2, branch: bool = False,
     (P, 2, 2), and F is that of the pairs evolved by mean -> m mean,
     cov -> c cov + n I, the maps broadcast against (P, 1): K grid times
     give (P, K), maps of shape (P, S) give each pair its own S times.  No
-    evolved matrix is built.  With S0 = V1 + V2 and d0 = mu1 - mu2:
+    evolved matrix is built.  Without maps the identity maps (1, 1, 0)
+    apply and F keeps the inputs' leading shape.  With S0 = V1 + V2 and
+    d0 = mu1 - mu2:
         det s         = c^2 det S0 + 2cn tr S0 + 4n^2
         d^T adj(s) d  = m^2 (c d0^T adj(S0) d0 + 2n |d0|^2)
         det Vi        = c^2 det Vi0 + cn tr Vi0 + n^2
     """
-    if maps is None:
-        s = covs1 + covs2
-        det_s = _det2(s)
-        dad = _adj_quad(s, means1 - means2)
-        g1 = _det2(covs1) - 0.25
-        g2 = _det2(covs2) - 0.25
-    else:
-        m, c, n = maps
-        s0, d0 = covs1 + covs2, means1 - means2
-        # the 8 pair invariants, as (P, 1) columns
-        det0, tr0, dad0, dd0, det1, tr1, det2, tr2 = (v[:, None] for v in (
-            _det2(s0), s0[:, 0, 0] + s0[:, 1, 1], _adj_quad(s0, d0),
-            d0[:, 0] ** 2 + d0[:, 1] ** 2, _det2(covs1),
-            covs1[:, 0, 0] + covs1[:, 1, 1], _det2(covs2),
-            covs2[:, 0, 0] + covs2[:, 1, 1]))
-        cc, cn, nn = c * c, c * n, n * n
-        det_s = cc * det0 + 2.0 * cn * tr0 + 4.0 * nn
-        dad = m * m * (c * dad0 + 2.0 * n * dd0)
-        g1 = cc * det1 + cn * tr1 + (nn - 0.25)
-        g2 = cc * det2 + cn * tr2 + (nn - 0.25)
+    m, c, n = (1.0, 1.0, 0.0) if maps is None else maps
+    s0, d0 = covs1 + covs2, means1 - means2
+    # the 8 pair invariants, as (..., 1) columns
+    det0, tr0, dad0, dd0, det1, tr1, det2, tr2 = (v[..., None] for v in (
+        _det2(s0), s0[..., 0, 0] + s0[..., 1, 1], _adj_quad(s0, d0),
+        d0[..., 0] ** 2 + d0[..., 1] ** 2, _det2(covs1),
+        covs1[..., 0, 0] + covs1[..., 1, 1], _det2(covs2),
+        covs2[..., 0, 0] + covs2[..., 1, 1]))
+    cc, cn, nn = c * c, c * n, n * n
+    det_s = cc * det0 + 2.0 * cn * tr0 + 4.0 * nn
+    dad = m * m * (c * dad0 + 2.0 * n * dd0)
+    g1 = cc * det1 + cn * tr1 + (nn - 0.25)
+    g2 = cc * det2 + cn * tr2 + (nn - 0.25)
     if np.any(det_s <= 0.0):
         raise RuntimeError(
             "singular summed covariance in fidelity; internal invariant violation"
@@ -241,7 +236,7 @@ def fidelity_arrays(means1, covs1, means2, covs2, branch: bool = False,
     if branch:
         root = np.copysign(root, g1 + g2)
     f2 = 2.0 / (np.sqrt(big + small) - root) * np.exp(-0.5 * quad)
-    return np.sqrt(f2)
+    return np.sqrt(f2 if maps is not None else f2[..., 0])
 
 
 def fidelity(a: GaussianState, b: GaussianState) -> float:

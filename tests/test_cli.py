@@ -189,6 +189,13 @@ class TestMeasureCommand:
         assert proc.returncode == 2
         assert "r_max must be finite and >= 0, got -1.0" in proc.stderr
 
+    def test_coherent_thermal_is_exact(self):
+        proc = run_cli("measure", "--channel", "damping", "--alpha", "0.05",
+                       "--family", "coherent-thermal")
+        assert proc.returncode == 0
+        header, row = proc.stdout.strip().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["method"] == "exact"
+
     def test_first_order_record(self):
         proc = run_cli("measure", "--channel", "damping", "--family",
                        "coherent-thermal", "--n-thermal", "0.5",

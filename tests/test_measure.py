@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 from contextlib import nullcontext
@@ -44,7 +45,6 @@ from gaussnm.measure import (
     _NOISE_FLOOR,
     NegativityInterval,
     _locate_extrema,
-    first_order_pure_combination,
 )
 from gaussnm.spectral import EnvironmentSpec
 from gaussnm.states import fidelity, fidelity_arrays, squeezed_thermal_cov
@@ -248,7 +248,7 @@ class TestMaximizeDamping:
         res = maximize_measure(family, channel, phi=0.1,
                                times=np.linspace(0.0, 10.0, 401))
         assert res.value <= 1e-9
-        if family == "coherent":
+        if family in ("coherent", "coherent_thermal"):
             # solved exactly: no optimizer runs, so none can stagnate
             assert res.intervals == ()
         else:
@@ -287,6 +287,22 @@ class TestMaximizeDamping:
         assert res.diagnostics["argmax_vector"][1] <= 0.01
         pure = closed_form_coherent_damping(0.05, RATE).value
         assert res.value == pytest.approx(pure, rel=1e-3)
+
+    def test_coherent_thermal_contains_coherent_first_order(self):
+        # first-order N(n) is not monotone in n, and a (K, n) chord search
+        # stopped at n = 5 with N = 0.0106, below the 0.0237 of the coherent
+        # pairs (n = 0) that the family contains
+        channel = DampingChannel(alpha=0.05, mode="first_order", t_max=8.0 * np.pi)
+        times = np.linspace(0.0, 8.0 * np.pi, 2001)
+        with pytest.warns(ApproximationWarning):
+            coh = maximize_measure("coherent", channel, times=times)
+            res = maximize_measure("coherent_thermal", channel, times=times)
+        assert res.value >= coh.value - 1e-12 * coh.value
+        assert res.method == "exact"
+        k, n = res.diagnostics["argmax_vector"]
+        assert res.argmax == StatePairParams(n1=n, n2=n, beta1_mag=math.sqrt(2.0 * k))
+        traj = fidelity_trajectory(res.argmax, channel, times)
+        assert measure_from_trajectory(traj) == pytest.approx(res.value, rel=1e-12)
 
 
 def oracle_coherent(channel, times, k_max):
@@ -568,6 +584,32 @@ class TestSwapSymmetry:
                 pair(turn), swap_channels[tag], times)) for turn in (0.0, rot))
             assert 0.0 <= n0 <= 1.0
             assert n_rot == pytest.approx(n0, rel=1e-12, abs=slack)
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           r=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+           phi=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi)),
+           beta=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+           theta=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi)),
+           delta=st.floats(0.0, 1.5), arg=st.floats(0.0, 2.0 * math.pi))
+    def test_measure_is_joint_displacement_invariant(self, swap_channels, n, r, phi,
+                                                     beta, theta, delta, arg):
+        # D(delta) on both states shifts both means by one vector; the channels
+        # only scale means, so the evolved mean difference and F(t) are unchanged
+        def pair(shift):
+            b1, b2 = (mag * cmath.exp(1j * ang) + shift
+                      for mag, ang in zip(beta, theta))
+            return StatePairParams(n1=n[0], n2=n[1], r1=r[0], r2=r[1],
+                                   phi1=phi[0], phi2=phi[1],
+                                   beta1_mag=abs(b1), beta2_mag=abs(b2),
+                                   theta1=cmath.phase(b1), theta2=cmath.phase(b2))
+
+        for tag, t_end, slack in (("damping", 25.0, 1e-8), ("qbm", 40.0, 1e-15)):
+            times = np.linspace(0.0, t_end, 801)
+            n0, n_shift = (measure_from_trajectory(fidelity_trajectory(
+                pair(shift), swap_channels[tag], times))
+                for shift in (0.0, cmath.rect(delta, arg)))
+            assert n_shift == pytest.approx(n0, rel=1e-12, abs=slack)
 
     @pytest.mark.xfail(strict=True, reason="pure-state boundary error of "
                        "fidelity_arrays: 3e-9 relative here")
@@ -1025,11 +1067,6 @@ class TestFirstOrderSqueezed:
                                    times=np.linspace(0.0, 25.0, 2001))
         first, _ = first_order_squeezed_max(channel, 0.1)
         assert numeric.value == pytest.approx(first, rel=0.10)
-
-    def test_pure_combination_reduces_to_coherent_part(self):
-        k = 0.8
-        combo = first_order_pure_combination(k, 0.0, 0.0, 0.3)
-        assert combo == pytest.approx(k * math.exp(-k), rel=1e-9)
 
 
 class TestRecords:
