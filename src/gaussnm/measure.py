@@ -28,7 +28,7 @@ from .channels import (
     _warn_first_order,
 )
 from .spectral import ChannelCoefficients
-from .states import StatePairParams, fidelity_arrays
+from .states import StatePairParams, fidelity_arrays, pair_moments
 
 __all__ = [
     "UnsupportedShapeError",
@@ -159,12 +159,18 @@ def _grid(times) -> np.ndarray:
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
         raise ValueError("times must be a 1-d grid")
+    for ok, fault in ((np.isfinite(ts).all(), "finite"), (ts[0] >= 0.0, ">= 0"),
+                      ((ts[1:] > ts[:-1]).all(), "strictly increasing")):
+        if not ok:
+            raise ValueError(f"times must be {fault}")
     return ts
 
 
 def _filled_signs(df: np.ndarray) -> np.ndarray:
     """Signs of each row of df, zeros carried over from the nearest nonzero."""
     sgn = np.sign(df)
+    if sgn.all():
+        return sgn
     nz = sgn != 0.0
     idx = np.where(nz, np.arange(sgn.shape[1]), 0)
     np.maximum.accumulate(idx, axis=1, out=idx)
@@ -231,9 +237,7 @@ def _fidelity_trajectories(pairs, channel, ts: np.ndarray,
     solution can dip a hair below the Heisenberg floor at finite coupling,
     and the first-order maps do so by construction.
     """
-    states = [pair.states() for pair in pairs]
-    means1, covs1, means2, covs2 = (np.array([getattr(s[i], attr) for s in states])
-                                    for i in (0, 1) for attr in ("mean", "cov"))
+    means1, covs1, means2, covs2 = pair_moments(pairs)
 
     def fid(rows, t):
         return fidelity_arrays(means1[rows], covs1[rows], means2[rows], covs2[rows],

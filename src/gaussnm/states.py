@@ -127,29 +127,43 @@ class StatePairParams:
                 raise ValueError(f"{name} must be finite, got {v}")
             object.__setattr__(self, name, _normalize_angle(v))
 
+    def _args(self):
+        """make_gaussian's (n, r, phi, beta) of each state."""
+        b1, b2 = (self.beta1_mag * np.exp(1j * self.theta1),
+                  self.beta2_mag * np.exp(1j * self.theta2))
+        return (self.n1, self.r1, self.phi1, b1), (self.n2, self.r2, self.phi2, b2)
+
     def states(self) -> tuple[GaussianState, GaussianState]:
-        s1 = make_gaussian(
-            n=self.n1, r=self.r1, phi=self.phi1,
-            beta=self.beta1_mag * np.exp(1j * self.theta1),
-        )
-        s2 = make_gaussian(
-            n=self.n2, r=self.r2, phi=self.phi2,
-            beta=self.beta2_mag * np.exp(1j * self.theta2),
-        )
-        return s1, s2
+        return tuple(make_gaussian(*args) for args in self._args())
 
 
-def squeezed_thermal_cov(n: float, r: float, phi: float) -> np.ndarray:
-    """Covariance (n + 1/2) R(phi/2) diag(e^-2r, e^2r) R(phi/2)^T.
+def _moments(n: float, r: float, phi: float, beta: complex) -> tuple:
+    """(q, p, V_qq, V_qp, V_pp) of make_gaussian(n, r, phi, beta), as floats.
 
     The diagonal is written as sums of positive terms,
     e^{-2r} cos^2(phi/2) + e^{2r} sin^2(phi/2) and its mirror, rather than
     cosh 2r -+ sinh 2r cos phi, which cancels at large r.
     """
+    beta, k = complex(beta), n + 0.5
     lo, hi = math.exp(-2.0 * r), math.exp(2.0 * r)
     c2, s2 = math.cos(0.5 * phi) ** 2, math.sin(0.5 * phi) ** 2
     off = -math.sinh(2.0 * r) * math.sin(phi)
-    return (n + 0.5) * np.array([[lo * c2 + hi * s2, off], [off, hi * c2 + lo * s2]])
+    return (math.sqrt(2.0) * beta.real, math.sqrt(2.0) * beta.imag,
+            k * (lo * c2 + hi * s2), k * off, k * (hi * c2 + lo * s2))
+
+
+def pair_moments(pairs) -> tuple[np.ndarray, ...]:
+    """(means1, covs1, means2, covs2), (P, 2) and (P, 2, 2): those of each
+    ``pair.states()`` entry for entry, without building or validating states."""
+    rows = np.array([[_moments(*args) for args in pair._args()] for pair in pairs])
+    means, covs = rows[..., :2], rows[..., [2, 3, 3, 4]].reshape(-1, 2, 2, 2)
+    return means[:, 0], covs[:, 0], means[:, 1], covs[:, 1]
+
+
+def squeezed_thermal_cov(n: float, r: float, phi: float) -> np.ndarray:
+    """Covariance (n + 1/2) R(phi/2) diag(e^-2r, e^2r) R(phi/2)^T."""
+    _, _, qq, qp, pp = _moments(n, r, phi, 0.0)
+    return np.array([[qq, qp], [qp, pp]])
 
 
 def make_gaussian(n: float = 0.0, r: float = 0.0, phi: float = 0.0,
@@ -165,9 +179,8 @@ def make_gaussian(n: float = 0.0, r: float = 0.0, phi: float = 0.0,
         raise ValueError(f"thermal occupation must be >= 0, got {n}")
     if r < 0.0:
         raise ValueError(f"squeezing magnitude must be >= 0, got {r}")
-    beta = complex(beta)
-    mean = math.sqrt(2.0) * np.array([beta.real, beta.imag])
-    return GaussianState(mean=mean, cov=squeezed_thermal_cov(n, r, phi))
+    q, p, qq, qp, pp = _moments(n, r, phi, beta)
+    return GaussianState(mean=np.array([q, p]), cov=np.array([[qq, qp], [qp, pp]]))
 
 
 def _det2(c: np.ndarray) -> np.ndarray:
@@ -218,25 +231,38 @@ def fidelity_arrays(means1, covs1, means2, covs2, branch: bool = False,
         d0[..., 0] ** 2 + d0[..., 1] ** 2, _det2(covs1),
         covs1[..., 0, 0] + covs1[..., 1, 1], _det2(covs2),
         covs2[..., 0, 0] + covs2[..., 1, 1]))
+    # in place on 5 buffers, each expression in its left-to-right order
     cc, cn, nn = c * c, c * n, n * n
-    det_s = cc * det0 + 2.0 * cn * tr0 + 4.0 * nn
-    dad = m * m * (c * dad0 + 2.0 * n * dd0)
-    g1 = cc * det1 + cn * tr1 + (nn - 0.25)
-    g2 = cc * det2 + cn * tr2 + (nn - 0.25)
-    if np.any(det_s <= 0.0):
-        raise RuntimeError(
-            "singular summed covariance in fidelity; internal invariant violation"
-        )
-    quad = dad / det_s
-    big = 4.0 * det_s
+    det_s, tmp = cc * det0, 2.0 * cn * tr0
+    det_s += tmp
+    det_s += 4.0 * nn  # det_s = cc det0 + 2 cn tr0 + 4 nn
+    if not det_s.min() > 0.0:  # a NaN fails too
+        raise RuntimeError("singular summed covariance in fidelity; "
+                           "internal invariant violation")
+    g1, g2 = cc * det1, cc * det2
+    for g, tr in ((g1, tr1), (g2, tr2)):  # g = cc det + cn tr + (nn - 1/4)
+        g += np.multiply(cn, tr, out=tmp)
+        g += nn - 0.25
     # product of (det - 1/4) factors is >= 0 for physical states; clip the
     # float roundoff so sqrt stays real
-    small = np.clip(16.0 * g1 * g2, 0.0, None)
-    root = np.sqrt(small)
+    small = np.multiply(16.0, g1, out=tmp)
+    small *= g2
+    root = np.sqrt(np.maximum(small, 0.0, out=small))
     if branch:
-        root = np.copysign(root, g1 + g2)
-    f2 = 2.0 / (np.sqrt(big + small) - root) * np.exp(-0.5 * quad)
-    return np.sqrt(f2 if maps is not None else f2[..., 0])
+        np.copysign(root, np.add(g1, g2, out=g1), out=root)
+    displaced = dad0.any() or dd0.any()
+    if displaced:  # else quad = 0 and exp(-quad / 2) is exactly 1
+        quad = np.multiply(c, dad0, out=g1)
+        quad += np.multiply(2.0 * n, dd0, out=g2)
+        quad *= m * m  # quad = m m (c dad0 + 2 n dd0) / det_s
+        quad /= det_s
+        np.exp(np.multiply(-0.5, quad, out=quad), out=quad)
+    f2 = np.multiply(4.0, det_s, out=det_s)  # f2 = 2 / (sqrt(4 det_s + small) - root)
+    f2 += small
+    np.divide(2.0, np.subtract(np.sqrt(f2, out=f2), root, out=f2), out=f2)
+    if displaced:
+        f2 *= quad
+    return np.sqrt(f2, out=f2) if maps is not None else np.sqrt(f2[..., 0])
 
 
 def fidelity(a: GaussianState, b: GaussianState) -> float:

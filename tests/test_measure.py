@@ -120,6 +120,35 @@ class TestFidelityTrajectory:
         assert ts[1] == pytest.approx(2.0 * math.pi, abs=25.0 * 1e-6 * 5)
 
 
+class TestTimeGrid:
+    # grids the measure cannot use are rejected by name, not turned into a
+    # wrong N: a reversed grid gave N = 0 and a NaN time a NaN sample of F
+    GRID = np.linspace(0.0, 25.0, 801)
+    BAD = {"reversed": (GRID[::-1], "strictly increasing"),
+           "repeated": (np.insert(GRID, 5, GRID[5]), "strictly increasing"),
+           "nan": (np.where(np.arange(801) == 400, np.nan, GRID), "finite"),
+           "inf": (np.append(GRID, np.inf), "finite"),
+           "negative": (GRID - 1.0, "times must be >= 0")}
+
+    def test_good_grid_value(self):
+        traj = fidelity_trajectory(squeezed_pair(1.0, 1.0, 0.1),
+                                   DampingChannel(alpha=0.1), self.GRID)
+        assert measure_from_trajectory(traj) == pytest.approx(0.002360, rel=1e-3)
+
+    @pytest.mark.parametrize("fault", sorted(BAD))
+    def test_fidelity_trajectory_rejects(self, fault):
+        times, match = self.BAD[fault]
+        with pytest.raises(ValueError, match=match):
+            fidelity_trajectory(squeezed_pair(1.0, 1.0, 0.1),
+                                DampingChannel(alpha=0.1), times)
+
+    @pytest.mark.parametrize("fault", sorted(BAD))
+    def test_maximize_measure_rejects(self, fault):
+        times, match = self.BAD[fault]
+        with pytest.raises(ValueError, match=match):
+            maximize_measure("squeezed", DampingChannel(alpha=0.1), times=times)
+
+
 def search_extremum(pair, channel, lo, hi, kind):
     """Bounded scalar search on the GaussianState path: evolve + fidelity."""
     s1, s2 = pair.states()
@@ -255,6 +284,20 @@ class TestMaximizeDamping:
             # a flat objective cannot improve over the coarse grid: reported
             # as a stagnation diagnostic, not an error
             assert res.diagnostics["stagnation"] is True
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           r=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+           phi=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi)),
+           beta=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+           theta=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi)))
+    def test_divisible_zero_on_random_pairs(self, n, r, phi, beta, theta):
+        pair = StatePairParams(n1=n[0], n2=n[1], r1=r[0], r2=r[1], phi1=phi[0],
+                               phi2=phi[1], beta1_mag=beta[0], beta2_mag=beta[1],
+                               theta1=theta[0], theta2=theta[1])
+        channel = DampingChannel(alpha=0.1, rate=DampingRateSpec.constant(0.5))
+        traj = fidelity_trajectory(pair, channel, np.linspace(0.0, 12.0, 601))
+        assert measure_from_trajectory(traj) <= 1e-12
 
     def test_coherent_matches_closed_form(self):
         res = maximize_measure("coherent", damping_channel(0.1),

@@ -19,7 +19,13 @@ from gaussnm import (
 )
 from gaussnm.channels import evolve_arrays
 from gaussnm.spectral import EnvironmentSpec
-from gaussnm.states import _det2, fidelity_arrays, squeezed_thermal_cov
+from gaussnm.states import (
+    _adj_quad,
+    _det2,
+    fidelity_arrays,
+    pair_moments,
+    squeezed_thermal_cov,
+)
 from fock_oracle import oracle_fidelity
 
 
@@ -263,6 +269,30 @@ def old_fidelity_arrays(means1, covs1, means2, covs2, branch=False):
     return np.sqrt(f2)
 
 
+def old_maps_fidelity_arrays(means1, covs1, means2, covs2, branch, maps):
+    """The maps path as it stood before it was evaluated in place, verbatim."""
+    m, c, n = maps
+    s0, d0 = covs1 + covs2, means1 - means2
+    det0, tr0, dad0, dd0, det1, tr1, det2, tr2 = (v[..., None] for v in (
+        _det2(s0), s0[..., 0, 0] + s0[..., 1, 1], _adj_quad(s0, d0),
+        d0[..., 0] ** 2 + d0[..., 1] ** 2, _det2(covs1),
+        covs1[..., 0, 0] + covs1[..., 1, 1], _det2(covs2),
+        covs2[..., 0, 0] + covs2[..., 1, 1]))
+    cc, cn, nn = c * c, c * n, n * n
+    det_s = cc * det0 + 2.0 * cn * tr0 + 4.0 * nn
+    dad = m * m * (c * dad0 + 2.0 * n * dd0)
+    g1 = cc * det1 + cn * tr1 + (nn - 0.25)
+    g2 = cc * det2 + cn * tr2 + (nn - 0.25)
+    quad = dad / det_s
+    big = 4.0 * det_s
+    small = np.clip(16.0 * g1 * g2, 0.0, None)
+    root = np.sqrt(small)
+    if branch:
+        root = np.copysign(root, g1 + g2)
+    f2 = 2.0 / (np.sqrt(big + small) - root) * np.exp(-0.5 * quad)
+    return np.sqrt(f2)
+
+
 def stacked_pairs(rng, count, **ranges):
     """(means1, covs1, means2, covs2) of ``count`` random pairs."""
     pairs = [(state_of(random_params(rng, **ranges)),
@@ -337,3 +367,57 @@ class TestPairInvariantKernel:
                                           for j in range(2)] for i in range(2)]))
                     ref = mp_fidelity(*evolved)
                     assert float(abs(got[p, k] - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["damping-exact", "damping-first-order",
+                                      "qbm-exact"])
+    def test_maps_path_is_the_old_expression(self, name, kernel_channels):
+        # bit for bit, also where the overlap factor exp(-quad / 2) is skipped
+        channel = kernel_channels[name]
+        rng = np.random.default_rng(12)
+        displaced = stacked_pairs(rng, 24, r_max=2.0, beta_max=1.5)
+        undisplaced = stacked_pairs(rng, 24, r_max=2.0, beta_max=0.0)
+        mixed = tuple(np.concatenate([u[:5], d[:1], u[5:9]])
+                      for u, d in zip(undisplaced, displaced))
+        maps = channel.maps(np.linspace(0.0, channel.t_max, 501))
+        cols = rng.integers(0, 501, size=(10, 7))
+        for args in (displaced, undisplaced, mixed):
+            assert np.all(args[0] == args[2]) == (args is undisplaced)
+            for branch in (False, True):
+                for mp in (maps, tuple(v[cols] for v in maps)):
+                    rows = args if mp is maps else tuple(a[:10] for a in args)
+                    assert np.array_equal(
+                        fidelity_arrays(*rows, branch=branch, maps=mp),
+                        old_maps_fidelity_arrays(*rows, branch, mp))
+
+    def test_nan_map_entry_raises(self, kernel_channels):
+        # a NaN det s must not pass the singular-covariance guard as NaN F
+        rng = np.random.default_rng(13)
+        args = stacked_pairs(rng, 4)
+        m, c, n = (v.copy() for v in kernel_channels["damping-exact"].maps(
+            np.linspace(0.0, 10.0, 11)))
+        c[3] = np.nan
+        with pytest.raises(RuntimeError, match="singular summed covariance"):
+            fidelity_arrays(*args, branch=True, maps=(m, c, n))
+
+
+class TestPairMoments:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.lists(st.floats(0.0, 5.0), min_size=2, max_size=2),
+           r=st.lists(st.floats(0.0, 5.0), min_size=2, max_size=2),
+           angles=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=4, max_size=4),
+           beta=st.lists(st.floats(0.0, 6.0), min_size=2, max_size=2))
+    def test_moments_are_those_of_the_states(self, n, r, angles, beta):
+        pairs = [StatePairParams(n1=n[0], n2=n[1], r1=r[0], r2=r[1],
+                                 phi1=angles[0], phi2=angles[1],
+                                 beta1_mag=beta[0], beta2_mag=beta[1],
+                                 theta1=angles[2], theta2=angles[3]),
+                 StatePairParams(n1=n[1], r2=r[0], beta2_mag=beta[1],
+                                 theta2=angles[0])]
+        got = pair_moments(pairs)
+        states = [p.states() for p in pairs]
+        want = tuple(np.array([getattr(s[i], attr) for s in states])
+                     for i in (0, 1) for attr in ("mean", "cov"))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == np.ascontiguousarray(w).tobytes()
