@@ -47,16 +47,9 @@ from .measure import (
 from .spectral import (
     ChannelCoefficients,
     EnvironmentSpec,
-    QuadratureError,
     build_coefficients,
     coefficients_from_functions,
-    delta_coefficient,
-    delta_thermal,
-    delta_zero_temperature,
     divisibility_check,
-    gamma_coefficient,
-    settle_horizon,
-    spectral_density,
     write_coefficients_csv,
 )
 from .states import (

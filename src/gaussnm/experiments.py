@@ -92,6 +92,11 @@ class ExperimentConfig:
             raise ValueError("alpha range must sit within (0, 0.5]")
         if self.alpha_points < 1:
             raise ValueError("alpha_points must be >= 1")
+        for name in ("n_steps", "traj_points"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = all cores)")
         for p in self.phis:
@@ -209,13 +214,18 @@ def _run_tasks(tasks, workers: int):
 
 
 def _write_outputs(cfg: ExperimentConfig, out_dir, name: str, header: list[str],
-                   cols, **sections) -> list[str]:
-    """Write ``<name>.csv`` and its JSON run summary; returns both paths."""
+                   cols, tables, **sections) -> list[str]:
+    """Write ``<name>.csv`` and its JSON run summary; returns both paths.
+
+    The summary's ``kernel_abserr`` is the worst over the sweep's
+    coefficient tables, 0 without tables.
+    """
     csv_path = os.path.join(out_dir, f"{name}.csv")
     _write_csv(csv_path, header, cols)
+    abserr = max([0.0, *(t.kernel_abserr for t in tables)])
     summary = {"schema": SCHEMA_VERSION, "experiment": cfg.experiment,
                "config": asdict(cfg), "outputs": [os.path.basename(csv_path)],
-               **sections}
+               "quadrature": {"kernel_abserr": abserr}, **sections}
     sum_path = os.path.join(out_dir, f"{name}_summary.json")
     with open(sum_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -248,89 +258,29 @@ def _regroup(points: list, n_curves: int):
     return exact, first, diag
 
 
-# --- damping channel sweep (fig 1) -----------------------------------------
-
-def _fig1_squeezed_point(cfg: ExperimentConfig, phi: float, alpha: float):
-    rate = DampingRateSpec(kind=cfg.rate, gamma0=cfg.gamma0)
-    times = np.linspace(0.0, cfg.t_end, cfg.traj_points + 1)
-    channel = DampingChannel(alpha=alpha, rate=rate, t_max=cfg.t_end)
-    res = maximize_measure("squeezed", channel, bounds=cfg.bounds(),
-                           phi=phi, times=times)
-    first = first_order_squeezed_max(channel, phi, r_max=cfg.r_max)[0]
-    return res.value, first, res.diagnostics
-
-
-def run_fig1(cfg: ExperimentConfig, out_dir) -> list[str]:
-    """Damping-channel measure vs coupling: coherent and squeezed families."""
-    os.makedirs(out_dir, exist_ok=True)
-    rate = DampingRateSpec(kind=cfg.rate, gamma0=cfg.gamma0)
-    alphas = cfg.alphas
-    coh_exact, coh_first = [], []
-    for alpha in alphas:
-        channel = DampingChannel(alpha=alpha, rate=rate, t_max=cfg.t_end)
-        coh_exact.append(closed_form_coherent_damping(alpha, rate,
-                                                      t_max=cfg.t_end).value)
-        coh_first.append(first_order_coherent(channel))
-    tasks = [(_fig1_squeezed_point, (cfg, p, alpha))
-             for p in cfg.phis for alpha in alphas]
-    exact, first, diag = _regroup(_run_tasks(tasks, _resolve_workers(cfg)),
-                                  len(cfg.phis))
-
-    header = ["alpha", "coherent_exact", "coherent_first_order"]
-    cols = [alphas, np.array(coh_exact), np.array(coh_first)]
-    for p, col in zip(cfg.phis, exact):
-        header.append(f"squeezed_exact_phi{_phi_label(p)}")
-        cols.append(col)
-    for p, col in zip(cfg.phis, first):
-        header.append(f"squeezed_first_order_phi{_phi_label(p)}")
-        cols.append(col)
-    return _write_outputs(cfg, out_dir, "fig1", header, cols, optimizer=diag,
-                          quadrature={"kernel_abserr": 0.0})
-
-
-# --- coefficient curves (fig 2) --------------------------------------------
-
-def _fig2_column(omega0: float, omega_c: float, t_abs: float, t_end: float,
-                 n_steps: int):
-    env = EnvironmentSpec(omega0=omega0, omega_c=omega_c, temperature=t_abs)
-    table = build_coefficients(env, alpha=1.0, t_end=t_end, n_steps=n_steps)
-    return table.delta, table.kernel_abserr
-
-
-def run_fig2(cfg: ExperimentConfig, out_dir) -> list[str]:
-    """Diffusion coefficient vs time for each (omega0, T) combination."""
-    os.makedirs(out_dir, exist_ok=True)
-    ts = np.linspace(0.0, cfg.t_end, cfg.n_steps + 1)
-    tasks = []
-    labels = []
-    for w0 in cfg.omega0:
-        for tv in cfg.temperatures:
-            tasks.append((_fig2_column,
-                          (w0, cfg.omega_c, cfg.kelvin(tv), cfg.t_end,
-                           cfg.n_steps)))
-            labels.append(f"delta_omega0_{w0:g}_T{tv:g}")
-    results = _run_tasks(tasks, _resolve_workers(cfg))
-    header = ["t"] + labels
-    cols = [ts] + [delta for delta, _ in results]
-    return _write_outputs(
-        cfg, out_dir, "fig2", header, cols,
-        quadrature={"kernel_abserr": max(err for _, err in results)})
-
-
-# --- QBM measure sweeps (figs 3-5) ------------------------------------------
-
-def _qbm_table(cfg: ExperimentConfig, t_value: float) -> ChannelCoefficients:
-    env = EnvironmentSpec(omega0=cfg.omega0[0], omega_c=cfg.omega_c,
+def _table(cfg: ExperimentConfig, omega0: float,
+           t_value: float) -> ChannelCoefficients:
+    env = EnvironmentSpec(omega0=omega0, omega_c=cfg.omega_c,
                           temperature=cfg.kelvin(t_value))
     return build_coefficients(env, alpha=1.0, t_end=cfg.t_end,
                               n_steps=cfg.n_steps)
 
 
-def _qbm_point(cfg: ExperimentConfig, base: ChannelCoefficients, family: str,
-               phi: float, equal_squeezing: bool, want_first_order: bool,
-               alpha: float):
+def _tables(cfg: ExperimentConfig, keys, workers: int) -> dict:
+    """One alpha = 1 table per distinct (omega0, T) key.
+
+    The coupling only rescales x and y, so one table serves every curve
+    and coupling at its key.
+    """
+    keys = list(dict.fromkeys(keys))
+    return dict(zip(keys, _run_tasks([(_table, (cfg, *key)) for key in keys],
+                                     workers)))
+
+
+def _point(cfg: ExperimentConfig, channel, family: str, phi: float,
+           equal_squeezing: bool, want_first_order: bool):
+    """``(value, first_order, diagnostics)`` of one family at one coupling."""
     times = np.linspace(0.0, cfg.t_end, cfg.traj_points + 1)
-    channel = QbmChannel(base.rescaled(alpha))
     res = maximize_measure(family, channel, bounds=cfg.bounds(), phi=phi,
                            equal_squeezing=equal_squeezing, times=times)
     first = None
@@ -342,20 +292,57 @@ def _qbm_point(cfg: ExperimentConfig, base: ChannelCoefficients, family: str,
     return res.value, first, res.diagnostics
 
 
+# --- damping channel sweep (fig 1) -----------------------------------------
+
+def run_fig1(cfg: ExperimentConfig, out_dir) -> list[str]:
+    """Damping-channel measure vs coupling: coherent and squeezed families."""
+    os.makedirs(out_dir, exist_ok=True)
+    rate = DampingRateSpec(kind=cfg.rate, gamma0=cfg.gamma0)
+    alphas = cfg.alphas
+    channels = [DampingChannel(alpha=alpha, rate=rate, t_max=cfg.t_end)
+                for alpha in alphas]
+    coh_exact = [closed_form_coherent_damping(alpha, rate, t_max=cfg.t_end).value
+                 for alpha in alphas]
+    coh_first = [first_order_coherent(channel) for channel in channels]
+    tasks = [(_point, (cfg, channel, "squeezed", p, False, True))
+             for p in cfg.phis for channel in channels]
+    exact, first, diag = _regroup(_run_tasks(tasks, _resolve_workers(cfg)),
+                                  len(cfg.phis))
+
+    header = ["alpha", "coherent_exact", "coherent_first_order"]
+    cols = [alphas, np.array(coh_exact), np.array(coh_first)]
+    for p, col in zip(cfg.phis, exact):
+        header.append(f"squeezed_exact_phi{_phi_label(p)}")
+        cols.append(col)
+    for p, col in zip(cfg.phis, first):
+        header.append(f"squeezed_first_order_phi{_phi_label(p)}")
+        cols.append(col)
+    return _write_outputs(cfg, out_dir, "fig1", header, cols, (), optimizer=diag)
+
+
+# --- coefficient curves (fig 2) --------------------------------------------
+
+def run_fig2(cfg: ExperimentConfig, out_dir) -> list[str]:
+    """Diffusion coefficient vs time for each (omega0, T) combination."""
+    os.makedirs(out_dir, exist_ok=True)
+    keys = [(w0, tv) for w0 in cfg.omega0 for tv in cfg.temperatures]
+    tables = _tables(cfg, keys, _resolve_workers(cfg))
+    header = ["t"] + [f"delta_omega0_{w0:g}_T{tv:g}" for w0, tv in keys]
+    cols = [tables[keys[0]].times] + [tables[key].delta for key in keys]
+    return _write_outputs(cfg, out_dir, "fig2", header, cols, tables.values())
+
+
+# --- QBM measure sweeps (figs 3-5) ------------------------------------------
+
 def _run_qbm_sweep(cfg: ExperimentConfig, out_dir, name: str, specs,
                    include_first_order: bool) -> list[str]:
-    """Shared driver for figs 3-5; specs are (label, T, family, phi, equal_r).
-
-    The coupling only rescales x and y, so one alpha = 1 table per distinct
-    temperature serves every curve at that temperature.
-    """
+    """Shared driver for figs 3-5; specs are (label, T, family, phi, equal_r)."""
     os.makedirs(out_dir, exist_ok=True)
     workers = _resolve_workers(cfg)
-    temps = list(dict.fromkeys(tv for _, tv, *_ in specs))
-    tables = dict(zip(temps, _run_tasks(
-        [(_qbm_table, (cfg, tv)) for tv in temps], workers)))
-    tasks = [(_qbm_point, (cfg, tables[tv], family, phi, eq,
-                           include_first_order, alpha))
+    w0 = cfg.omega0[0]
+    tables = _tables(cfg, [(w0, tv) for _, tv, *_ in specs], workers)
+    tasks = [(_point, (cfg, QbmChannel(tables[w0, tv].rescaled(alpha)), family,
+                       phi, eq, include_first_order))
              for (_, tv, family, phi, eq) in specs for alpha in cfg.alphas]
     exact, first, diag = _regroup(_run_tasks(tasks, workers), len(specs))
     header = ["alpha"]
@@ -366,9 +353,8 @@ def _run_qbm_sweep(cfg: ExperimentConfig, out_dir, name: str, specs,
         if include_first_order:
             header.append(f"{label}_first_order")
             cols.append(fo)
-    abserr = max([0.0, *(t.kernel_abserr for t in tables.values())])
-    return _write_outputs(cfg, out_dir, name, header, cols, optimizer=diag,
-                          quadrature={"kernel_abserr": abserr})
+    return _write_outputs(cfg, out_dir, name, header, cols, tables.values(),
+                          optimizer=diag)
 
 
 def run_fig3(cfg: ExperimentConfig, out_dir) -> list[str]:

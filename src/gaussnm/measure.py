@@ -137,6 +137,8 @@ class ParamBounds:
             v = float(getattr(self, name))
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if not self.beta_max > 0.0:  # the displacement searches start at 1e-9
+            raise ValueError(f"beta_max must be > 0, got {self.beta_max}")
 
     @property
     def k_max(self) -> float:

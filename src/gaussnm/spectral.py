@@ -23,18 +23,12 @@ from scipy.integrate import cumulative_simpson, quad
 __all__ = [
     "EnvironmentSpec",
     "ChannelCoefficients",
-    "QuadratureError",
-    "spectral_density",
-    "gamma_coefficient",
-    "delta_coefficient",
-    "delta_zero_temperature",
-    "delta_thermal",
     "build_coefficients",
     "coefficients_from_functions",
     "divisibility_check",
-    "settle_horizon",
     "write_coefficients_csv",
 ]
+# unexported: delta_zero_temperature and QuadratureError serve perfbench's T = 0 check
 
 _REL_TOL = 1e-8
 
@@ -113,15 +107,6 @@ class ChannelCoefficients:
                                    env=self.env)
 
 
-def spectral_density(omega, env: EnvironmentSpec):
-    """Ohmic spectral density J(w) = w exp(-w/w_c); domain w >= 0."""
-    w = np.asarray(omega, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("spectral density is defined for omega >= 0")
-    out = w * np.exp(-w / env.omega_c)
-    return float(out) if np.isscalar(omega) else out
-
-
 def _sin_kernel(s, a):
     """int_0^inf w e^{-a w} sin(w s) dw = 2 a s / (a^2 + s^2)^2."""
     s = np.asarray(s, float)
@@ -179,19 +164,6 @@ def _check_quad(value: float, estimate: float, what: str) -> float:
     return value
 
 
-def gamma_coefficient(t: float, env: EnvironmentSpec) -> float:
-    """Damping coefficient gamma(t); temperature independent."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    a = 1.0 / env.omega_c
-    val, err = quad(_sin_kernel, 0.0, t, args=(a,), weight="sin",
-                    wvar=env.omega0, limit=400, epsabs=1e-13, epsrel=1e-11)
-    return _check_quad(val, err, "gamma(t)")
-
-
 def delta_zero_temperature(t: float, env: EnvironmentSpec) -> float:
     """Zero-point diffusion Delta_0(t) (half-weighted cosine transform)."""
     t = float(t)
@@ -203,31 +175,6 @@ def delta_zero_temperature(t: float, env: EnvironmentSpec) -> float:
     val, err = quad(lambda s: 0.5 * _cos_kernel(s, a), 0.0, t, weight="cos",
                     wvar=env.omega0, limit=400, epsabs=1e-13, epsrel=1e-11)
     return _check_quad(val, err, "Delta_0(t)")
-
-
-def delta_thermal(t: float, env: EnvironmentSpec) -> float:
-    """Thermal diffusion Delta_T(t); identically zero at T = 0."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0 or env.temperature == 0.0:
-        return 0.0
-    inner_err = 0.0
-
-    def kernel(s):
-        nonlocal inner_err
-        v, e = thermal_cos_kernel(s, env)
-        inner_err = max(inner_err, e)
-        return v
-
-    val, err = quad(kernel, 0.0, t, weight="cos", wvar=env.omega0,
-                    limit=400, epsabs=1e-12, epsrel=1e-10)
-    return _check_quad(val, err + inner_err * t, "Delta_T(t)")
-
-
-def delta_coefficient(t: float, env: EnvironmentSpec) -> float:
-    """Diffusion coefficient Delta(t) = Delta_0(t) + Delta_T(t)."""
-    return delta_zero_temperature(t, env) + delta_thermal(t, env)
 
 
 def _cumulative(values: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -302,30 +249,6 @@ def divisibility_check(coeffs: ChannelCoefficients) -> list[tuple[float, float]]
     if start is not None:
         intervals.append((float(start), float(ts[-1])))
     return intervals
-
-
-def settle_horizon(env: EnvironmentSpec, rel_tol: float = 1e-3,
-                   t_start: float = 20.0, t_cap: float = 640.0,
-                   n_probe: int = 400) -> float:
-    """Smallest probed horizon where gamma and Delta have settled.
-
-    Settled means both coefficients stay within rel_tol of their final value
-    (relative to the maximum amplitude) over the last 10% of the window.
-    Doubles the window until the criterion holds or t_cap is reached.
-    """
-    t_end = float(t_start)
-    while True:
-        table = build_coefficients(env, alpha=1.0, t_end=t_end, n_steps=n_probe)
-        tail = table.times >= 0.9 * t_end
-        ok = True
-        for arr in (table.gamma, table.delta):
-            amp = float(np.max(np.abs(arr)))
-            if amp > 0.0 and float(np.max(np.abs(arr[tail] - arr[-1]))) > rel_tol * amp:
-                ok = False
-                break
-        if ok or t_end >= t_cap:
-            return t_end
-        t_end *= 2.0
 
 
 def _write_csv(path, header: list[str], columns) -> None:

@@ -84,12 +84,6 @@ class GaussianState:
             and not _below_heisenberg(c)
         )
 
-    def close_to(self, other: "GaussianState", tol: float = 1e-12) -> bool:
-        return bool(
-            np.all(np.abs(self.mean - other.mean) <= tol)
-            and np.all(np.abs(self.cov - other.cov) <= tol)
-        )
-
 
 def _normalize_angle(theta: float) -> float:
     return float(theta) % TWO_PI
@@ -160,18 +154,13 @@ def pair_moments(pairs) -> tuple[np.ndarray, ...]:
     return means[:, 0], covs[:, 0], means[:, 1], covs[:, 1]
 
 
-def squeezed_thermal_cov(n: float, r: float, phi: float) -> np.ndarray:
-    """Covariance (n + 1/2) R(phi/2) diag(e^-2r, e^2r) R(phi/2)^T."""
-    _, _, qq, qp, pp = _moments(n, r, phi, 0.0)
-    return np.array([[qq, qp], [qp, pp]])
-
-
 def make_gaussian(n: float = 0.0, r: float = 0.0, phi: float = 0.0,
                   beta: complex = 0.0j) -> GaussianState:
     """Build the displaced squeezed thermal state with the given parameters.
 
-    The covariance is built squeeze-then-displace on a thermal state, so
-    det(cov) = (n + 1/2)^2 and displacement only sets the mean.
+    The covariance (n + 1/2) R(phi/2) diag(e^-2r, e^2r) R(phi/2)^T is built
+    squeeze-then-displace on a thermal state, so det(cov) = (n + 1/2)^2 and
+    displacement only sets the mean.
     """
     n = float(n)
     r = float(r)

@@ -28,8 +28,9 @@ from gaussnm import (
     maximize_measure,
 )
 from gaussnm.experiments import fig_defaults, run_experiment
-from gaussnm.spectral import EnvironmentSpec, delta_thermal
+from gaussnm.spectral import EnvironmentSpec
 from fock_oracle import fock_fidelity, fock_gaussian
+from quad_oracle import delta_coefficient, delta_thermal, gamma_coefficient
 
 RATE = DampingRateSpec.decaying_sine()
 ENV_REF = EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=0.2)
@@ -251,7 +252,6 @@ def test_criterion_09_quadrature_integrity():
                              (1.0, 0.3, 0.5)]
     ][:20]
     worst = 0.0
-    from gaussnm import delta_coefficient, gamma_coefficient
     for t, env in sample:
         gb = brute_force_gamma(t, env)
         db = brute_force_delta(t, env)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -74,6 +75,21 @@ class TestConfig:
         # parse_config builds this object, so a bad file fails when parsed
         with pytest.raises(ValueError, match=f"{key} must be finite and >= 0"):
             ExperimentConfig(**{key: value})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("traj_points", 1, ">= 2"), ("traj_points", 0, ">= 2"),
+        ("n_steps", 1, ">= 2"), ("t_end", 0.0, "finite and > 0"),
+        ("t_end", -5.0, "finite and > 0"), ("t_end", math.inf, "finite and > 0"),
+        ("t_end", math.nan, "finite and > 0")])
+    def test_bad_time_grid_rejected(self, key, value, message):
+        # traj_points = 1 used to write N = 0 for every squeezed point
+        text = format_config(fig_defaults(1)) + f"{key}={value}\n"
+        with pytest.raises(ValueError, match=f"{key} must be {message}"):
+            parse_config(text)
+
+    def test_empty_displacement_box_rejected(self):
+        with pytest.raises(ValueError, match="beta_max must be > 0"):
+            parse_config(format_config(fig_defaults(3)) + "beta_max=0\n")
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
@@ -253,19 +269,32 @@ class TestDeterminismAndWorkers:
         with pytest.raises(ValueError, match="GAUSSNM_THREADS"):
             run_experiment(tiny_config(2, workers=1), tmp_path)
 
-    @pytest.mark.parametrize("figure, tables", [(4, 1), (5, 2)])
+    @pytest.mark.parametrize("figure, tables", [(2, 4), (4, 1), (5, 2)])
     def test_one_table_per_temperature(self, tmp_path, monkeypatch, figure,
                                        tables):
+        # fig2 repeats T = 0: two omega0 times two distinct T, six columns
+        cfg = tiny_config(figure, workers=1)
+        if figure == 2:
+            cfg = replace(cfg, temperatures=(0.0, 0.2, 0.0))
         calls = []
         original = experiments.build_coefficients
 
         def counting(*args, **kwargs):
-            calls.append(args[0].temperature)
+            calls.append((args[0].omega0, args[0].temperature))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "build_coefficients", counting)
-        run_experiment(tiny_config(figure, workers=1), tmp_path)
-        assert len(calls) == tables
+        paths = run_experiment(cfg, tmp_path)
+        assert len(set(calls)) == len(calls) == tables
+        if figure == 2:  # every column is still its own (omega0, T) table
+            with open(paths[0], newline="") as fh:
+                columns = list(zip(*csv.reader(fh)))
+            expected = [
+                (f"delta_omega0_{w0:g}_T{tv:g}", *(f"{v:.12g}" for v in original(
+                    EnvironmentSpec(w0, cfg.omega_c, cfg.kelvin(tv)), alpha=1.0,
+                    t_end=cfg.t_end, n_steps=cfg.n_steps).delta))
+                for w0 in cfg.omega0 for tv in cfg.temperatures]
+            assert len(columns) == 1 + 6 and columns[1:] == expected
 
     @pytest.mark.parametrize("figure", [1, 5])
     def test_summary_counts_every_stagnation(self, tmp_path, monkeypatch,

