@@ -21,6 +21,8 @@ applied to a state.
 ``_trajectories`` evolves and checks the states of ``trajectory``,
 ``channel.evolve`` and ``gaussnm evolve``, with one policy (warnings point
 at the caller's line):
+  - the time grid must be finite, >= 0 and strictly increasing (``_grid``,
+    the measure's rule too);
   - exact damping preserves det(cov) >= 1/4, so a state below it (beyond
     ``GaussianState``'s slack) raises ValueError;
   - exact QBM, which keeps no vacuum floor beyond the diffusion integral,
@@ -39,7 +41,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .spectral import ChannelCoefficients, _write_csv
 from .states import GaussianState, StatePairParams, _below_heisenberg, _det2
@@ -78,7 +79,8 @@ class DampingRateSpec:
         constant (1/2) e^{-pi/4}; a rate with exactly one negativity
         interval, [pi, 2 pi].
       - ``constant``: gamma(t) = gamma0.
-      - ``table``: linear interpolation of user samples.
+      - ``table``: the cubic spline of user samples; ``rate`` and
+        ``x_per_alpha`` raise beyond the table.
     """
 
     kind: str = "decaying_sine"
@@ -98,9 +100,9 @@ class DampingRateSpec:
                 raise ValueError("rate table times must increase from 0")
             object.__setattr__(self, "table_times", ts)
             object.__setattr__(self, "table_values", vs)
-            # cumulative int_0^t 2 gamma, Simpson on the sample grid
-            cum = np.concatenate([[0.0], cumulative_simpson(2.0 * vs, x=ts)])
-            object.__setattr__(self, "_table_cum", CubicSpline(ts, cum))
+            spline = CubicSpline(ts, vs)
+            object.__setattr__(self, "_spline", spline)
+            object.__setattr__(self, "_integral", spline.antiderivative())
 
     @classmethod
     def decaying_sine(cls) -> "DampingRateSpec":
@@ -114,10 +116,15 @@ class DampingRateSpec:
     def from_table(cls, times, values) -> "DampingRateSpec":
         return cls(kind="table", table_times=times, table_values=values)
 
-    def rate(self, t):
+    def _times(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise ValueError("rate is defined for t >= 0")
+        end = self.table_times[-1] if self.kind == "table" else math.inf
+        if np.any((t < 0.0) | (t > end)):
+            raise ValueError(f"t outside the rate's range [0, {end:g}]")
+        return t
+
+    def rate(self, t):
+        t = self._times(t)
         if self.kind == "constant":
             out = np.full_like(t, self.gamma0)
         elif self.kind == "decaying_sine":
@@ -127,14 +134,12 @@ class DampingRateSpec:
                 0.5 * math.exp(-math.pi / 4.0),
             )
         else:
-            out = np.interp(t, self.table_times, self.table_values)
+            out = self._spline(t)
         return float(out) if out.ndim == 0 else out
 
     def x_per_alpha(self, t):
-        """int_0^t 2 gamma(s) ds, analytic where the rate allows it."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise ValueError("t must be >= 0")
+        """int_0^t 2 gamma(s) ds, exact for every kind."""
+        t = self._times(t)
         if self.kind == "constant":
             out = 2.0 * self.gamma0 * t
         elif self.kind == "decaying_sine":
@@ -148,9 +153,7 @@ class DampingRateSpec:
                 x_switch + math.exp(-math.pi / 4.0) * (t - _SWITCH),
             )
         else:
-            if np.any(t > self.table_times[-1]):
-                raise ValueError("t beyond the rate table")
-            out = self._table_cum(t)
+            out = 2.0 * self._integral(t)
         return float(out) if out.ndim == 0 else out
 
     def negativity_intervals(self, t_max: float) -> list[tuple[float, float]]:
@@ -162,32 +165,17 @@ class DampingRateSpec:
             if t_max <= math.pi:
                 return []
             return [(math.pi, min(2.0 * math.pi, t_max))]
-        ts = np.linspace(0.0, min(t_max, self.table_times[-1]), 4001)
-        vals = self.rate(ts)
-        return _sign_intervals(ts, vals, lambda t: self.rate(float(t)))
+        return _negative_intervals(self._spline, min(t_max, self.table_times[-1]))
 
 
-def _sign_intervals(ts, vals, fn) -> list[tuple[float, float]]:
-    """Maximal intervals where fn < 0, with brentq-refined endpoints."""
-    neg = vals < 0.0
-    roots = []
-    for i in range(len(ts) - 1):
-        if neg[i] != neg[i + 1]:
-            lo, hi = ts[i], ts[i + 1]
-            if fn(lo) == 0.0:
-                roots.append(float(lo))
-            elif fn(hi) == 0.0:
-                roots.append(float(hi))
-            else:
-                roots.append(float(brentq(fn, lo, hi, xtol=1e-12)))
-    edges = [float(ts[0])] + roots + [float(ts[-1])]
-    out = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 1e-12:
-            continue
-        if fn(0.5 * (lo + hi)) < 0.0:
-            out.append((lo, hi))
-    return out
+def _negative_intervals(spline, t_end: float) -> list[tuple[float, float]]:
+    """Maximal intervals of [0, t_end] where the spline is negative, cut at
+    its exact roots; a root at a knot may come from both pieces, ulps apart."""
+    roots = spline.roots(extrapolate=False)  # a zero piece gives (start, NaN)
+    inner = roots[(roots > 0.0) & (roots < t_end)]
+    edges = np.unique(np.concatenate([[0.0, t_end], inner]))
+    return [(float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])
+            if hi - lo > 1e-12 and spline(0.5 * (lo + hi)) < 0.0]
 
 
 def damping_x(t, alpha: float, spec: DampingRateSpec):
@@ -243,8 +231,7 @@ class QbmPropagator:
             raise ValueError(f"t outside the coefficient grid [0, {self.t_end:g}]")
 
     def delta_negativity_intervals(self) -> list[tuple[float, float]]:
-        ts = self.delta.x
-        return _sign_intervals(ts, self.delta(ts), self.delta)
+        return _negative_intervals(self.delta, self.t_end)
 
 
 @lru_cache(maxsize=64)
@@ -382,12 +369,21 @@ def trajectory(pair: StatePairParams, channel, times) -> tuple[Trajectory, Traje
     return tuple(_trajectories(pair.states(), channel, times, pair))
 
 
+def _grid(times) -> np.ndarray:
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or ts.size < 1:
+        raise ValueError("times must be a 1-d grid")
+    for ok, fault in ((np.isfinite(ts).all(), "finite"), (ts[0] >= 0.0, ">= 0"),
+                      ((ts[1:] > ts[:-1]).all(), "strictly increasing")):
+        if not ok:
+            raise ValueError(f"times must be {fault}")
+    return ts
+
+
 def _trajectories(states, channel, times, params) -> list[Trajectory]:
     """``trajectory`` for any sequence of states: one maps call, one check.
     Warnings point at the line that called this function's caller."""
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size < 1 or np.any(ts < 0.0):
-        raise ValueError("times must be a 1-d grid of non-negative instants")
+    ts = _grid(times)
     maps = channel.maps(ts)
     _warn_first_order(channel, maps, stacklevel=3)
     out = []

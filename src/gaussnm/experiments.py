@@ -85,6 +85,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown channel {self.channel!r}")
         if self.temperature_unit not in ("omega0", "omega_c"):
             raise ValueError("temperature_unit must be 'omega0' or 'omega_c'")
+        if self.rate not in ("decaying_sine", "constant"):  # no table samples
+            raise ValueError("rate must be 'decaying_sine' or 'constant', "
+                             f"got {self.rate!r}")
         for name in ("omega0", "temperatures", "phis"):
             object.__setattr__(self, name,
                                tuple(float(v) for v in getattr(self, name)))
@@ -107,15 +110,19 @@ class ExperimentConfig:
                 key = _ALIASES.get(name, name)
                 raise ValueError(f"{self.experiment} needs at least one "
                                  f"{key!r} value")
+        # figs 3-5 build every table at the first omega0
+        if self.experiment in ("fig3", "fig4", "fig5") and len(self.omega0) > 1:
+            raise ValueError(f"{self.experiment} takes one 'omega0' value, "
+                             f"got {len(self.omega0)}")
         self.bounds()  # a bad search box fails here, not in a pool worker
 
     @property
     def alphas(self) -> np.ndarray:
         return np.linspace(self.alpha_min, self.alpha_max, self.alpha_points)
 
-    def kelvin(self, value: float) -> float:
-        """Temperature value converted to absolute units (k_B T)."""
-        unit = self.omega0[0] if self.temperature_unit == "omega0" else self.omega_c
+    def kelvin(self, value: float, omega0: float) -> float:
+        """Temperature value converted to k_B T at system frequency omega0."""
+        unit = omega0 if self.temperature_unit == "omega0" else self.omega_c
         return float(value) * unit
 
     def bounds(self) -> ParamBounds:
@@ -125,6 +132,7 @@ class ExperimentConfig:
 
 # config-file key -> ExperimentConfig field, in field order
 _FIELDS = {_ALIASES.get(f.name, f.name): f for f in fields(ExperimentConfig)}
+_KINDS = {int: "an integer", float: "a number", tuple: "comma-separated numbers"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -143,11 +151,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"unknown config key {key!r}")
         f = _FIELDS[key]
         kind = type(f.default)
-        if kind is tuple:
-            kwargs[f.name] = (tuple(float(v) for v in raw.split(","))
-                              if raw else ())
-        else:
-            kwargs[f.name] = kind(raw)
+        try:
+            if kind is tuple:
+                kwargs[f.name] = (tuple(float(v) for v in raw.split(","))
+                                  if raw else ())
+            else:
+                kwargs[f.name] = kind(raw)
+        except ValueError:
+            raise ValueError(f"{key} must be {_KINDS[kind]}, got {raw!r}") from None
     return ExperimentConfig(**kwargs)
 
 
@@ -261,7 +272,7 @@ def _regroup(points: list, n_curves: int):
 def _table(cfg: ExperimentConfig, omega0: float,
            t_value: float) -> ChannelCoefficients:
     env = EnvironmentSpec(omega0=omega0, omega_c=cfg.omega_c,
-                          temperature=cfg.kelvin(t_value))
+                          temperature=cfg.kelvin(t_value, omega0))
     return build_coefficients(env, alpha=1.0, t_end=cfg.t_end,
                               n_steps=cfg.n_steps)
 

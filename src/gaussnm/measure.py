@@ -25,6 +25,7 @@ from .channels import (
     DampingRateSpec,
     QbmChannel,
     damping_x,
+    _grid,
     _warn_first_order,
 )
 from .spectral import ChannelCoefficients
@@ -155,17 +156,6 @@ def coherent_pair(k: float) -> StatePairParams:
 def squeezed_pair(r1: float, r2: float, phi: float) -> StatePairParams:
     """Squeezed-vacuum pair with relative squeezing angle phi."""
     return StatePairParams(r1=r1, r2=r2, phi1=phi, phi2=0.0)
-
-
-def _grid(times) -> np.ndarray:
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size < 1:
-        raise ValueError("times must be a 1-d grid")
-    for ok, fault in ((np.isfinite(ts).all(), "finite"), (ts[0] >= 0.0, ">= 0"),
-                      ((ts[1:] > ts[:-1]).all(), "strictly increasing")):
-        if not ok:
-            raise ValueError(f"times must be {fault}")
-    return ts
 
 
 def _filled_signs(df: np.ndarray) -> np.ndarray:

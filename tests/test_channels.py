@@ -80,6 +80,21 @@ class TestDampingRate:
         assert len(ivals) == 1
         assert ivals[0][0] == pytest.approx(math.pi, abs=1e-3)
 
+    def test_table_rate_is_one_spline(self):
+        # x is twice the spline's exact antiderivative and the intervals
+        # are cut at its exact roots
+        ts = np.linspace(0.0, 12.0, 1201)
+        spec = DampingRateSpec.from_table(ts, np.sin(ts))
+        dense = np.linspace(0.0, 12.0, 24001)
+        err = np.abs(spec.x_per_alpha(dense) - 2.0 * (1.0 - np.cos(dense)))
+        assert err.max() <= 1e-10
+        (a, b), (c, end) = spec.negativity_intervals(12.0)
+        assert np.allclose([a, b, c], np.pi * np.arange(1, 4), rtol=0.0, atol=1e-12)
+        assert end == 12.0
+        for method in (spec.rate, spec.x_per_alpha):
+            with pytest.raises(ValueError, match="outside the rate's range"):
+                method(12.5)
+
 
 class TestDampingX:
     def test_zero_at_origin(self):

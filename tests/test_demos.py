@@ -24,7 +24,9 @@ def test_demo_runs(demo, tmp_path):
     path = [str(PKG_ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     before = checkout_files()
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=600)
+    # a package warning fails the demo, as filterwarnings does in-process
+    proc = subprocess.run([sys.executable, "-W", "error::UserWarning", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert checkout_files() - before == set()

@@ -80,12 +80,23 @@ class TestConfig:
         ("traj_points", 1, ">= 2"), ("traj_points", 0, ">= 2"),
         ("n_steps", 1, ">= 2"), ("t_end", 0.0, "finite and > 0"),
         ("t_end", -5.0, "finite and > 0"), ("t_end", math.inf, "finite and > 0"),
-        ("t_end", math.nan, "finite and > 0")])
+        ("t_end", math.nan, "finite and > 0"), ("traj_points", 2.5, "an integer"),
+        ("n_steps", "1e3", "an integer"), ("alpha_min", "abc", "a number"),
+        ("rate", "table", "'decaying_sine' or 'constant'"),
+        ("rate", "bogus", "'decaying_sine' or 'constant'")])
     def test_bad_time_grid_rejected(self, key, value, message):
-        # traj_points = 1 used to write N = 0 for every squeezed point
+        # traj_points = 1 used to write N = 0 for every squeezed point; a
+        # value that does not convert, or a rate fig1 cannot build, fails
+        # here by its key, not in the sweep
         text = format_config(fig_defaults(1)) + f"{key}={value}\n"
         with pytest.raises(ValueError, match=f"{key} must be {message}"):
             parse_config(text)
+
+    @pytest.mark.parametrize("figure", [3, 4, 5])
+    def test_second_omega0_rejected(self, figure):
+        # figs 3-5 build every table at the first omega0
+        with pytest.raises(ValueError, match=f"fig{figure} takes one 'omega0'"):
+            parse_config(format_config(fig_defaults(figure)) + "omega0=1,2\n")
 
     def test_empty_displacement_box_rejected(self):
         with pytest.raises(ValueError, match="beta_max must be > 0"):
@@ -98,9 +109,10 @@ class TestConfig:
     def test_temperature_units(self):
         cfg = replace(fig_defaults(2), omega_c=2.0)
         assert cfg.temperature_unit == "omega_c"
-        assert cfg.kelvin(0.5) == 1.0
+        assert cfg.kelvin(0.5, 4.0) == 1.0
+        assert replace(cfg, temperature_unit="omega0").kelvin(0.5, 6.0) == 3.0
         cfg3 = fig_defaults(3)
-        assert cfg3.kelvin(0.2) == pytest.approx(0.2)
+        assert cfg3.kelvin(0.2, 1.0) == pytest.approx(0.2)
 
 
 @pytest.fixture(scope="module")
@@ -269,13 +281,19 @@ class TestDeterminismAndWorkers:
         with pytest.raises(ValueError, match="GAUSSNM_THREADS"):
             run_experiment(tiny_config(2, workers=1), tmp_path)
 
-    @pytest.mark.parametrize("figure, tables", [(2, 4), (4, 1), (5, 2)])
+    @pytest.mark.parametrize("figure, tables, unit", [
+        pytest.param(2, 4, "omega_c", id="2-4"),
+        pytest.param(2, 4, "omega0", id="2-4-T_unit_omega0"),
+        pytest.param(4, 1, "omega0", id="4-1"),
+        pytest.param(5, 2, "omega0", id="5-2")])
     def test_one_table_per_temperature(self, tmp_path, monkeypatch, figure,
-                                       tables):
-        # fig2 repeats T = 0: two omega0 times two distinct T, six columns
+                                       tables, unit):
+        # fig2 repeats T = 0: two omega0 times two distinct T, six columns;
+        # with T_unit=omega0 each column's k_B T takes its own omega0
         cfg = tiny_config(figure, workers=1)
         if figure == 2:
-            cfg = replace(cfg, temperatures=(0.0, 0.2, 0.0))
+            cfg = replace(cfg, temperatures=(0.0, 0.2, 0.0),
+                          temperature_unit=unit)
         calls = []
         original = experiments.build_coefficients
 
@@ -291,7 +309,7 @@ class TestDeterminismAndWorkers:
                 columns = list(zip(*csv.reader(fh)))
             expected = [
                 (f"delta_omega0_{w0:g}_T{tv:g}", *(f"{v:.12g}" for v in original(
-                    EnvironmentSpec(w0, cfg.omega_c, cfg.kelvin(tv)), alpha=1.0,
+                    EnvironmentSpec(w0, cfg.omega_c, cfg.kelvin(tv, w0)), alpha=1.0,
                     t_end=cfg.t_end, n_steps=cfg.n_steps).delta))
                 for w0 in cfg.omega0 for tv in cfg.temperatures]
             assert len(columns) == 1 + 6 and columns[1:] == expected

@@ -39,6 +39,7 @@ from gaussnm import (
     measure_record,
     squeezed_pair,
     squeezed_response,
+    trajectory,
 )
 from gaussnm import measure
 from gaussnm.experiments import _table, fig_defaults
@@ -49,6 +50,7 @@ from gaussnm.measure import (
 )
 from gaussnm.spectral import EnvironmentSpec
 from gaussnm.states import fidelity, fidelity_arrays
+from interval_oracle import _sign_intervals
 
 RATE = DampingRateSpec.decaying_sine()
 ENV_REF = EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=0.2)
@@ -122,8 +124,9 @@ class TestFidelityTrajectory:
 
 
 class TestTimeGrid:
-    # grids the measure cannot use are rejected by name, not turned into a
-    # wrong N: a reversed grid gave N = 0 and a NaN time a NaN sample of F
+    # grids the measure or the evolution cannot use are rejected by name,
+    # not turned into a wrong N: a reversed grid gave N = 0 and a NaN time a
+    # NaN sample of F
     GRID = np.linspace(0.0, 25.0, 801)
     BAD = {"reversed": (GRID[::-1], "strictly increasing"),
            "repeated": (np.insert(GRID, 5, GRID[5]), "strictly increasing"),
@@ -148,6 +151,13 @@ class TestTimeGrid:
         times, match = self.BAD[fault]
         with pytest.raises(ValueError, match=match):
             maximize_measure("squeezed", DampingChannel(alpha=0.1), times=times)
+
+    @pytest.mark.parametrize("fault", sorted(BAD))
+    def test_trajectory_rejects(self, fault):
+        # the same rule holds for the evolved states
+        times, match = self.BAD[fault]
+        with pytest.raises(ValueError, match=match):
+            trajectory(squeezed_pair(1.0, 1.0, 0.1), DampingChannel(alpha=0.1), times)
 
 
 def search_extremum(pair, channel, lo, hi, kind):
@@ -385,6 +395,30 @@ def two_interval_damping(mode="exact"):
     ts = np.linspace(0.0, 12.0, 1201)
     return DampingChannel(alpha=0.1, rate=DampingRateSpec.from_table(ts, np.sin(ts)),
                           mode=mode, t_max=12.0)
+
+
+class TestNegativityIntervals:
+    def test_dip_narrower_than_any_resample(self):
+        # a 5e-3 wide dip of a 100001-sample table: the spline's roots find
+        # it, where a sign check on a coarse resample sees none
+        ts = np.linspace(0.0, 100.0, 100001)
+        spec = DampingRateSpec.from_table(
+            ts, 1.0 - 2.0 * np.exp(-((ts - 50.0123) / 0.003) ** 2))
+        (lo, hi), = spec.negativity_intervals(100.0)
+        assert lo < 50.0123 < hi
+        assert hi - lo == pytest.approx(5e-3, rel=2e-3)
+        channel = DampingChannel(alpha=0.01, rate=spec, t_max=100.0)
+        assert first_order_coherent(channel) == pytest.approx(2.28e-5, rel=1e-3)
+
+    def test_delta_intervals_match_sampled_oracle(self, fig3_tables):
+        for table in fig3_tables.values():
+            for alpha in (0.05, 0.1):
+                prop = QbmChannel(table.rescaled(alpha)).propagator
+                exact = prop.delta_negativity_intervals()
+                oracle = _sign_intervals(prop.delta.x, prop.delta(prop.delta.x),
+                                         prop.delta)
+                assert len(exact) == len(oracle) >= 2
+                assert np.allclose(exact, oracle, rtol=0.0, atol=1e-12)
 
 
 class KnotChannel:
