@@ -44,12 +44,12 @@ __all__ = [
 _EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5", "custom")
 # config-file key of each ExperimentConfig field whose name differs
 _ALIASES = {"temperatures": "T", "temperature_unit": "T_unit", "phis": "phi"}
-# list fields a sweep cannot run without: it reads their first entry, or
-# it would write no data column
-_NONEMPTY = {"fig2": ("omega0", "temperatures"),
-             "fig3": ("omega0", "temperatures"),
-             "fig4": ("omega0", "temperatures", "phis"),
-             "fig5": ("omega0", "temperatures", "phis")}
+# list fields a sweep cannot run without (it reads their first entry, or it
+# would write no data column), each with True if it reads only that entry
+_LISTS = {"fig2": {"omega0": False, "temperatures": False},
+          "fig3": {"omega0": True, "temperatures": False},
+          "fig4": {"omega0": True, "temperatures": True, "phis": False},
+          "fig5": {"omega0": True, "temperatures": False, "phis": True}}
 SCHEMA_VERSION = 1
 
 
@@ -105,15 +105,12 @@ class ExperimentConfig:
         for p in self.phis:
             if not (0.0 < p <= math.pi):
                 raise ValueError("phi values must lie in (0, pi]")
-        for name in _NONEMPTY.get(self.experiment, ()):
-            if not getattr(self, name):
-                key = _ALIASES.get(name, name)
-                raise ValueError(f"{self.experiment} needs at least one "
-                                 f"{key!r} value")
-        # figs 3-5 build every table at the first omega0
-        if self.experiment in ("fig3", "fig4", "fig5") and len(self.omega0) > 1:
-            raise ValueError(f"{self.experiment} takes one 'omega0' value, "
-                             f"got {len(self.omega0)}")
+        for name, first_only in _LISTS.get(self.experiment, {}).items():
+            n, key = len(getattr(self, name)), _ALIASES.get(name, name)
+            if n == 0:
+                raise ValueError(f"{self.experiment} needs at least one {key!r} value")
+            if first_only and n > 1:
+                raise ValueError(f"{self.experiment} takes one {key!r} value, got {n}")
         self.bounds()  # a bad search box fails here, not in a pool worker
 
     @property

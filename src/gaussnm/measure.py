@@ -29,7 +29,7 @@ from .channels import (
     _warn_first_order,
 )
 from .spectral import ChannelCoefficients
-from .states import StatePairParams, fidelity_arrays, pair_moments
+from .states import StatePairParams, args_moments, fidelity_arrays, pair_moments
 
 __all__ = [
     "UnsupportedShapeError",
@@ -218,18 +218,19 @@ def _locate_extrema(ts: np.ndarray, fvals: np.ndarray, fid) -> list[list]:
     return out
 
 
-def _fidelity_trajectories(pairs, channel, ts: np.ndarray,
-                           grid_maps) -> list[FidelityTrajectory]:
+def _fidelity_trajectories(pairs, channel, ts: np.ndarray, grid_maps,
+                           moments=None) -> list[FidelityTrajectory]:
     """Fidelity trajectories of many pairs on the grid ts, in one batch.
 
-    ``grid_maps`` are the channel's maps on ts.  The batch costs one
-    fidelity call on the grid, then one ``channel.maps`` call and one
-    fidelity call for the extremum sub-grids of all pairs, and one of each
-    for their vertices.  F is taken on the physical branch: the exact QBM
-    solution can dip a hair below the Heisenberg floor at finite coupling,
-    and the first-order maps do so by construction.
+    ``grid_maps`` are the channel's maps on ts.  Given ``moments`` (their
+    ``pair_moments``), the pairs only label the trajectories.  The batch
+    costs one fidelity call on the grid, then one ``channel.maps`` call and
+    one fidelity call for the extremum sub-grids of all pairs, and one of
+    each for their vertices.  F is taken on the physical branch: the exact
+    QBM solution can dip a hair below the Heisenberg floor at finite
+    coupling, and the first-order maps do so by construction.
     """
-    means1, covs1, means2, covs2 = pair_moments(pairs)
+    means1, covs1, means2, covs2 = pair_moments(pairs) if moments is None else moments
 
     def fid(rows, t):
         return fidelity_arrays(means1[rows], covs1[rows], means2[rows], covs2[rows],
@@ -295,21 +296,22 @@ def _zoom_max(f, lo: float, hi: float, points: int) -> tuple[float, float, float
 
 def _family_space(family: str, bounds: ParamBounds, phi: float,
                   equal_squeezing: bool):
-    """(box, pair builder, chord directions) of a numerically searched family."""
+    """(box, pair builder, chord directions, v -> build(v)._args() bit for bit)."""
+    ph = StatePairParams(phi1=phi).phi1  # checked and reduced as a pair stores it
     if family == "squeezed":
         if equal_squeezing:
             dims, dirs = [(0.0, bounds.r_max)], [[1.0]]
-
-            def build(v):
-                return squeezed_pair(v[0], v[0], phi)
         else:
             # N(r1, r2) = N(r2, r1) (a joint rotation and reflection swap the
             # pair and commute with the channels), so on the diagonal a
             # maximum along both (1, 1) and (1, -1) is one in (r1, r2)
             dims, dirs = [(0.0, bounds.r_max)] * 2, [[1.0, 1.0], [1.0, -1.0]]
 
-            def build(v):
-                return squeezed_pair(v[0], v[1], phi)
+        def build(v):  # v[-1] is v[0] with equal squeezing
+            return squeezed_pair(v[0], v[-1], phi)
+
+        def args(v):
+            return (0.0, v[0], ph, 0.0), (0.0, v[-1], 0.0, 0.0)
     elif family == "general_pure":
         dims = [(1e-9, 2.0 * bounds.beta_max), (0.0, math.pi),
                 (0.0, bounds.r_max), (0.0, bounds.r_max)]
@@ -318,9 +320,13 @@ def _family_space(family: str, bounds: ParamBounds, phi: float,
         def build(v):
             return StatePairParams(beta1_mag=v[0], theta1=v[1],
                                    r1=v[2], r2=v[3], phi1=phi, phi2=0.0)
+
+        def args(v):  # theta reduced as a pair stores it
+            beta = v[0] * np.exp(1j * (float(v[1]) % (2.0 * math.pi)))
+            return (0.0, v[2], ph, beta), (0.0, v[3], 0.0, 0.0)
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
-    return dims, build, np.asarray(dirs, dtype=float)
+    return dims, build, np.asarray(dirs, dtype=float), args
 
 
 def _k_optimum(a_lo: float, a_hi: float) -> tuple[float, float]:
@@ -378,27 +384,51 @@ def _coherent_optimum(channel, ts, grid_maps, k_max: float, ns) -> np.ndarray:
     return np.array(out)
 
 
+def _edge_maps(channel, ts):
+    """Exact damping's maps at t+_I, t-_I of each gamma < 0 interval I cut to
+    [ts[0], ts[-1]], or None (grid route).  From x1 to x2 >= x1 exact damping
+    is exact damping by x2 - x1, CPTP, so F = G(x) with G non-decreasing and
+    N(pair) = sum_I max(F(t+_I) - F(t-_I), 0) if x >= 0 (physical states):
+    c = e^{-x} <= 1 is checked where x is least, at ts[0] and each t-_I."""
+    if channel.tag != "damping" or channel.mode != "exact":
+        return None
+    edges = [max(t, ts[0]) for iv in channel.rate.negativity_intervals(ts[-1])
+             if iv[1] > ts[0] for t in iv] or [ts[0], ts[0]]  # no I: N = 0
+    m, c, n = channel.maps([ts[0], *edges])
+    return (m[1:], c[1:], n[1:]) if (c <= 1.0).all() else None
+
+
+def _pair_measures(moments, channel, ts, grid_maps, edge_maps) -> np.ndarray:
+    """N of each pair of ``pair_moments`` ``moments``: one fidelity call at
+    ``_edge_maps``, or grid trajectories, _BATCH_SAMPLES samples a batch."""
+    if edge_maps is not None and len(moments[0]):
+        f = fidelity_arrays(*moments, branch=True, maps=edge_maps)
+        return np.maximum(f[:, ::2] - f[:, 1::2], 0.0).sum(axis=1)
+    size = max(1, _BATCH_SAMPLES // ts.size)
+    return np.array([
+        measure_from_trajectory(traj) for i in range(0, len(moments[0]), size)
+        for traj in _fidelity_trajectories([None] * size, channel, ts, grid_maps,
+                                           [m[i:i + size] for m in moments])])
+
+
 def _numeric_optimum(family: str, channel, ts, grid_maps, bounds, phi,
                      equal_squeezing):
     """(N, argmax, diagnostics) of a family by batched chord zooms.
 
-    Each batch of pairs is one ``_fidelity_trajectories`` call (split when
-    pairs x grid times exceed _BATCH_SAMPLES).  From the best point of a
+    Each batch is one ``_pair_measures`` call on moments built straight from
+    the search vectors (only the argmax is built).  From the best point of a
     coarse product grid, or from the lower end of a one-parameter box,
     ``_zoom_max`` searches the box's chords through the best point along the
     family's directions in turn, until every direction has been searched
     from the current best without improving it (at most _MAX_CHORDS each).
     """
-    dims, build, dirs = _family_space(family, bounds, phi, equal_squeezing)
+    dims, build, dirs, args = _family_space(family, bounds, phi, equal_squeezing)
     lo, hi = np.array(dims).T
+    edge_maps = _edge_maps(channel, ts)
 
     def measures(vecs) -> np.ndarray:
-        pairs = [build(v) for v in np.clip(vecs, lo, hi)]
-        size = max(1, _BATCH_SAMPLES // ts.size)
-        return np.array([
-            measure_from_trajectory(traj) for i in range(0, len(pairs), size)
-            for traj in _fidelity_trajectories(pairs[i:i + size], channel, ts,
-                                               grid_maps)])
+        mom = args_moments([args(v) for v in np.clip(vecs, lo, hi).tolist()])
+        return _pair_measures(mom, channel, ts, grid_maps, edge_maps)
 
     n_per_dim = _GRID_POINTS[len(dims) - 1]
     axes = [np.linspace(a, b, n_per_dim) for a, b in dims]
@@ -446,9 +476,11 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     batched chord zooms (``"numeric_opt"``): squeezed pairs reduce to
     (r1, r2) at fixed relative angle ``phi``, or to a single r with
     ``equal_squeezing``; the families with several parameters start from a
-    coarse product grid.  A first-order channel whose
-    |x| = |1 - c| exceeds FIRST_ORDER_X_LIMIT on the grid is used outside
-    its validity: that raises one ApproximationWarning.
+    coarse product grid.  On exact damping a pair costs two fidelity calls
+    per gamma < 0 interval (``_edge_maps``); ``intervals`` always come from
+    the argmax's trajectory on the grid.  A first-order channel whose |x| =
+    |1 - c| exceeds FIRST_ORDER_X_LIMIT on the grid raises one
+    ApproximationWarning.
     """
     bounds = bounds or ParamBounds()
     if times is None:

@@ -149,7 +149,12 @@ def _moments(n: float, r: float, phi: float, beta: complex) -> tuple:
 def pair_moments(pairs) -> tuple[np.ndarray, ...]:
     """(means1, covs1, means2, covs2), (P, 2) and (P, 2, 2): those of each
     ``pair.states()`` entry for entry, without building or validating states."""
-    rows = np.array([[_moments(*args) for args in pair._args()] for pair in pairs])
+    return args_moments([pair._args() for pair in pairs])
+
+
+def args_moments(args) -> tuple[np.ndarray, ...]:
+    """``pair_moments`` of pairs given as their ``_args()``, empty for no pair."""
+    rows = np.reshape([[_moments(*a) for a in pair] for pair in args], (-1, 2, 5))
     means, covs = rows[..., :2], rows[..., [2, 3, 3, 4]].reshape(-1, 2, 2, 2)
     return means[:, 0], covs[:, 0], means[:, 1], covs[:, 1]
 
@@ -270,12 +275,8 @@ def bures_distance(a: GaussianState, b: GaussianState) -> float:
     return math.sqrt(max(2.0 - 2.0 * math.sqrt(f), 0.0))
 
 
-def rotation_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def rotate_state(state: GaussianState, theta: float) -> GaussianState:
     """Apply the phase-space rotation R(theta) to mean and covariance."""
-    rot = rotation_matrix(theta)
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
     return GaussianState(mean=rot @ state.mean, cov=rot @ state.cov @ rot.T)

@@ -98,6 +98,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"fig{figure} takes one 'omega0'"):
             parse_config(format_config(fig_defaults(figure)) + "omega0=1,2\n")
 
+    @pytest.mark.parametrize("figure, line", [(4, "T=0.2,0.5"),
+                                              (5, "phi=0.05,0.1")])
+    def test_second_sweep_value_rejected(self, figure, line):
+        # fig4 runs at its first T and fig5 at its first phi: a second value
+        # was read by no runner and wrote no column
+        key = line.partition("=")[0]
+        with pytest.raises(ValueError, match=f"fig{figure} takes one '{key}' value, got 2"):
+            parse_config(format_config(fig_defaults(figure)) + line + "\n")
+
     def test_empty_displacement_box_rejected(self):
         with pytest.raises(ValueError, match="beta_max must be > 0"):
             parse_config(format_config(fig_defaults(3)) + "beta_max=0\n")

@@ -49,7 +49,7 @@ from gaussnm.measure import (
     _locate_extrema,
 )
 from gaussnm.spectral import EnvironmentSpec
-from gaussnm.states import fidelity, fidelity_arrays
+from gaussnm.states import args_moments, fidelity, fidelity_arrays, pair_moments
 from interval_oracle import _sign_intervals
 
 RATE = DampingRateSpec.decaying_sine()
@@ -458,6 +458,116 @@ class TestBatchedTrajectories:
             assert np.array_equal(traj.fidelities, lone.fidelities)
             assert traj.extrema == lone.extrema
             assert measure_from_trajectory(traj) == measure_from_trajectory(lone)
+
+
+# 0.5 (sin t + 0.2) on [0, 20]: three gamma < 0 intervals, x > 0 throughout
+SINE_TIMES = np.linspace(0.0, 20.0, 2001)
+SINE_TABLE = DampingRateSpec.from_table(SINE_TIMES, 0.5 * (np.sin(SINE_TIMES) + 0.2))
+
+
+def mixed_pairs(rng, count):
+    """Random displaced squeezed thermal pairs with n >= 0.05.
+
+    Near a pure state the fidelity kernel re-derives det V - 1/4 from
+    rounded entries, which moves F by up to ~1e-8 (``TestPureStatePrecision``
+    in test_states.py); these pairs keep that error out of 1e-12 bounds.
+    """
+    def draw(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    return [StatePairParams(n1=draw(0.05, 2.0), n2=draw(0.05, 2.0),
+                            r1=draw(0.0, 1.5), r2=draw(0.0, 1.5),
+                            phi1=draw(0.0, 2.0 * math.pi), phi2=draw(0.0, 2.0 * math.pi),
+                            beta1_mag=draw(0.0, 2.0), beta2_mag=draw(0.0, 2.0),
+                            theta1=draw(0.0, 2.0 * math.pi),
+                            theta2=draw(0.0, 2.0 * math.pi))
+            for _ in range(count)]
+
+
+class TestEdgeRoute:
+    """N of exact damping from the interval edges, against the grid route."""
+
+    @pytest.mark.parametrize("rate, times, edges", [
+        pytest.param(RATE, np.linspace(0.0, 25.0, 2001), True, id="decaying_sine"),
+        pytest.param(SINE_TABLE, SINE_TIMES, True, id="three_intervals"),
+        # [4, 17] starts inside the first interval and ends inside the third
+        pytest.param(SINE_TABLE, np.linspace(4.0, 17.0, 1301), True, id="window"),
+        # gamma < 0 from t = 0 drives x below 0: the evolved states are not
+        # physical, fidelity need not rise outside the intervals
+        pytest.param(DampingRateSpec.from_table(
+            SINE_TIMES[:1001], 0.5 * (np.sin(SINE_TIMES[:1001]) - 0.2)),
+            SINE_TIMES[:1001], False, id="x_below_zero"),
+    ])
+    def test_edges_match_grid_route(self, rate, times, edges):
+        channel = DampingChannel(alpha=0.3, rate=rate, t_max=float(times[-1]))
+        edge_maps = measure._edge_maps(channel, times)
+        assert (edge_maps is not None) == edges
+        pairs = mixed_pairs(np.random.default_rng(16), 40)
+        got = measure._pair_measures(pair_moments(pairs), channel, times,
+                                     channel.maps(times), edge_maps)
+        want = [measure_from_trajectory(fidelity_trajectory(p, channel, times))
+                for p in pairs]
+        assert max(want) > 1e-3
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_edges_of_a_window(self):
+        channel = DampingChannel(alpha=0.3, rate=SINE_TABLE, t_max=20.0)
+        m, c, n = measure._edge_maps(channel, np.linspace(4.0, 17.0, 1301))
+        (lo1, hi1), (lo2, hi2), (lo3, _) = SINE_TABLE.negativity_intervals(20.0)
+        assert np.array_equal(c, channel.maps([4.0, hi1, lo2, hi2, lo3, 17.0])[1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+           r=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+           angles=st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 4),
+           beta=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+           alpha=st.floats(0.01, 0.5),
+           rate=st.sampled_from([RATE, SINE_TABLE]))
+    def test_fidelity_rises_outside_intervals(self, n, r, angles, beta, alpha, rate):
+        # F(t) = G(x(t)) with G non-decreasing, so F may fall only where
+        # gamma < 0.  Mixed pairs only: see mixed_pairs.
+        pair = StatePairParams(n1=n[0], n2=n[1], r1=r[0], r2=r[1],
+                               phi1=angles[0], phi2=angles[1],
+                               beta1_mag=beta[0], beta2_mag=beta[1],
+                               theta1=angles[2], theta2=angles[3])
+        ts = SINE_TIMES
+        channel = DampingChannel(alpha=alpha, rate=rate, t_max=20.0)
+        df = np.diff(fidelity_trajectory(pair, channel, ts).fidelities)
+        outside = np.ones(df.size, dtype=bool)
+        for lo, hi in rate.negativity_intervals(20.0):
+            outside &= (ts[1:] <= lo) | (ts[:-1] >= hi)
+        assert outside.sum() > 1000
+        assert df[outside].min() >= -1e-14
+
+
+class TestFamilyMoments:
+    @pytest.mark.parametrize("family, equal", [
+        ("squeezed", True), ("squeezed", False), ("general_pure", False)])
+    def test_moments_are_those_of_the_built_pairs(self, family, equal):
+        # phi and theta beyond 2 pi are reduced as StatePairParams does
+        dims, build, _, args = measure._family_space(family, ParamBounds(),
+                                                     7.5, equal)
+        rng = np.random.default_rng(17)
+        lo, hi = np.array(dims).T
+        vecs = rng.uniform(lo, hi, size=(25, len(dims)))
+        if family == "general_pure":
+            vecs[:, 1] += 2.0 * math.pi * rng.integers(1, 4, size=25)
+        got = args_moments([args(v) for v in vecs.tolist()])
+        want = pair_moments([build(v) for v in vecs])
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_empty_batch(self):
+        # the equal-squeezing family has no product grid: its first batch
+        # is empty
+        empty = args_moments([])
+        assert [a.shape for a in empty] == [(0, 2), (0, 2, 2), (0, 2), (0, 2, 2)]
+        channel = damping_channel(0.1)
+        ts = np.linspace(0.0, 25.0, 201)
+        for edge_maps in (measure._edge_maps(channel, ts), None):
+            assert measure._pair_measures(empty, channel, ts, channel.maps(ts),
+                                          edge_maps).shape == (0,)
 
 
 NM_OPTIONS = {"xatol": 1e-7, "fatol": 1e-13, "maxiter": 500}
