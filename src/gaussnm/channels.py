@@ -39,9 +39,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
+from ._spline import cubic_splines, cumulative_simpson
 from .spectral import ChannelCoefficients, _write_csv
 from .states import GaussianState, StatePairParams, _below_heisenberg, _det2
 
@@ -100,7 +99,7 @@ class DampingRateSpec:
                 raise ValueError("rate table times must increase from 0")
             object.__setattr__(self, "table_times", ts)
             object.__setattr__(self, "table_values", vs)
-            spline = CubicSpline(ts, vs)
+            spline, = cubic_splines(ts, vs)
             object.__setattr__(self, "_spline", spline)
             object.__setattr__(self, "_integral", spline.antiderivative())
 
@@ -171,7 +170,7 @@ class DampingRateSpec:
 def _negative_intervals(spline, t_end: float) -> list[tuple[float, float]]:
     """Maximal intervals of [0, t_end] where the spline is negative, cut at
     its exact roots; a root at a knot may come from both pieces, ulps apart."""
-    roots = spline.roots(extrapolate=False)  # a zero piece gives (start, NaN)
+    roots = spline.roots()
     inner = roots[(roots > 0.0) & (roots < t_end)]
     edges = np.unique(np.concatenate([[0.0, t_end], inner]))
     return [(float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])
@@ -216,14 +215,9 @@ class QbmPropagator:
         ts = coeffs.times
         self.t_end = float(ts[-1])
         self.alpha = coeffs.alpha
-        self.x = CubicSpline(ts, coeffs.x)
-        self.y = CubicSpline(ts, coeffs.y)
-        self.delta = CubicSpline(ts, coeffs.delta)
-        z = np.concatenate([
-            [0.0],
-            cumulative_simpson(coeffs.alpha * np.exp(coeffs.x) * coeffs.delta, x=ts),
-        ])
-        self.z = CubicSpline(ts, z)
+        z = cumulative_simpson(coeffs.alpha * np.exp(coeffs.x) * coeffs.delta, ts)
+        self.x, self.y, self.delta, self.z = cubic_splines(
+            ts, coeffs.x, coeffs.y, coeffs.delta, z)
 
     def check_t(self, t):
         t = np.asarray(t, float)

@@ -115,7 +115,7 @@ def _cmd_coeffs(args) -> int:
                                n_steps=args.n_steps)
     write_coefficients_csv(table, args.out)
     print(f"wrote {args.out} ({args.n_steps + 1} rows, "
-          f"kernel error estimate {table.kernel_abserr:.3g})")
+          f"kernel truncation bound {table.kernel_abserr:.3g})")
     return 0
 
 

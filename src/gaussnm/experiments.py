@@ -156,7 +156,14 @@ def parse_config(text: str) -> ExperimentConfig:
                 kwargs[f.name] = kind(raw)
         except ValueError:
             raise ValueError(f"{key} must be {_KINDS[kind]}, got {raw!r}") from None
-    return ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(**kwargs)
+    for key in ("channel", "family"):  # fixed per figure: a runner reads neither
+        if key in kwargs and cfg.experiment != "custom":
+            want = getattr(fig_defaults(int(cfg.experiment[3:])), key)
+            if kwargs[key] != want:
+                raise ValueError(f"{cfg.experiment} runs {key} {want!r}, "
+                                 f"got {kwargs[key]!r}")
+    return cfg
 
 
 def format_config(cfg: ExperimentConfig) -> str:

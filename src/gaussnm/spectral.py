@@ -6,10 +6,10 @@ cutoff).  The time-dependent master-equation coefficients are
     gamma(t) = int_0^t ds int_0^inf dw J(w) sin(w0 s) sin(w s)
     Delta(t) = int_0^t ds int_0^inf dw J(w) (N(w) + 1/2) cos(w0 s) cos(w s)
 
-with N(w) the thermal occupation.  The frequency integrals of the
-temperature-independent parts are closed forms; the thermal part is a
-cosine-weighted quadrature.  Delta splits as Delta_0 + Delta_T (zero-point
-plus thermal photons).
+with N(w) the thermal occupation.  The frequency integrals are closed
+forms: rational kernels for the temperature-independent parts and a
+trigamma for the thermal part.  Delta splits as Delta_0 + Delta_T
+(zero-point plus thermal photons).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad
+
+from ._spline import cumulative_simpson
 
 __all__ = [
     "EnvironmentSpec",
@@ -28,17 +29,15 @@ __all__ = [
     "divisibility_check",
     "write_coefficients_csv",
 ]
-# unexported: delta_zero_temperature and QuadratureError serve perfbench's T = 0 check
+# unexported: delta_zero_temperature serves perfbench's T = 0 check
 
-_REL_TOL = 1e-8
-
-
-class QuadratureError(RuntimeError):
-    """Raised when an adaptive quadrature cannot reach the target accuracy."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(f"{message} (error estimate {estimate:.3e})")
-        self.estimate = estimate
+# Bernoulli numbers B_2 .. B_16 of the trigamma asymptotic series
+# (Abramowitz & Stegun 6.4.12), and B_18, the first one left out
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+              -3617 / 510)
+_B18 = 43867 / 798
+_SHIFT = 12  # recurrence steps before the series, so |w| >= 13
+_GAUSS_POINTS = 20  # Gauss-Legendre nodes per panel of delta_zero_temperature
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,8 @@ class ChannelCoefficients:
     """Sampled gamma(t), Delta(t) and their cumulative exponents x(t), y(t).
 
     x(t) = 2 alpha int_0^t gamma, y(t) = 2 alpha int_0^t Delta, both zero at
-    t = 0.  ``kernel_abserr`` carries the worst thermal-kernel quadrature
-    error estimate for run summaries.
+    t = 0.  ``kernel_abserr`` carries the thermal kernel's series truncation
+    bound for run summaries.
     """
 
     times: np.ndarray
@@ -119,69 +118,46 @@ def _cos_kernel(s, a):
     return (a * a - s * s) / (a * a + s * s) ** 2
 
 
-def _thermal_occupancy_weight(w: float, t: float, omega_c: float) -> float:
-    """J(w) N(w) at one frequency, with the w -> 0 limit J N -> T.
+def _thermal_kernel(s, env: EnvironmentSpec) -> tuple[np.ndarray, float]:
+    """int_0^inf J(w) N(w) cos(w s) dw on an array of s, and its truncation bound.
 
-    QUADPACK calls this with plain floats.  It uses numpy's expm1/exp, not
-    ``math``'s: those differ by a few ulp, which would move the tabulated
-    values and the reported ``kernel_abserr``.  ``_omega_cut`` keeps w/T
-    below 38, so expm1 cannot overflow.
+    Expanding N(w) = sum_k e^{-k w/T} gives T^2 Re psi_1(z) with
+    z = 1 + T/w_c + i T s.  The trigamma takes _SHIFT steps of
+    psi_1(z) = psi_1(z + 1) + 1/z^2, then the asymptotic series
+    psi_1(w) ~ 1/w + 1/(2 w^2) + sum_k B_2k / w^(2k+1) at w = z + _SHIFT up to
+    B_16.  The bound is T^2 |B_18| / |w|^19, the first omitted term, at its
+    largest on the grid.
     """
-    if w <= 0.0:
-        return t
-    return float(w / np.expm1(w / t) * np.exp(-w / omega_c))
-
-
-def _omega_cut(env: EnvironmentSpec) -> float:
-    """Upper frequency limit of the thermal kernel (T > 0).
-
-    J(w) N(w) decays as exp(-w / tau) with tau = T w_c / (T + w_c), so the
-    cut scales with tau: the integrand's bulk, within a few tau of w = 0, is
-    never a sliver of the range, and w/T <= log(1e12) + 10 on the whole
-    range.
-    """
-    t, wc = env.temperature, env.omega_c
-    tau = t * wc / (t + wc)
-    return tau * math.log(1e12) + 10.0 * tau
-
-
-def thermal_cos_kernel(s: float, env: EnvironmentSpec) -> tuple[float, float]:
-    """int_0^inf J(w) N(w) cos(w s) dw and its quadrature error estimate."""
-    if env.temperature == 0.0:
-        return 0.0, 0.0
-    val, err = quad(
-        _thermal_occupancy_weight, 0.0, _omega_cut(env),
-        args=(env.temperature, env.omega_c),
-        weight="cos", wvar=float(s), limit=400, epsabs=1e-13, epsrel=1e-11,
-    )
-    return val, err
-
-
-def _check_quad(value: float, estimate: float, what: str) -> float:
-    # relative criterion with an absolute floor for near-zero values
-    if estimate > max(_REL_TOL * abs(value), 1e-9):
-        raise QuadratureError(f"{what} quadrature did not converge", estimate)
-    return value
+    t = env.temperature
+    z = 1.0 + t / env.omega_c + 1j * t * np.asarray(s, float)
+    w = z + _SHIFT
+    u = 1.0 / (w * w)
+    series = 0.0
+    for b in reversed(_BERNOULLI):
+        series = (series + b) * u
+    psi = (1.0 + 0.5 / w + series) / w
+    for k in reversed(range(_SHIFT)):
+        psi = psi + 1.0 / (z + k) ** 2
+    return t * t * psi.real, t * t * _B18 / float(np.min(np.abs(w))) ** 19
 
 
 def delta_zero_temperature(t: float, env: EnvironmentSpec) -> float:
-    """Zero-point diffusion Delta_0(t) (half-weighted cosine transform)."""
+    """Zero-point diffusion Delta_0(t) (half-weighted cosine transform).
+
+    Composite Gauss-Legendre on panels no wider than min(1/w_c, pi/w0): the
+    kernel's poles at s = +-i/w_c and the cosine's half period leave each
+    panel far more accurate than double precision.
+    """
     t = float(t)
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
     a = 1.0 / env.omega_c
-    val, err = quad(lambda s: 0.5 * _cos_kernel(s, a), 0.0, t, weight="cos",
-                    wvar=env.omega0, limit=400, epsabs=1e-13, epsrel=1e-11)
-    return _check_quad(val, err, "Delta_0(t)")
-
-
-def _cumulative(values: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    out[0] = 0.0
-    out[1:] = cumulative_simpson(values, x=ts)
-    return out
+    edges = np.linspace(0.0, t, math.ceil(t / min(a, math.pi / env.omega0)) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
+    s = edges[:-1, None] + half * (1.0 + nodes)
+    return float(np.sum(half * weights * 0.5 * _cos_kernel(s, a)
+                        * np.cos(env.omega0 * s)))
 
 
 def _table_grid(t_end: float, n_steps: int) -> np.ndarray:
@@ -195,8 +171,8 @@ def _table_grid(t_end: float, n_steps: int) -> np.ndarray:
 def _table(ts, gamma, delta, alpha: float, **extra) -> ChannelCoefficients:
     """Coefficient table with the exponents x = 2 alpha int gamma, y = 2 alpha int Delta."""
     return ChannelCoefficients(times=ts, gamma=gamma, delta=delta,
-                               x=_cumulative(2.0 * alpha * gamma, ts),
-                               y=_cumulative(2.0 * alpha * delta, ts),
+                               x=cumulative_simpson(2.0 * alpha * gamma, ts),
+                               y=cumulative_simpson(2.0 * alpha * delta, ts),
                                alpha=alpha, **extra)
 
 
@@ -213,12 +189,10 @@ def build_coefficients(env: EnvironmentSpec, alpha: float, t_end: float,
     dlt_rate = 0.5 * _cos_kernel(ts, a) * np.cos(env.omega0 * ts)
     kernel_abserr = 0.0
     if env.temperature > 0.0:
-        thermal = np.empty_like(ts)
-        for i, s in enumerate(ts):
-            thermal[i], err = thermal_cos_kernel(s, env)
-            kernel_abserr = max(kernel_abserr, err)
+        thermal, kernel_abserr = _thermal_kernel(ts, env)
         dlt_rate = dlt_rate + thermal * np.cos(env.omega0 * ts)
-    return _table(ts, _cumulative(gam_rate, ts), _cumulative(dlt_rate, ts),
+    return _table(ts, cumulative_simpson(gam_rate, ts),
+                  cumulative_simpson(dlt_rate, ts),
                   alpha, kernel_abserr=kernel_abserr, env=env)
 
 

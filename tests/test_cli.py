@@ -11,12 +11,12 @@ import pytest
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args, entry=("-m", "gaussnm.cli"), **kwargs):
     # the subprocess imports this checkout's package, whatever the caller's path
     path = [os.path.join(PKG_ROOT, "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
-        [sys.executable, "-m", "gaussnm.cli", *args],
+        [sys.executable, *entry, *args],
         capture_output=True, text=True, timeout=600, env=env, **kwargs,
     )
 
@@ -251,6 +251,23 @@ class TestReproduceCommand:
         proc = run_cli("reproduce", "--figure", "1", "--config", str(cfg),
                        "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("figure", [2, 4])
+    def test_runs_without_scipy(self, tmp_path, figure):
+        # numpy is the one runtime dependency: with scipy unimportable, any
+        # scipy import on the way to a written sweep fails this run
+        from gaussnm.experiments import fig_defaults, format_config
+
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(format_config(fig_defaults(figure)) + "n_steps=40\n"
+                       "traj_points=100\nalpha_points=1\nworkers=1\n")
+        no_scipy = ("-c", "import sys; sys.modules['scipy'] = None; "
+                    "from gaussnm.cli import main; sys.exit(main())")
+        out = tmp_path / "out"
+        proc = run_cli("reproduce", "--figure", str(figure), "--config", str(cfg),
+                       "--out", str(out), entry=no_scipy)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / f"fig{figure}.csv").is_file()
 
     def test_unwritable_out_dir_exits_4(self, tmp_path):
         if os.geteuid() == 0:

@@ -107,6 +107,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"fig{figure} takes one '{key}' value, got 2"):
             parse_config(format_config(fig_defaults(figure)) + line + "\n")
 
+    @pytest.mark.parametrize("figure, line", [
+        (1, "channel=qbm"), (1, "family=coherent"), (2, "channel=damping"),
+        (3, "channel=damping"), (3, "family=squeezed"), (5, "family=coherent")])
+    def test_ignored_key_rejected(self, figure, line):
+        # no runner reads channel or family: fig3 with channel=damping and
+        # family=squeezed still wrote the QBM coherent columns
+        key, _, value = line.partition("=")
+        with pytest.raises(ValueError, match=f"fig{figure} runs {key} .*, got '{value}'"):
+            parse_config(format_config(fig_defaults(figure)) + line + "\n")
+
     def test_empty_displacement_box_rejected(self):
         with pytest.raises(ValueError, match="beta_max must be > 0"):
             parse_config(format_config(fig_defaults(3)) + "beta_max=0\n")

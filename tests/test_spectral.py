@@ -12,14 +12,16 @@ from gaussnm import (
     divisibility_check,
     write_coefficients_csv,
 )
-from gaussnm.spectral import (
+from gaussnm import spectral
+from quad_oracle import (
     QuadratureError,
     _omega_cut,
     _thermal_occupancy_weight,
+    delta_coefficient,
+    delta_thermal,
     delta_zero_temperature,
-    thermal_cos_kernel,
+    gamma_coefficient,
 )
-from quad_oracle import delta_coefficient, delta_thermal, gamma_coefficient
 
 ENV_REF = EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=0.2)
 
@@ -132,6 +134,15 @@ class TestCoefficients:
             assert abs(d1) > 1.0  # away from zero crossings
             assert abs(d2 / d1 - 2.0) <= 0.02
 
+    @pytest.mark.parametrize("omega0, omega_c", [(4.0, 1.0), (1.0, 0.2)])
+    def test_gauss_legendre_delta_zero_matches_quadpack(self, omega0, omega_c):
+        # the package's Delta_0 (perfbench's T = 0 reference) against QAWO
+        env = EnvironmentSpec(omega0=omega0, omega_c=omega_c)
+        assert spectral.delta_zero_temperature(0.0, env) == 0.0
+        for t in (0.5, 2.0, 7.5, 13.0, 21.5, 29.0):
+            assert abs(spectral.delta_zero_temperature(t, env)
+                       - delta_zero_temperature(t, env)) <= 1e-12
+
     def test_low_temperature_insensitivity(self):
         env0 = EnvironmentSpec(omega0=1.0, omega_c=1.0, temperature=0.0)
         env = EnvironmentSpec(omega0=1.0, omega_c=1.0, temperature=1.0 / 20.0)
@@ -152,10 +163,14 @@ class TestThermalKernel:
         wc = 0.2
         t = ratio * wc
         env = EnvironmentSpec(omega0=1.0, omega_c=wc, temperature=t)
-        for s in np.linspace(0.0, 40.0, 41):
-            value, _ = thermal_cos_kernel(s, env)
+        ss = np.linspace(0.0, 40.0, 41)
+        values, bound = spectral._thermal_kernel(ss, env)
+        for s, value in zip(ss, values):
             ref = float(t * t * mpmath.re(mpmath.psi(1, 1 + t / wc - 1j * t * s)))
             assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+        # the first omitted series term, B_18 / w^19 at w = 13 + T / w_c
+        assert bound == pytest.approx(t * t * 43867 / 798 / (13 + ratio) ** 19)
+        assert bound < 1e-18 * values[0]
 
     def test_weight_at_zero_frequency(self):
         for t in (0.001, 0.2, 8.0):
@@ -204,6 +219,7 @@ class TestTables:
 
     def test_build_coefficients_matches_point_evaluations(self):
         table = build_coefficients(ENV_REF, alpha=0.05, t_end=10.0, n_steps=500)
+        assert 0.0 < table.kernel_abserr < 1e-20  # the series truncation bound
         for idx in (50, 200, 450):
             t = table.times[idx]
             assert table.gamma[idx] == pytest.approx(
