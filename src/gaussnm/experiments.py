@@ -156,14 +156,15 @@ def parse_config(text: str) -> ExperimentConfig:
                 kwargs[f.name] = kind(raw)
         except ValueError:
             raise ValueError(f"{key} must be {_KINDS[kind]}, got {raw!r}") from None
-    cfg = ExperimentConfig(**kwargs)
+    experiment = kwargs.get("experiment")
+    if experiment not in _RUNNERS:
+        raise ValueError(f"experiment must be one of {', '.join(_RUNNERS)}, "
+                         f"got {experiment!r}")
     for key in ("channel", "family"):  # fixed per figure: a runner reads neither
-        if key in kwargs and cfg.experiment != "custom":
-            want = getattr(fig_defaults(int(cfg.experiment[3:])), key)
-            if kwargs[key] != want:
-                raise ValueError(f"{cfg.experiment} runs {key} {want!r}, "
-                                 f"got {kwargs[key]!r}")
-    return cfg
+        want = getattr(fig_defaults(int(experiment[3:])), key)
+        if kwargs.setdefault(key, want) != want:
+            raise ValueError(f"{experiment} runs {key} {want!r}, got {kwargs[key]!r}")
+    return ExperimentConfig(**kwargs)
 
 
 def format_config(cfg: ExperimentConfig) -> str:

@@ -62,7 +62,9 @@ _GRID_POINTS = (0, 7, 7, 5)  # product-grid points per axis, by family dimension
 _CHORD_POINTS, _K_POINTS = 33, 129  # first-grid points of a chord, of the log K range
 _ZOOM_LEVELS, _ZOOM_POINTS = 7, 17  # zoom levels after a coarse 1-d grid
 _MAX_CHORDS = 8  # chord searches per family parameter, at most
-_BATCH_SAMPLES = 2 ** 18  # pairs x grid times per batch, bounds its memory
+# samples per block of a grid pass: 64 KiB temporaries stay under glibc's 128 KiB
+# mmap threshold, so the heap is reused, not grown and trimmed (page faults) per batch
+_BATCH_SAMPLES = 2 ** 13
 
 
 class UnsupportedShapeError(ValueError):
@@ -161,85 +163,91 @@ def squeezed_pair(r1: float, r2: float, phi: float) -> StatePairParams:
 def _filled_signs(df: np.ndarray) -> np.ndarray:
     """Signs of each row of df, zeros carried over from the nearest nonzero."""
     sgn = np.sign(df)
-    if sgn.all():
-        return sgn
-    nz = sgn != 0.0
-    idx = np.where(nz, np.arange(sgn.shape[1]), 0)
-    np.maximum.accumulate(idx, axis=1, out=idx)
-    # leading zeros take the row's first nonzero sign
-    idx = np.maximum(idx, np.argmax(nz, axis=1)[:, None])
-    return np.take_along_axis(sgn, idx, axis=1)
+    for r in np.flatnonzero(~sgn.all(axis=1)):  # rows with a zero difference
+        nz = np.flatnonzero(sgn[r])
+        if nz.size:  # a zero takes the nearest earlier nonzero sign, else the first
+            last = np.searchsorted(nz, np.arange(sgn.shape[1]), side="right") - 1
+            sgn[r] = sgn[r, nz[np.maximum(last, 0)]]
+    return sgn
 
 
-def _locate_extrema(ts: np.ndarray, fvals: np.ndarray, fid) -> list[list]:
-    """Refined (t, F, kind) of every grid extremum of each row of fvals (R, T).
+def _grid_extrema(ts: np.ndarray, count: int, fid):
+    """(row, t, F, kind) of the points of each of ``count`` rows, in order:
+    (ts[0], 0), its refined grid extrema (kind +1 or -1) and (ts[-1], 0).
 
-    Each sign change of a row's grid differences brackets one extremum in
-    [ts[i], ts[i + 2]].  The brackets of all rows are sampled on one
-    _SUBGRID-point sub-grid, the three-point parabolic vertex around each
-    bracket's best sample is evaluated in one more call, and it replaces
-    that sample only where it is better.  The vertex shift is clipped to
-    one sub-step so it stays inside the bracket when the best sample sits
-    at a bracket end.  ``fid(rows, t)`` evaluates F of the rows ``rows``
-    (B,) at times t (B, S), one row of t per bracket.  Returns one list of
-    extrema per row, in time order.
+    ``fid(rows)`` gives F on ts of a block of rows (a slice), at most
+    _BATCH_SAMPLES samples.  A sign change of a row's grid differences
+    brackets an extremum in [ts[i], ts[i + 2]].  All brackets are sampled on
+    one _SUBGRID-point sub-grid, then at the parabolic vertex around each
+    best sample (its shift clipped to one sub-step, inside the bracket),
+    which replaces that sample where better.  ``fid(rows, t)`` gives F of
+    the rows ``rows`` (B,) at times t (B, S), one row of t per bracket.
     """
-    out = [[] for _ in range(len(fvals))]
-    if ts.size < 3:
-        return out
-    df = np.diff(fvals, axis=1)
-    sgn = _filled_signs(df)
-    row, idx = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
-    keep = np.maximum(np.abs(df[row, idx]), np.abs(df[row, idx + 1])) >= _NOISE_FLOOR
-    row, idx = row[keep], idx[keep]
-    if idx.size == 0:
-        return out
-    kinds = np.where(sgn[row, idx] > 0, 1, -1)
-    lo, hi = ts[idx], ts[idx + 2]
-    step = (hi - lo) / (_SUBGRID - 1)
-    sub_t = lo[:, None] + step[:, None] * np.arange(_SUBGRID)
-    sub_f = fid(row, sub_t)
-    # signed so that every bracket is a maximization
-    signed = kinds[:, None] * sub_f
-    brackets = np.arange(idx.size)
-    best = np.argmax(signed, axis=1)
-    mid = np.clip(best, 1, _SUBGRID - 2)
-    f_m, f_0, f_p = (signed[brackets, mid + k] for k in (-1, 0, 1))
-    curv = f_m - 2.0 * f_0 + f_p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = np.where(curv < 0.0, 0.5 * (f_m - f_p) / curv, 0.0)
-    t_v = sub_t[brackets, mid] + np.clip(shift, -1.0, 1.0) * step
-    f_v = fid(row, t_v[:, None])[:, 0]
-    take = kinds * f_v > signed[brackets, best]
-    t_out = np.where(take, t_v, sub_t[brackets, best])
-    f_out = np.where(take, f_v, sub_f[brackets, best])
-    for r, t, f, k in zip(row, t_out, f_out, kinds):
-        out[r].append((float(t), float(f), int(k)))
-    return out
+    size = max(1, _BATCH_SAMPLES // ts.size)
+    ends, found = np.empty((count, 2)), [(np.zeros(0, dtype=int),) * 3]
+    for i in range(0, count, size):
+        fvals = fid(slice(i, i + size))
+        ends[i:i + size] = fvals[:, [0, -1]]
+        df = np.diff(fvals, axis=1)
+        sgn = _filled_signs(df)
+        row, idx = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
+        keep = np.maximum(np.abs(df[row, idx]), np.abs(df[row, idx + 1])) >= _NOISE_FLOOR
+        row, idx = row[keep], idx[keep]
+        found.append((row + i, idx, np.where(sgn[row, idx] > 0, 1, -1)))
+    row, idx, kinds = map(np.concatenate, zip(*found))
+    t_out = f_out = np.zeros(0)
+    if idx.size:
+        lo, hi = ts[idx], ts[idx + 2]
+        step = (hi - lo) / (_SUBGRID - 1)
+        sub_t = lo[:, None] + step[:, None] * np.arange(_SUBGRID)
+        sub_f = fid(row, sub_t)
+        # signed so that every bracket is a maximization
+        signed = kinds[:, None] * sub_f
+        brackets = np.arange(idx.size)
+        best = np.argmax(signed, axis=1)
+        mid = np.clip(best, 1, _SUBGRID - 2)
+        f_m, f_0, f_p = (signed[brackets, mid + k] for k in (-1, 0, 1))
+        curv = f_m - 2.0 * f_0 + f_p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = np.where(curv < 0.0, 0.5 * (f_m - f_p) / curv, 0.0)
+        t_v = sub_t[brackets, mid] + np.clip(shift, -1.0, 1.0) * step
+        f_v = fid(row, t_v[:, None])[:, 0]
+        take = kinds * f_v > signed[brackets, best]
+        t_out = np.where(take, t_v, sub_t[brackets, best])
+        f_out = np.where(take, f_v, sub_f[brackets, best])
+    rows, zero = np.arange(count), np.zeros(count, dtype=int)
+    order = np.argsort(np.concatenate([rows, row, rows]), kind="stable")
+    return tuple(np.concatenate(p)[order] for p in ((rows, row, rows),
+                 (np.full(count, ts[0]), t_out, np.full(count, ts[-1])),
+                 (ends[:, 0], f_out, ends[:, 1]), (zero, kinds, zero)))
 
 
-def _fidelity_trajectories(pairs, channel, ts: np.ndarray, grid_maps,
-                           moments=None) -> list[FidelityTrajectory]:
+def _fidelity_trajectories(pairs, channel, ts: np.ndarray,
+                           grid_maps) -> list[FidelityTrajectory]:
     """Fidelity trajectories of many pairs on the grid ts, in one batch.
 
-    ``grid_maps`` are the channel's maps on ts.  Given ``moments`` (their
-    ``pair_moments``), the pairs only label the trajectories.  The batch
-    costs one fidelity call on the grid, then one ``channel.maps`` call and
-    one fidelity call for the extremum sub-grids of all pairs, and one of
-    each for their vertices.  F is taken on the physical branch: the exact
-    QBM solution can dip a hair below the Heisenberg floor at finite
-    coupling, and the first-order maps do so by construction.
+    ``grid_maps`` are the channel's maps on ts.  The batch costs one
+    fidelity call on the grid, then one ``channel.maps`` call and one
+    fidelity call for the extremum sub-grids of all pairs, and one of each
+    for their vertices.  F is taken on the physical branch: the exact QBM
+    solution can dip a hair below the Heisenberg floor at finite coupling,
+    and the first-order maps do so by construction.
     """
-    means1, covs1, means2, covs2 = pair_moments(pairs) if moments is None else moments
+    means1, covs1, means2, covs2 = pair_moments(pairs)
 
     def fid(rows, t):
         return fidelity_arrays(means1[rows], covs1[rows], means2[rows], covs2[rows],
                                branch=True, maps=channel.maps(t))
 
     fvals = fidelity_arrays(means1, covs1, means2, covs2, branch=True, maps=grid_maps)
+    points = _grid_extrema(ts, len(fvals), lambda rows, t=None:
+                           fvals[rows] if t is None else fid(rows, t))
+    extrema = [[] for _ in pairs]
+    for r, *ext in zip(*(a[points[3] != 0].tolist() for a in points)):
+        extrema[r].append(tuple(ext))
     return [FidelityTrajectory(times=ts, fidelities=f, extrema=tuple(ext),
                                channel=channel.tag, params=pair)
-            for pair, f, ext in zip(pairs, fvals, _locate_extrema(ts, fvals, fid))]
+            for pair, f, ext in zip(pairs, fvals, extrema)]
 
 
 def fidelity_trajectory(pair: StatePairParams, channel, times) -> FidelityTrajectory:
@@ -352,27 +360,24 @@ def _coherent_optimum(channel, ts, grid_maps, k_max: float, ns) -> np.ndarray:
     falls where a_n rises, for every K, and each rise contributes
     e^{-K a_lo} - e^{-K a_hi}, peaking at its own K_I.  A row's optimum lies
     between its extreme K_I (inside [1e-9, k_max]), and is zoomed in on in
-    log K.  The extrema of all rows cost one ``_locate_extrema`` call.
+    log K.  The extrema of all rows cost one ``_grid_extrema`` call.
     """
     ns = np.asarray(ns, dtype=float)[:, None]
 
-    def a_of(maps, rows=slice(None)):
-        m, c, n = maps
+    def a_of(rows, t=None):  # a_n of the rows on the grid, or at times t
+        m, c, n = grid_maps if t is None else channel.maps(t)
         return m * m / ((2.0 * ns[rows] + 1.0) * c + 2.0 * n)
 
-    avals = a_of(grid_maps)
+    row, t, a, _ = _grid_extrema(ts, len(ns), a_of)
+    rise = (a[1:] > a[:-1]) & (t[1:] > t[:-1]) & (row[1:] == row[:-1])
     out = []
-    for a_row, extrema in zip(avals, _locate_extrema(
-            ts, avals, lambda rows, t: a_of(channel.maps(t), rows))):
-        pts = [(ts[0], a_row[0]), *((t, a) for t, a, _ in extrema),
-               (ts[-1], a_row[-1])]
-        rises = [(a_a, a_b) for (t_a, a_a), (t_b, a_b) in zip(pts[:-1], pts[1:])
-                 if a_b > a_a and t_b > t_a]
-        if not rises:
+    for i in range(len(ns)):
+        rises = rise & (row[1:] == i)
+        if not rises.any():
             out.append((0.0, 1.0))  # no backflow; K = 1 is the first-order optimum
             continue
-        a_lo, a_hi = np.array(rises).T
-        k_opt = np.clip([_k_optimum(lo, hi)[0] for lo, hi in rises], 1e-9, k_max)
+        a_lo, a_hi = a[:-1][rises], a[1:][rises]
+        k_opt = np.clip([_k_optimum(*r)[0] for r in zip(a_lo, a_hi)], 1e-9, k_max)
         k_lo, ratio = k_opt.min(), k_opt.max() / k_opt.min()
 
         def total(u):  # K = k_lo ratio^u, geometric in u on [0, 1]
@@ -400,15 +405,23 @@ def _edge_maps(channel, ts):
 
 def _pair_measures(moments, channel, ts, grid_maps, edge_maps) -> np.ndarray:
     """N of each pair of ``pair_moments`` ``moments``: one fidelity call at
-    ``_edge_maps``, or grid trajectories, _BATCH_SAMPLES samples a batch."""
+    ``_edge_maps``, else the blocked grid route of ``_grid_extrema``.  N adds
+    ``backflow_intervals``' drops by the builtin ``sum`` in time order, bit
+    for bit ``measure_from_trajectory``'s, with no trajectory built."""
     if edge_maps is not None and len(moments[0]):
         f = fidelity_arrays(*moments, branch=True, maps=edge_maps)
         return np.maximum(f[:, ::2] - f[:, 1::2], 0.0).sum(axis=1)
-    size = max(1, _BATCH_SAMPLES // ts.size)
-    return np.array([
-        measure_from_trajectory(traj) for i in range(0, len(moments[0]), size)
-        for traj in _fidelity_trajectories([None] * size, channel, ts, grid_maps,
-                                           [m[i:i + size] for m in moments])])
+
+    def fid(rows, t=None):  # F of the rows on the grid, or at times t
+        return fidelity_arrays(*(m[rows] for m in moments), branch=True,
+                               maps=grid_maps if t is None else channel.maps(t))
+
+    row, t, f, _ = _grid_extrema(ts, len(moments[0]), fid)
+    drop = f[:-1] - f[1:]
+    take = (drop > 0.0) & (t[1:] > t[:-1]) & (row[1:] == row[:-1])
+    drops = drop[take].tolist()
+    cuts = np.searchsorted(row[1:][take], np.arange(len(moments[0]) + 1)).tolist()
+    return np.array([sum(drops[a:b]) for a, b in zip(cuts, cuts[1:])], dtype=float)
 
 
 def _numeric_optimum(family: str, channel, ts, grid_maps, bounds, phi,
@@ -477,7 +490,8 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     (r1, r2) at fixed relative angle ``phi``, or to a single r with
     ``equal_squeezing``; the families with several parameters start from a
     coarse product grid.  On exact damping a pair costs two fidelity calls
-    per gamma < 0 interval (``_edge_maps``); ``intervals`` always come from
+    per gamma < 0 interval (``_edge_maps``), elsewhere one grid pass in
+    small blocks (``_pair_measures``); ``intervals`` always come from
     the argmax's trajectory on the grid.  A first-order channel whose |x| =
     |1 - c| exceeds FIRST_ORDER_X_LIMIT on the grid raises one
     ApproximationWarning.

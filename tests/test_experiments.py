@@ -117,6 +117,27 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"fig{figure} runs {key} .*, got '{value}'"):
             parse_config(format_config(fig_defaults(figure)) + line + "\n")
 
+    def test_omitted_channel_and_family_follow_the_figure(self, tmp_path):
+        # they were filled from the dataclass (damping, coherent), so a fig5
+        # summary recorded the wrong channel and family
+        cfg = parse_config("schema=1\nexperiment=fig5\n")
+        assert (cfg.channel, cfg.family) == ("qbm", "squeezed")
+        cfg = parse_config("schema=1\nexperiment=fig5\nalpha_points=1\n"
+                           "n_steps=40\ntraj_points=40\nT=0.3\nworkers=1\n")
+        _, summary = run_experiment(cfg, tmp_path)
+        with open(summary) as fh:
+            config = json.load(fh)["config"]
+        assert (config["channel"], config["family"]) == ("qbm", "squeezed")
+
+    @pytest.mark.parametrize("text", ["schema=1\nexperiment=custom\n",
+                                      "schema=1\nalpha_points=3\n",
+                                      "schema=1\nexperiment=fig6\n"])
+    def test_no_runnable_experiment_rejected(self, text):
+        # experiment=custom parsed, and then run_experiment raised
+        with pytest.raises(ValueError, match="experiment must be one of "
+                                             "fig1, fig2, fig3, fig4, fig5, got"):
+            parse_config(text)
+
     def test_empty_displacement_box_rejected(self):
         with pytest.raises(ValueError, match="beta_max must be > 0"):
             parse_config(format_config(fig_defaults(3)) + "beta_max=0\n")

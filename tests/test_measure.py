@@ -46,7 +46,7 @@ from gaussnm.experiments import _table, fig_defaults
 from gaussnm.measure import (
     _NOISE_FLOOR,
     NegativityInterval,
-    _locate_extrema,
+    _grid_extrema,
 )
 from gaussnm.spectral import EnvironmentSpec
 from gaussnm.states import args_moments, fidelity, fidelity_arrays, pair_moments
@@ -203,8 +203,10 @@ class TestExtremumRefinement:
 
 def located(fn, times):
     times = np.asarray(times, dtype=float)
-    extrema, = _locate_extrema(times, fn(times)[None], lambda rows, t: fn(t))
-    return extrema
+    fvals = fn(times)[None]
+    _, *points = _grid_extrema(times, 1, lambda rows, t=None:
+                               fvals[rows] if t is None else fn(t))
+    return [(t, f, kind) for t, f, kind in zip(*(p.tolist() for p in points)) if kind]
 
 
 class TestLocateExtremaEdges:
@@ -538,6 +540,89 @@ class TestEdgeRoute:
             outside &= (ts[1:] <= lo) | (ts[:-1] >= hi)
         assert outside.sum() > 1000
         assert df[outside].min() >= -1e-14
+
+
+# 0.5 (sin t - 0.2) on [0, 10]: x < 0 from t = 0, so exact damping's pair
+# searches fall back to the grid route
+X_BELOW_ZERO = DampingRateSpec.from_table(
+    SINE_TIMES[:1001], 0.5 * (np.sin(SINE_TIMES[:1001]) - 0.2))
+
+
+class TestGridRoute:
+    """The blocked grid route gives each pair's own trajectory's N, bit for bit."""
+
+    @staticmethod
+    def channel(kind, tables):
+        if kind == "x_below_zero":
+            return DampingChannel(alpha=0.3, rate=X_BELOW_ZERO, t_max=10.0)
+        return QbmChannel(tables[0.5].rescaled(0.1), mode=kind)
+
+    @pytest.mark.parametrize("kind", ["exact", "first_order", "x_below_zero"])
+    @pytest.mark.parametrize("times", [
+        pytest.param(np.linspace(0.0, 10.0, 2001), id="blocks"),
+        pytest.param(np.array([3.0, 6.0]), id="2points"),
+        pytest.param(np.array([0.0, 4.0, 8.0]), id="3points")])
+    def test_equals_lone_trajectories(self, fig3_tables, kind, times):
+        channel = self.channel(kind, fig3_tables)
+        pairs = mixed_pairs(np.random.default_rng(18), 11)
+        pairs[5] = StatePairParams()  # identical (r1 = r2 = 0): F = 1 up to rounding
+        pairs[9] = StatePairParams(beta1_mag=1e-7)  # F moves below _NOISE_FLOOR
+        trajs = [fidelity_trajectory(p, channel, times) for p in pairs]
+        if times.size == 2001:
+            rows = measure._BATCH_SAMPLES // times.size  # pairs per grid block
+            assert 2 * rows < len(pairs) and rows < 5 < 2 * rows - 1
+            assert len(trajs[5].extrema) == len(trajs[9].extrema) == 0
+            # several drops, so that their order in the sum counts
+            assert max(len(backflow_intervals(traj)) for traj in trajs) >= 2
+            if kind == "x_below_zero":
+                assert measure._edge_maps(channel, times) is None
+        want = [measure_from_trajectory(traj) for traj in trajs]
+        assert max(want) > 1e-4
+        got = measure._pair_measures(pair_moments(pairs), channel, times,
+                                     channel.maps(times), None)
+        assert got.tolist() == want
+
+    def test_step_back_in_time_is_no_drop(self):
+        # a peak (t = 5) and a dip (t = 7) inside one grid step: the first
+        # bracket's refined maximum of F comes after the second's minimum,
+        # and the fall of F between them runs back in time
+        knots = [3, 2.75, 2.5, 2.25, 2, 5, 2.5, 0.1, 2.5, 2.4, 2.3, 2.1, 2, 2.1,
+                 2.2, 2.3, 2.4]
+        channel, times = KnotChannel(knots), np.arange(0.0, 17.0, 4.0)
+        pair = coherent_pair(1.0)
+        traj = fidelity_trajectory(pair, channel, times)
+        assert [t for t, _, _ in traj.extrema] == [7.0, 5.0, 12.0]
+        want = measure_from_trajectory(traj)
+        assert want == pytest.approx(math.exp(-2.0) - math.exp(-2.4), rel=1e-12)
+        assert measure._pair_measures(pair_moments([pair]), channel, times,
+                                      channel.maps(times), None).tolist() == [want]
+
+    def test_filled_signs_row_by_row(self):
+        # under exact damping the identical pair r1 = r2 = 0 has F = 1
+        # exactly: its row of grid differences is all zeros, and the other
+        # rows keep their own signs
+        channel = damping_channel(0.1)
+        ts = np.linspace(0.0, 25.0, 501)
+        pairs = [squeezed_pair(1.0, 1.0, 0.1), squeezed_pair(0.0, 0.0, 0.1),
+                 coherent_pair(1.0), StatePairParams(n1=1.0)]
+        df = np.diff(fidelity_arrays(*pair_moments(pairs), branch=True,
+                                     maps=channel.maps(ts)), axis=1)
+        assert not df[1].any() and df[[0, 2, 3]].all()
+        signs = measure._filled_signs(df)
+        for row, alone in zip(signs, df):
+            assert np.array_equal(row, measure._filled_signs(alone[None])[0])
+
+    def test_filled_signs_oracle(self):
+        # a zero takes the sign of the nearest earlier nonzero, a leading
+        # zero that of the first; a row of zeros stays zero
+        df = np.random.default_rng(19).choice([-2.0, 0.0, 0.0, 3.0], size=(40, 9))
+        df[5], df[6, :4] = 0.0, 0.0
+        want = []
+        for row in df:
+            nz = np.flatnonzero(row)
+            want.append([np.sign(row[max((k for k in nz if k <= j), default=nz[0])])
+                         if nz.size else 0.0 for j in range(row.size)])
+        assert np.array_equal(measure._filled_signs(df), want)
 
 
 class TestFamilyMoments:
