@@ -26,7 +26,7 @@ print("wrote qbm_coefficients.csv")
 print("diffusion range: [%.4f, %.4f]" % (coeffs.delta.min(), coeffs.delta.max()))
 
 channel = QbmChannel(coeffs)
-intervals = channel.propagator.delta_negativity_intervals()
+intervals = coeffs.delta_negativity_intervals()
 print("diffusion-negativity intervals:",
       [(round(a, 3), round(b, 3)) for a, b in intervals])
 print("divisibility violations (Delta < |gamma|):",

@@ -37,7 +37,6 @@ from .measure import (
     first_order_coherent_thermal,
     first_order_squeezed,
     first_order_squeezed_max,
-    g1_squeezed,
     maximize_measure,
     measure_from_trajectory,
     measure_record,
@@ -48,7 +47,6 @@ from .spectral import (
     ChannelCoefficients,
     EnvironmentSpec,
     build_coefficients,
-    coefficients_from_functions,
     divisibility_check,
     write_coefficients_csv,
 )

@@ -33,10 +33,15 @@ class PiecewisePoly:
             z = z * s
         return out
 
-    def __call__(self, t):
+    def locate(self, t):
+        """(piece, offset in it) of each t: ``_local(*locate(t))`` is the
+        spline at t, so splines on the same knots share one search."""
         t = np.asarray(t, float)
         i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
-        return self._local(i, t - self.x[i])
+        return i, t - self.x[i]
+
+    def __call__(self, t):
+        return self._local(*self.locate(t))
 
     def antiderivative(self) -> "PiecewisePoly":
         """The exact antiderivative, zero at x[0]."""

@@ -172,7 +172,7 @@ def _negative_intervals(spline, t_end: float) -> list[tuple[float, float]]:
     its exact roots; a root at a knot may come from both pieces, ulps apart."""
     roots = spline.roots()
     inner = roots[(roots > 0.0) & (roots < t_end)]
-    edges = np.unique(np.concatenate([[0.0, t_end], inner]))
+    edges = np.concatenate([[0.0], inner, [t_end]])  # roots() sorts; repeats drop below
     return [(float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])
             if hi - lo > 1e-12 and spline(0.5 * (lo + hi)) < 0.0]
 
@@ -208,7 +208,9 @@ class QbmPropagator:
 
     Carries x(t), y(t) and z(t) = alpha int_0^t e^{x} Delta ds (Simpson on
     the table grid), so states can be evolved at arbitrary t within the
-    table range.
+    table range.  Delta's own spline and intervals belong to the table,
+    shared across couplings, so a propagator solves three columns and keeps
+    no reference to its table.
     """
 
     def __init__(self, coeffs: ChannelCoefficients):
@@ -216,16 +218,12 @@ class QbmPropagator:
         self.t_end = float(ts[-1])
         self.alpha = coeffs.alpha
         z = cumulative_simpson(coeffs.alpha * np.exp(coeffs.x) * coeffs.delta, ts)
-        self.x, self.y, self.delta, self.z = cubic_splines(
-            ts, coeffs.x, coeffs.y, coeffs.delta, z)
+        self.x, self.y, self.z = cubic_splines(ts, coeffs.x, coeffs.y, z)
 
     def check_t(self, t):
         t = np.asarray(t, float)
         if np.any(t < 0.0) or np.any(t > self.t_end * (1.0 + 1e-12)):
             raise ValueError(f"t outside the coefficient grid [0, {self.t_end:g}]")
-
-    def delta_negativity_intervals(self) -> list[tuple[float, float]]:
-        return _negative_intervals(self.delta, self.t_end)
 
 
 @lru_cache(maxsize=64)
@@ -299,11 +297,12 @@ class QbmChannel:
     def maps(self, ts):
         prop = self.propagator
         prop.check_t(ts)
-        x = prop.x(ts)
+        at = prop.x.locate(ts)  # x, y and z share the table's knots
+        x = prop.x._local(*at)
         if self.mode == "exact":
             u = np.exp(-x)
-            return np.sqrt(u), u, u * prop.z(ts)
-        return 1.0 - 0.5 * x, 1.0 - x, 0.5 * prop.y(ts)
+            return np.sqrt(u), u, u * prop.z._local(*at)
+        return 1.0 - 0.5 * x, 1.0 - x, 0.5 * prop.y._local(*at)
 
     def evolve(self, state: GaussianState, t: float) -> GaussianState:
         traj, = _trajectories([state], self, [t], None)
@@ -313,11 +312,9 @@ class QbmChannel:
 
     def exponent_backflows(self) -> list[tuple[float, float, float]]:
         """(t_plus, t_minus, y(t_plus) - y(t_minus)) per Delta < 0 interval."""
-        prop = self.propagator
-        out = []
-        for lo, hi in prop.delta_negativity_intervals():
-            out.append((lo, hi, float(prop.y(lo) - prop.y(hi))))
-        return out
+        y = self.propagator.y
+        return [(lo, hi, float(y(lo) - y(hi)))
+                for lo, hi in self.coeffs.delta_negativity_intervals()]
 
 
 @dataclass(frozen=True, eq=False)

@@ -357,6 +357,9 @@ def _run_qbm_sweep(cfg: ExperimentConfig, out_dir, name: str, specs,
     workers = _resolve_workers(cfg)
     w0 = cfg.omega0[0]
     tables = _tables(cfg, [(w0, tv) for _, tv, *_ in specs], workers)
+    if include_first_order:  # Delta's roots, found once here, ride in every task
+        for table in tables.values():
+            table.delta_negativity_intervals()
     tasks = [(_point, (cfg, QbmChannel(tables[w0, tv].rescaled(alpha)), family,
                        phi, eq, include_first_order))
              for (_, tv, family, phi, eq) in specs for alpha in cfg.alphas]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +46,6 @@ __all__ = [
     "closed_form_coherent_qbm",
     "first_order_coherent",
     "first_order_coherent_thermal",
-    "g1_squeezed",
     "squeezed_response",
     "damping_response",
     "first_order_squeezed",
@@ -171,7 +171,7 @@ def _filled_signs(df: np.ndarray) -> np.ndarray:
     return sgn
 
 
-def _grid_extrema(ts: np.ndarray, count: int, fid):
+def _grid_extrema(ts: np.ndarray, count: int, fid, maps_of):
     """(row, t, F, kind) of the points of each of ``count`` rows, in order:
     (ts[0], 0), its refined grid extrema (kind +1 or -1) and (ts[-1], 0).
 
@@ -180,8 +180,10 @@ def _grid_extrema(ts: np.ndarray, count: int, fid):
     brackets an extremum in [ts[i], ts[i + 2]].  All brackets are sampled on
     one _SUBGRID-point sub-grid, then at the parabolic vertex around each
     best sample (its shift clipped to one sub-step, inside the bracket),
-    which replaces that sample where better.  ``fid(rows, t)`` gives F of
-    the rows ``rows`` (B,) at times t (B, S), one row of t per bracket.
+    which replaces that sample where better.  ``fid(rows, maps)`` gives F of
+    the rows ``rows`` (B,) from maps (B, S) of ``maps_of(t)``, one row of
+    times t per bracket.  Brackets of many rows share a start i, so the
+    sub-grid maps are taken once per distinct start and gathered per bracket.
     """
     size = max(1, _BATCH_SAMPLES // ts.size)
     ends, found = np.empty((count, 2)), [(np.zeros(0, dtype=int),) * 3]
@@ -197,10 +199,11 @@ def _grid_extrema(ts: np.ndarray, count: int, fid):
     row, idx, kinds = map(np.concatenate, zip(*found))
     t_out = f_out = np.zeros(0)
     if idx.size:
-        lo, hi = ts[idx], ts[idx + 2]
-        step = (hi - lo) / (_SUBGRID - 1)
+        starts, at = np.unique(idx, return_inverse=True)
+        lo = ts[starts]
+        step = (ts[starts + 2] - lo) / (_SUBGRID - 1)
         sub_t = lo[:, None] + step[:, None] * np.arange(_SUBGRID)
-        sub_f = fid(row, sub_t)
+        sub_f = fid(row, tuple(m[at] for m in maps_of(sub_t)))
         # signed so that every bracket is a maximization
         signed = kinds[:, None] * sub_f
         brackets = np.arange(idx.size)
@@ -210,10 +213,10 @@ def _grid_extrema(ts: np.ndarray, count: int, fid):
         curv = f_m - 2.0 * f_0 + f_p
         with np.errstate(divide="ignore", invalid="ignore"):
             shift = np.where(curv < 0.0, 0.5 * (f_m - f_p) / curv, 0.0)
-        t_v = sub_t[brackets, mid] + np.clip(shift, -1.0, 1.0) * step
-        f_v = fid(row, t_v[:, None])[:, 0]
+        t_v = sub_t[at, mid] + np.clip(shift, -1.0, 1.0) * step[at]
+        f_v = fid(row, maps_of(t_v[:, None]))[:, 0]
         take = kinds * f_v > signed[brackets, best]
-        t_out = np.where(take, t_v, sub_t[brackets, best])
+        t_out = np.where(take, t_v, sub_t[at, best])
         f_out = np.where(take, f_v, sub_f[brackets, best])
     rows, zero = np.arange(count), np.zeros(count, dtype=int)
     order = np.argsort(np.concatenate([rows, row, rows]), kind="stable")
@@ -235,13 +238,14 @@ def _fidelity_trajectories(pairs, channel, ts: np.ndarray,
     """
     means1, covs1, means2, covs2 = pair_moments(pairs)
 
-    def fid(rows, t):
+    def fid(rows, maps):
         return fidelity_arrays(means1[rows], covs1[rows], means2[rows], covs2[rows],
-                               branch=True, maps=channel.maps(t))
+                               branch=True, maps=maps)
 
     fvals = fidelity_arrays(means1, covs1, means2, covs2, branch=True, maps=grid_maps)
-    points = _grid_extrema(ts, len(fvals), lambda rows, t=None:
-                           fvals[rows] if t is None else fid(rows, t))
+    points = _grid_extrema(ts, len(fvals), lambda rows, maps=None:
+                           fvals[rows] if maps is None else fid(rows, maps),
+                           channel.maps)
     extrema = [[] for _ in pairs]
     for r, *ext in zip(*(a[points[3] != 0].tolist() for a in points)):
         extrema[r].append(tuple(ext))
@@ -364,11 +368,11 @@ def _coherent_optimum(channel, ts, grid_maps, k_max: float, ns) -> np.ndarray:
     """
     ns = np.asarray(ns, dtype=float)[:, None]
 
-    def a_of(rows, t=None):  # a_n of the rows on the grid, or at times t
-        m, c, n = grid_maps if t is None else channel.maps(t)
+    def a_of(rows, maps=None):  # a_n of the rows on the grid, or from maps
+        m, c, n = grid_maps if maps is None else maps
         return m * m / ((2.0 * ns[rows] + 1.0) * c + 2.0 * n)
 
-    row, t, a, _ = _grid_extrema(ts, len(ns), a_of)
+    row, t, a, _ = _grid_extrema(ts, len(ns), a_of, channel.maps)
     rise = (a[1:] > a[:-1]) & (t[1:] > t[:-1]) & (row[1:] == row[:-1])
     out = []
     for i in range(len(ns)):
@@ -412,11 +416,11 @@ def _pair_measures(moments, channel, ts, grid_maps, edge_maps) -> np.ndarray:
         f = fidelity_arrays(*moments, branch=True, maps=edge_maps)
         return np.maximum(f[:, ::2] - f[:, 1::2], 0.0).sum(axis=1)
 
-    def fid(rows, t=None):  # F of the rows on the grid, or at times t
+    def fid(rows, maps=None):  # F of the rows on the grid, or from maps
         return fidelity_arrays(*(m[rows] for m in moments), branch=True,
-                               maps=grid_maps if t is None else channel.maps(t))
+                               maps=grid_maps if maps is None else maps)
 
-    row, t, f, _ = _grid_extrema(ts, len(moments[0]), fid)
+    row, t, f, _ = _grid_extrema(ts, len(moments[0]), fid, channel.maps)
     drop = f[:-1] - f[1:]
     take = (drop > 0.0) & (t[1:] > t[:-1]) & (row[1:] == row[:-1])
     drops = drop[take].tolist()
@@ -580,7 +584,7 @@ def closed_form_coherent_qbm(coeffs: ChannelCoefficients,
     prop.check_t([tp, tm])
     if not tp < tm:
         raise ValueError("interval must satisfy t_plus < t_minus")
-    if float(prop.delta(0.5 * (tp + tm))) >= 0.0:
+    if float(coeffs.delta_spline()(0.5 * (tp + tm))) >= 0.0:
         raise UnsupportedShapeError(
             "interval is not a diffusion-negativity interval"
         )
@@ -627,20 +631,6 @@ def first_order_coherent_thermal(n: float, channel) -> float:
     if n < 0.0:
         raise ValueError("thermal occupation must be >= 0")
     return first_order_coherent(channel) / (2.0 * n + 1.0)
-
-
-def g1_squeezed(r: float, phi: float) -> float:
-    """State coefficient 8 cosh(2r) (k - sqrt(k)) / k^2 for equal squeezing.
-
-    k(r, phi) = 3 + cos(phi) + cosh(4r)(1 - cos(phi)).  Printed first-order
-    coefficient for squeezed pairs under damping; its r -> 0 limit is 1
-    even though identical states carry no backflow, so the exact response
-    (damping_response) is authoritative at small r.
-    """
-    if r < 0.0:
-        raise ValueError("squeezing magnitude must be >= 0")
-    k = 3.0 + math.cos(phi) + math.cosh(4.0 * r) * (1.0 - math.cos(phi))
-    return 8.0 * math.cosh(2.0 * r) * (k - math.sqrt(k)) / k ** 2
 
 
 def _pure_response(r1: float, r2: float, phi: float, dc: float,
@@ -707,12 +697,19 @@ def first_order_squeezed(channel, r1: float, r2: float, phi: float) -> float:
 def first_order_squeezed_max(channel, phi: float,
                              r_max: float = 5.0) -> tuple[float, float]:
     """(measure, argmax r) of the first-order squeezed law, r1 = r2 = r."""
+    r_star, response = _equal_response_max(phi, channel.response_direction, r_max)
+    return response * _total_backflow(channel), r_star
+
+
+@lru_cache(maxsize=64)
+def _equal_response_max(phi: float, direction: tuple, r_max: float):
+    """(r, response) of the largest equal-squeezing response: it does not
+    depend on the coupling, so a sweep zooms once per key and process."""
     def responses(rs):
-        return np.array([_pure_response(r, r, phi, *channel.response_direction)
-                         for r in rs])
+        return np.array([_pure_response(r, r, phi, *direction) for r in rs])
 
     r_star, response, _ = _zoom_max(responses, 0.0, r_max, _CHORD_POINTS)
-    return response * _total_backflow(channel), r_star
+    return r_star, response
 
 
 # ---------------------------------------------------------------------------

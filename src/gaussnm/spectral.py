@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._spline import cumulative_simpson
+from ._spline import PiecewisePoly, cubic_splines, cumulative_simpson
 
 __all__ = [
     "EnvironmentSpec",
     "ChannelCoefficients",
     "build_coefficients",
-    "coefficients_from_functions",
     "divisibility_check",
     "write_coefficients_csv",
 ]
@@ -66,7 +65,9 @@ class ChannelCoefficients:
 
     x(t) = 2 alpha int_0^t gamma, y(t) = 2 alpha int_0^t Delta, both zero at
     t = 0.  ``kernel_abserr`` carries the thermal kernel's series truncation
-    bound for run summaries.
+    bound for run summaries.  Delta's spline and negativity intervals do not
+    depend on alpha: each is built at most once, when first asked for, and
+    shared by the table and all its ``rescaled`` copies (pickles included).
     """
 
     times: np.ndarray
@@ -91,19 +92,38 @@ class ChannelCoefficients:
         if not float(self.alpha) > 0.0:
             raise ValueError("alpha must be positive")
         object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "_delta_view", {})  # see delta_spline
 
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
 
     def rescaled(self, alpha: float) -> "ChannelCoefficients":
-        """Same table at a different coupling (x and y scale with alpha)."""
+        """Same table at a different coupling: x and y scale with alpha, and
+        Delta's spline and intervals, built or not, are shared unchanged."""
         scale = alpha / self.alpha
-        return ChannelCoefficients(times=self.times, gamma=self.gamma,
-                                   delta=self.delta, x=scale * self.x,
-                                   y=scale * self.y, alpha=alpha,
-                                   kernel_abserr=self.kernel_abserr,
-                                   env=self.env)
+        out = ChannelCoefficients(times=self.times, gamma=self.gamma,
+                                  delta=self.delta, x=scale * self.x,
+                                  y=scale * self.y, alpha=alpha,
+                                  kernel_abserr=self.kernel_abserr, env=self.env)
+        object.__setattr__(out, "_delta_view", self._delta_view)
+        return out
+
+    def delta_spline(self) -> PiecewisePoly:
+        """Cubic spline of Delta(t) on the table's times."""
+        view = self._delta_view
+        if "spline" not in view:
+            view["spline"], = cubic_splines(self.times, self.delta)
+        return view["spline"]
+
+    def delta_negativity_intervals(self) -> list[tuple[float, float]]:
+        """Maximal intervals of [0, t_end] where Delta(t) < 0, cut at the
+        spline's exact roots."""
+        view = self._delta_view
+        if "intervals" not in view:
+            from .channels import _negative_intervals  # channels imports this module
+            view["intervals"] = _negative_intervals(self.delta_spline(), self.t_end)
+        return list(view["intervals"])
 
 
 def _sin_kernel(s, a):
@@ -160,22 +180,6 @@ def delta_zero_temperature(t: float, env: EnvironmentSpec) -> float:
                         * np.cos(env.omega0 * s)))
 
 
-def _table_grid(t_end: float, n_steps: int) -> np.ndarray:
-    if not t_end > 0.0:
-        raise ValueError("t_end must be positive")
-    if n_steps < 2:
-        raise ValueError("n_steps must be >= 2")
-    return np.linspace(0.0, float(t_end), int(n_steps) + 1)
-
-
-def _table(ts, gamma, delta, alpha: float, **extra) -> ChannelCoefficients:
-    """Coefficient table with the exponents x = 2 alpha int gamma, y = 2 alpha int Delta."""
-    return ChannelCoefficients(times=ts, gamma=gamma, delta=delta,
-                               x=cumulative_simpson(2.0 * alpha * gamma, ts),
-                               y=cumulative_simpson(2.0 * alpha * delta, ts),
-                               alpha=alpha, **extra)
-
-
 def build_coefficients(env: EnvironmentSpec, alpha: float, t_end: float,
                        n_steps: int) -> ChannelCoefficients:
     """Tabulate gamma, Delta, x, y on a uniform grid of n_steps intervals.
@@ -183,7 +187,11 @@ def build_coefficients(env: EnvironmentSpec, alpha: float, t_end: float,
     The time integrals are composite Simpson over the sampled integrands,
     so the cumulative columns are O(h^4) accurate in the grid spacing.
     """
-    ts = _table_grid(t_end, n_steps)
+    if not t_end > 0.0:
+        raise ValueError("t_end must be positive")
+    if n_steps < 2:
+        raise ValueError("n_steps must be >= 2")
+    ts = np.linspace(0.0, float(t_end), int(n_steps) + 1)
     a = 1.0 / env.omega_c
     gam_rate = _sin_kernel(ts, a) * np.sin(env.omega0 * ts)
     dlt_rate = 0.5 * _cos_kernel(ts, a) * np.cos(env.omega0 * ts)
@@ -191,18 +199,11 @@ def build_coefficients(env: EnvironmentSpec, alpha: float, t_end: float,
     if env.temperature > 0.0:
         thermal, kernel_abserr = _thermal_kernel(ts, env)
         dlt_rate = dlt_rate + thermal * np.cos(env.omega0 * ts)
-    return _table(ts, cumulative_simpson(gam_rate, ts),
-                  cumulative_simpson(dlt_rate, ts),
-                  alpha, kernel_abserr=kernel_abserr, env=env)
-
-
-def coefficients_from_functions(gamma_fn, delta_fn, alpha: float, t_end: float,
-                                n_steps: int) -> ChannelCoefficients:
-    """Tabulate user-supplied gamma(t), Delta(t) callables (test hook)."""
-    ts = _table_grid(t_end, n_steps)
-    gamma = np.asarray([float(gamma_fn(t)) for t in ts])
-    delta = np.asarray([float(delta_fn(t)) for t in ts])
-    return _table(ts, gamma, delta, alpha)
+    gamma, delta = cumulative_simpson(gam_rate, ts), cumulative_simpson(dlt_rate, ts)
+    return ChannelCoefficients(times=ts, gamma=gamma, delta=delta,
+                               x=cumulative_simpson(2.0 * alpha * gamma, ts),
+                               y=cumulative_simpson(2.0 * alpha * delta, ts),
+                               alpha=alpha, kernel_abserr=kernel_abserr, env=env)
 
 
 def divisibility_check(coeffs: ChannelCoefficients) -> list[tuple[float, float]]:

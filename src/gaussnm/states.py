@@ -75,15 +75,6 @@ class GaussianState:
         c = self.cov
         return float(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
 
-    @property
-    def is_physical(self) -> bool:
-        c = self.cov
-        return (
-            abs(c[0, 1] - c[1, 0]) <= EPS_TOL
-            and c[0, 0] > 0.0
-            and not _below_heisenberg(c)
-        )
-
 
 def _normalize_angle(theta: float) -> float:
     return float(theta) % TWO_PI

@@ -1,0 +1,44 @@
+"""Small helpers that only the tests call: stub coefficient tables, the
+paper's printed squeezing coefficient and a state physicality check."""
+
+import math
+
+import numpy as np
+
+from gaussnm._spline import cumulative_simpson
+from gaussnm.spectral import ChannelCoefficients
+from gaussnm.states import EPS_TOL, _below_heisenberg
+
+
+def coefficients_from_functions(gamma_fn, delta_fn, alpha: float, t_end: float,
+                                n_steps: int) -> ChannelCoefficients:
+    """Tabulate gamma(t), Delta(t) callables on the grid and with the
+    Simpson exponents of ``build_coefficients``."""
+    ts = np.linspace(0.0, float(t_end), int(n_steps) + 1)
+    gamma = np.asarray([float(gamma_fn(t)) for t in ts])
+    delta = np.asarray([float(delta_fn(t)) for t in ts])
+    return ChannelCoefficients(times=ts, gamma=gamma, delta=delta,
+                               x=cumulative_simpson(2.0 * alpha * gamma, ts),
+                               y=cumulative_simpson(2.0 * alpha * delta, ts),
+                               alpha=alpha)
+
+
+def g1_squeezed(r: float, phi: float) -> float:
+    """State coefficient 8 cosh(2r) (k - sqrt(k)) / k^2 for equal squeezing.
+
+    k(r, phi) = 3 + cos(phi) + cosh(4r)(1 - cos(phi)).  Printed first-order
+    coefficient for squeezed pairs under damping; its r -> 0 limit is 1
+    even though identical states carry no backflow, so the exact response
+    (damping_response) is authoritative at small r.
+    """
+    if r < 0.0:
+        raise ValueError("squeezing magnitude must be >= 0")
+    k = 3.0 + math.cos(phi) + math.cosh(4.0 * r) * (1.0 - math.cos(phi))
+    return 8.0 * math.cosh(2.0 * r) * (k - math.sqrt(k)) / k ** 2
+
+
+def is_physical(state) -> bool:
+    """Symmetric, positive and not below the Heisenberg bound (with slack)."""
+    c = state.cov
+    return (abs(c[0, 1] - c[1, 0]) <= EPS_TOL and c[0, 0] > 0.0
+            and not _below_heisenberg(c))

@@ -23,13 +23,13 @@ from gaussnm import (
     fidelity_trajectory,
     first_order_coherent,
     first_order_coherent_thermal,
-    g1_squeezed,
     make_gaussian,
     maximize_measure,
 )
 from gaussnm.experiments import fig_defaults, run_experiment
 from gaussnm.spectral import EnvironmentSpec
 from fock_oracle import fock_fidelity, fock_gaussian
+from helpers import g1_squeezed
 from quad_oracle import delta_coefficient, delta_thermal, gamma_coefficient
 
 RATE = DampingRateSpec.decaying_sine()
@@ -193,7 +193,7 @@ def test_criterion_06_qbm_interval_alignment(qbm_base):
     worst = 0.0
     for alpha in (0.01, 0.05):
         channel = QbmChannel(qbm_base.rescaled(alpha))
-        roots = [t for iv in channel.propagator.delta_negativity_intervals()
+        roots = [t for iv in channel.coeffs.delta_negativity_intervals()
                  for t in iv]
         traj = fidelity_trajectory(coherent_pair(1.0), channel,
                                    np.linspace(0.0, 40.0, 2001))

@@ -12,7 +12,6 @@ from gaussnm import (
     QbmChannel,
     StatePairParams,
     build_coefficients,
-    coefficients_from_functions,
     damping_x,
     make_gaussian,
     rotate_state,
@@ -21,6 +20,7 @@ from gaussnm import (
 )
 from gaussnm.spectral import EnvironmentSpec
 from gaussnm.states import _det2, fidelity_arrays
+from helpers import coefficients_from_functions
 
 RATE = DampingRateSpec.decaying_sine()
 

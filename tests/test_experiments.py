@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import os
 from dataclasses import replace
 
+import gaussnm.channels as channels
 import gaussnm.experiments as experiments
 
 import numpy as np
@@ -15,7 +17,7 @@ from gaussnm.experiments import (
     parse_config,
     run_experiment,
 )
-from gaussnm.spectral import EnvironmentSpec, build_coefficients
+from gaussnm.spectral import ChannelCoefficients, EnvironmentSpec, build_coefficients
 
 
 def read_csv(path):
@@ -219,6 +221,16 @@ class TestFig2:
         table = build_coefficients(env, alpha=1.0, t_end=cfg.t_end, n_steps=400)
         assert np.allclose(data["delta_omega0_4_T0"], table.delta, atol=1e-12)
 
+    def test_builds_no_delta_spline(self, tmp_path, monkeypatch):
+        # the coefficient curves need no Delta roots: a table computes its
+        # spline and intervals only when asked
+        def refuse(*args):
+            raise AssertionError("fig2 asked for Delta's spline or roots")
+
+        monkeypatch.setattr(channels, "_negative_intervals", refuse)
+        monkeypatch.setattr(ChannelCoefficients, "delta_spline", refuse)
+        assert run_experiment(tiny_config(2, workers=1), tmp_path)
+
     def test_negative_regions_pattern(self, tmp_path):
         # far from resonance the low-T curve keeps negative regions; close
         # to resonance they shrink
@@ -309,6 +321,22 @@ class TestDeterminismAndWorkers:
         s1, s2 = (json.load(open(p[1])) for p in (p1, p2))
         assert (s1["config"].pop("workers"), s2["config"].pop("workers")) == (1, 2)
         assert s1 == s2
+
+    def test_pool_workers_repeat_no_root_search(self, tmp_path, monkeypatch):
+        # the sweep finds each table's Delta intervals before the fan-out,
+        # so the forked workers unpickle them and never search again
+        parent, original = os.getpid(), channels._negative_intervals
+
+        def parent_only(spline, t_end):
+            if os.getpid() != parent:
+                raise AssertionError("a pool worker searched Delta's roots")
+            return original(spline, t_end)
+
+        monkeypatch.setattr(channels, "_negative_intervals", parent_only)
+        p1 = run_experiment(tiny_config(4, workers=2), tmp_path / "pool")
+        monkeypatch.undo()
+        p2 = run_experiment(tiny_config(4, workers=1), tmp_path / "serial")
+        assert open(p1[0], "rb").read() == open(p2[0], "rb").read()
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GAUSSNM_THREADS", "1")

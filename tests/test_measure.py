@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import warnings
 from contextlib import nullcontext
 from dataclasses import replace
@@ -24,7 +25,6 @@ from gaussnm import (
     build_coefficients,
     closed_form_coherent_damping,
     closed_form_coherent_qbm,
-    coefficients_from_functions,
     coherent_pair,
     damping_response,
     fidelity_trajectory,
@@ -32,7 +32,6 @@ from gaussnm import (
     first_order_coherent_thermal,
     first_order_squeezed,
     first_order_squeezed_max,
-    g1_squeezed,
     make_gaussian,
     maximize_measure,
     measure_from_trajectory,
@@ -41,7 +40,7 @@ from gaussnm import (
     squeezed_response,
     trajectory,
 )
-from gaussnm import measure
+from gaussnm import channels, measure
 from gaussnm.experiments import _table, fig_defaults
 from gaussnm.measure import (
     _NOISE_FLOOR,
@@ -50,6 +49,7 @@ from gaussnm.measure import (
 )
 from gaussnm.spectral import EnvironmentSpec
 from gaussnm.states import args_moments, fidelity, fidelity_arrays, pair_moments
+from helpers import coefficients_from_functions, g1_squeezed
 from interval_oracle import _sign_intervals
 
 RATE = DampingRateSpec.decaying_sine()
@@ -204,9 +204,38 @@ class TestExtremumRefinement:
 def located(fn, times):
     times = np.asarray(times, dtype=float)
     fvals = fn(times)[None]
-    _, *points = _grid_extrema(times, 1, lambda rows, t=None:
-                               fvals[rows] if t is None else fn(t))
+    _, *points = _grid_extrema(times, 1, lambda rows, maps=None:
+                               fvals[rows] if maps is None else fn(*maps),
+                               lambda t: (t,))
     return [(t, f, kind) for t, f, kind in zip(*(p.tolist() for p in points)) if kind]
+
+
+def refine_bracket(fn, times):
+    """(t, F, kind) of each grid extremum of fn, one bracket at a time, by
+    the rule of ``_grid_extrema`` written out for a single row."""
+    f = fn(times)
+    df = np.diff(f)
+    sgn = measure._filled_signs(df[None])[0]
+    out = []
+    for i in range(df.size - 1):
+        if sgn[i] * sgn[i + 1] >= 0 or max(abs(df[i]), abs(df[i + 1])) < _NOISE_FLOOR:
+            continue
+        kind = 1 if sgn[i] > 0 else -1
+        step = (times[i + 2] - times[i]) / (measure._SUBGRID - 1)
+        sub_t = times[i] + step * np.arange(measure._SUBGRID)
+        signed = kind * fn(sub_t)
+        best = int(np.argmax(signed))
+        mid = min(max(best, 1), measure._SUBGRID - 2)
+        f_m, f_0, f_p = signed[mid - 1], signed[mid], signed[mid + 1]
+        curv = f_m - 2.0 * f_0 + f_p
+        shift = 0.5 * (f_m - f_p) / curv if curv < 0.0 else 0.0
+        t_v = sub_t[mid] + min(max(shift, -1.0), 1.0) * step
+        f_v = fn(np.array([t_v]))[0]
+        if kind * f_v > signed[best]:
+            out.append((float(t_v), float(f_v), kind))
+        else:
+            out.append((float(sub_t[best]), float(kind * signed[best]), kind))
+    return out
 
 
 class TestLocateExtremaEdges:
@@ -415,12 +444,39 @@ class TestNegativityIntervals:
     def test_delta_intervals_match_sampled_oracle(self, fig3_tables):
         for table in fig3_tables.values():
             for alpha in (0.05, 0.1):
-                prop = QbmChannel(table.rescaled(alpha)).propagator
-                exact = prop.delta_negativity_intervals()
-                oracle = _sign_intervals(prop.delta.x, prop.delta(prop.delta.x),
-                                         prop.delta)
+                rescaled = table.rescaled(alpha)
+                spline = rescaled.delta_spline()
+                exact = rescaled.delta_negativity_intervals()
+                oracle = _sign_intervals(spline.x, spline(spline.x), spline)
                 assert len(exact) == len(oracle) >= 2
                 assert np.allclose(exact, oracle, rtol=0.0, atol=1e-12)
+
+    def test_delta_intervals_found_once_per_table(self, monkeypatch):
+        # Delta does not depend on alpha: a table and its rescaled copies
+        # share one root search, which a pickled channel carries with it
+        calls = []
+        original = channels._negative_intervals
+
+        def counted(spline, t_end):
+            calls.append(t_end)
+            return original(spline, t_end)
+
+        monkeypatch.setattr(channels, "_negative_intervals", counted)
+        for temp in (0.2, 0.5):  # the fig3 tables, built afresh
+            table = build_coefficients(EnvironmentSpec(1.0, 0.2, temp), alpha=1.0,
+                                       t_end=40.0, n_steps=400)
+            early = table.rescaled(0.02)  # before the search
+            want = table.delta_negativity_intervals()
+            assert len(want) >= 2 and len(calls) == 1
+            for alpha in (0.01, 0.05, 0.1):
+                assert table.rescaled(alpha).delta_negativity_intervals() == want
+            assert early.delta_negativity_intervals() == want
+            clone = pickle.loads(pickle.dumps(QbmChannel(table.rescaled(0.1))))
+            assert clone.coeffs.delta_negativity_intervals() == want
+            assert clone.exponent_backflows() == QbmChannel(
+                table.rescaled(0.1)).exponent_backflows()
+            assert len(calls) == 1
+            calls.clear()
 
 
 class KnotChannel:
@@ -581,6 +637,46 @@ class TestGridRoute:
         got = measure._pair_measures(pair_moments(pairs), channel, times,
                                      channel.maps(times), None)
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("times", [
+        pytest.param(np.linspace(0.0, 10.0, 2001), id="blocks"),
+        pytest.param(np.array([3.0, 6.0]), id="2points"),
+        pytest.param(np.array([0.0, 4.0, 8.0]), id="3points")])
+    def test_sub_grid_maps_once_per_bracket_start(self, times):
+        # rows 0-2 and 5 have the same brackets, rows 3 and 4 others: the
+        # sub-grid asks for one row of maps per distinct bracket start, and
+        # every bracket's refinement equals a bracket-by-bracket search
+        funcs = [np.cos, lambda t: 2.0 * np.cos(t) + 1.0, lambda t: 0.5 * np.cos(t),
+                 lambda t: np.cos(t - 0.7), lambda t: np.sin(2.3 * t),
+                 lambda t: -np.cos(t)]
+        fvals = np.array([f(times) for f in funcs])
+        asked = []
+
+        def maps_of(t):
+            asked.append(t)
+            return (t,)
+
+        def fid(rows, maps=None):
+            if maps is None:
+                return fvals[rows]
+            return np.array([funcs[r](t) for r, t in zip(rows, maps[0])])
+
+        row, t, f, kind = _grid_extrema(times, len(funcs), fid, maps_of)
+        brute = [refine_bracket(funcs[r], times) for r in range(len(funcs))]
+        got = [[(tt, ff, k) for rr, tt, ff, k in zip(row.tolist(), t.tolist(),
+                                                      f.tolist(), kind.tolist())
+                if rr == r and k] for r in range(len(funcs))]
+        assert got == brute
+        brackets = sum(map(len, brute))
+        if times.size == 2:
+            assert brackets == 0 and asked == []
+            return
+        starts = {float(t0) for t0 in asked[0][:, 0]}
+        assert len(asked) == 2 and asked[0].shape == (len(starts), measure._SUBGRID)
+        assert asked[1].shape == (brackets, 1)
+        if times.size == 2001:
+            assert 5 < len(starts) < brackets  # some starts shared, not all
+            assert got[0] != [] and got[3] != [] and got[0][0][0] != got[3][0][0]
 
     def test_step_back_in_time_is_no_drop(self):
         # a peak (t = 5) and a dip (t = 7) inside one grid step: the first
@@ -1062,7 +1158,7 @@ class TestClosedFormDamping:
 class TestClosedFormQbm:
     def test_cross_validates_numeric_optimizer(self, qbm_base):
         channel = qbm_channel(qbm_base, 0.05)
-        intervals = channel.propagator.delta_negativity_intervals()
+        intervals = channel.coeffs.delta_negativity_intervals()
         closed = closed_form_coherent_qbm(channel.coeffs, intervals[0])
         numeric = maximize_measure("coherent", channel,
                                    times=np.linspace(0.0, 40.0, 2001))
@@ -1090,7 +1186,7 @@ class TestClosedFormQbm:
                                             alpha=0.05, t_end=1.5 * math.pi,
                                             n_steps=1500)
         channel = QbmChannel(table)
-        (iv,) = channel.propagator.delta_negativity_intervals()
+        (iv,) = channel.coeffs.delta_negativity_intervals()
         closed = closed_form_coherent_qbm(table, iv)
         assert closed.value > 0.0
         numeric = maximize_measure("coherent", channel,
@@ -1104,7 +1200,7 @@ class TestClosedFormQbm:
         table = coefficients_from_functions(
             lambda t: 1.0, lambda t: 2.0 - 2.2 * math.exp(-(t - 5.0) ** 2),
             alpha=0.5, t_end=10.0, n_steps=1000)
-        (iv,) = QbmChannel(table).propagator.delta_negativity_intervals()
+        (iv,) = QbmChannel(table).coeffs.delta_negativity_intervals()
         res = closed_form_coherent_qbm(table, iv)
         assert res.value == 0.0
         assert res.diagnostics["P"] > 0.0

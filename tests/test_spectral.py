@@ -8,11 +8,11 @@ from scipy.integrate import quad
 from gaussnm import (
     EnvironmentSpec,
     build_coefficients,
-    coefficients_from_functions,
     divisibility_check,
     write_coefficients_csv,
 )
 from gaussnm import spectral
+from helpers import coefficients_from_functions
 from quad_oracle import (
     QuadratureError,
     _omega_cut,
