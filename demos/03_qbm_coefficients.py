@@ -30,7 +30,7 @@ intervals = coeffs.delta_negativity_intervals()
 print("diffusion-negativity intervals:",
       [(round(a, 3), round(b, 3)) for a, b in intervals])
 print("divisibility violations (Delta < |gamma|):",
-      len(divisibility_check(coeffs)), "grid intervals")
+      len(divisibility_check(coeffs)), "intervals")
 
 numeric = maximize_measure("coherent", channel,
                            times=np.linspace(0.0, 40.0, 2001))

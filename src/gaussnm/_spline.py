@@ -1,10 +1,12 @@
 """Cubic splines and cumulative Simpson integration on numpy alone.
 
-``cubic_splines`` builds not-a-knot cubic splines, one per column, from one
-tridiagonal solve for the slopes.  ``PiecewisePoly`` evaluates a spline,
-gives its exact antiderivative and finds its real roots.
-``cumulative_simpson`` is the composite Simpson rule of unequal intervals.
-The arithmetic follows scipy's ``CubicSpline``, ``PPoly`` and
+``hermite_splines`` builds cubic pieces through given knot values and
+slopes.  ``cubic_splines`` builds not-a-knot cubic splines, one per
+column: one tridiagonal solve for the slopes, then ``hermite_splines``.
+``PiecewisePoly`` evaluates a spline, gives its exact antiderivative and
+finds its real roots.  ``cumulative_simpson`` is the composite Simpson rule
+of unequal intervals.  The arithmetic follows scipy's
+``CubicHermiteSpline``, ``CubicSpline``, ``PPoly`` and
 ``cumulative_simpson`` step by step, so the results agree with scipy's to
 rounding; they are bit for bit the same where LAPACK's tridiagonal solver
 does not pivot, as on a uniform grid.
@@ -90,20 +92,25 @@ class PiecewisePoly:
 def cubic_splines(x, *columns) -> list[PiecewisePoly]:
     """Not-a-knot cubic splines through each column on the knots ``x``: a
     straight line on 2 knots, the parabola on 3, as scipy's CubicSpline."""
-    x = np.asarray(x, float)
-    y = np.stack([np.asarray(col, float) for col in columns], axis=1)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("spline knots and values must be finite")
+    x, y = np.asarray(x, float), np.array(columns, float)
     dx = np.diff(x)[:, None]
-    slope = np.diff(y, axis=0) / dx
-    if x.size == 2:
-        s = np.vstack([slope, slope])
-    else:
-        s = _slopes(x, dx, slope)
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
-    return [PiecewisePoly(x, np.ascontiguousarray(c[..., j]))
-            for j in range(y.shape[1])]
+    slope = np.diff(y.T, axis=0) / dx
+    s = np.vstack([slope, slope]) if x.size == 2 else _slopes(x, dx, slope)
+    return hermite_splines(x, y, s.T)
+
+
+def hermite_splines(x, values, slopes) -> list[PiecewisePoly]:
+    """Cubic Hermite splines on the knots ``x``, one per row of ``values``
+    with the knot slopes of the same row of ``slopes``: each piece's
+    coefficients in closed form, no solve, as scipy's CubicHermiteSpline."""
+    x, y, s = (np.asarray(a, float) for a in (x, values, slopes))
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(s).all()):
+        raise ValueError("spline knots, values and slopes must be finite")
+    dx = np.diff(x)
+    slope = np.diff(y, axis=1) / dx
+    t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+    c = np.stack([t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], y[:, :-1]], axis=1)
+    return [PiecewisePoly(x, cj) for cj in c]
 
 
 def _slopes(x, dx, slope) -> np.ndarray:

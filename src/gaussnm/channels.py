@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._spline import cubic_splines, cumulative_simpson
+from ._spline import cubic_splines, cumulative_simpson, hermite_splines
 from .spectral import ChannelCoefficients, _write_csv
 from .states import GaussianState, StatePairParams, _below_heisenberg, _det2
 
@@ -208,17 +208,21 @@ class QbmPropagator:
 
     Carries x(t), y(t) and z(t) = alpha int_0^t e^{x} Delta ds (Simpson on
     the table grid), so states can be evolved at arbitrary t within the
-    table range.  Delta's own spline and intervals belong to the table,
-    shared across couplings, so a propagator solves three columns and keeps
-    no reference to its table.
+    table range.  Each is a cubic Hermite spline through the table values
+    with the exact knot slopes x' = 2 alpha gamma, y' = 2 alpha Delta and
+    z' = alpha e^{x} Delta, so a build solves nothing.  Delta's own spline
+    and intervals belong to the table, shared across couplings, and a
+    propagator keeps no reference to its table.
     """
 
     def __init__(self, coeffs: ChannelCoefficients):
         ts = coeffs.times
         self.t_end = float(ts[-1])
         self.alpha = coeffs.alpha
-        z = cumulative_simpson(coeffs.alpha * np.exp(coeffs.x) * coeffs.delta, ts)
-        self.x, self.y, self.z = cubic_splines(ts, coeffs.x, coeffs.y, z)
+        dz, a2 = coeffs.alpha * np.exp(coeffs.x) * coeffs.delta, 2.0 * coeffs.alpha
+        self.x, self.y, self.z = hermite_splines(
+            ts, [coeffs.x, coeffs.y, cumulative_simpson(dz, ts)],
+            [a2 * coeffs.gamma, a2 * coeffs.delta, dz])
 
     def check_t(self, t):
         t = np.asarray(t, float)

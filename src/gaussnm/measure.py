@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import (
+    DampingChannel,
     DampingRateSpec,
     QbmChannel,
     damping_x,
@@ -30,7 +31,7 @@ from .channels import (
     _warn_first_order,
 )
 from .spectral import ChannelCoefficients
-from .states import StatePairParams, args_moments, fidelity_arrays, pair_moments
+from .states import StatePairParams, args_moments, fidelity_arrays
 
 __all__ = [
     "UnsupportedShapeError",
@@ -160,15 +161,47 @@ def squeezed_pair(r1: float, r2: float, phi: float) -> StatePairParams:
     return StatePairParams(r1=r1, r2=r2, phi1=phi, phi2=0.0)
 
 
-def _filled_signs(df: np.ndarray) -> np.ndarray:
-    """Signs of each row of df, zeros carried over from the nearest nonzero."""
-    sgn = np.sign(df)
-    for r in np.flatnonzero(~sgn.all(axis=1)):  # rows with a zero difference
-        nz = np.flatnonzero(sgn[r])
-        if nz.size:  # a zero takes the nearest earlier nonzero sign, else the first
-            last = np.searchsorted(nz, np.arange(sgn.shape[1]), side="right") - 1
-            sgn[r] = sgn[r, nz[np.maximum(last, 0)]]
-    return sgn
+def _frame(args):
+    """An undisplaced pair's ``_args()`` in its own frame: the state of larger
+    (r, n) first (the second on a tie) at phase 0, the other at the phase
+    difference.  A joint rotation, a reflection and an exchange of the
+    states commute with every channel and keep F; exchange and reflection
+    are exact in ``args_moments`` and ``fidelity_arrays``, so pairs that
+    differ by them and a rotation, as squeezed_pair(r1, r2, phi) and
+    squeezed_pair(r2, r1, phi) do, score bit for bit alike.  Near a pure
+    state F is ill-conditioned in det(V) - 1/4, which rounds differently in
+    a rotated covariance.  A displaced pair keeps its frame."""
+    a, b = args
+    if a[3] or b[3]:
+        return args
+    if (b[1], b[0]) >= (a[1], a[0]):
+        a, b = b, a
+    return (a[0], a[1], 0.0, a[3]), (b[0], b[1], b[2] - a[2], b[3])
+
+
+def _filled_signs(up: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """``up`` (each row's rising steps), in place, with every ``flat`` (zero)
+    step taking the nearest earlier nonzero step's direction, else the
+    first's; only rows with a zero step are touched."""
+    for r in np.flatnonzero(flat.any(axis=1)):
+        nz = np.flatnonzero(~flat[r])
+        if nz.size:  # a row of zero steps rises nowhere and so turns nowhere
+            last = np.searchsorted(nz, np.arange(up.shape[1]), side="right") - 1
+            up[r] = up[r, nz[np.maximum(last, 0)]]
+    return up
+
+
+def _brackets(fvals: np.ndarray):
+    """(row, i, kind) of each turn of the rows of fvals between the steps i
+    and i + 1 (kind +1 after a rise, -1 after a fall) where either step
+    reaches _NOISE_FLOOR; found by comparing values, not differencing."""
+    low, high = fvals[:, :-1], fvals[:, 1:]
+    up = _filled_signs(high > low, high == low)
+    row, idx = np.nonzero(up[:, 1:] != up[:, :-1])
+    f0, f1, f2 = (fvals[row, idx + k] for k in range(3))
+    keep = np.maximum(np.abs(f1 - f0), np.abs(f2 - f1)) >= _NOISE_FLOOR
+    row, idx = row[keep], idx[keep]
+    return row, idx, np.where(up[row, idx], 1, -1)
 
 
 def _grid_extrema(ts: np.ndarray, count: int, fid, maps_of):
@@ -176,7 +209,7 @@ def _grid_extrema(ts: np.ndarray, count: int, fid, maps_of):
     (ts[0], 0), its refined grid extrema (kind +1 or -1) and (ts[-1], 0).
 
     ``fid(rows)`` gives F on ts of a block of rows (a slice), at most
-    _BATCH_SAMPLES samples.  A sign change of a row's grid differences
+    _BATCH_SAMPLES samples.  A turn of a row after step i (``_brackets``)
     brackets an extremum in [ts[i], ts[i + 2]].  All brackets are sampled on
     one _SUBGRID-point sub-grid, then at the parabolic vertex around each
     best sample (its shift clipped to one sub-step, inside the bracket),
@@ -190,12 +223,8 @@ def _grid_extrema(ts: np.ndarray, count: int, fid, maps_of):
     for i in range(0, count, size):
         fvals = fid(slice(i, i + size))
         ends[i:i + size] = fvals[:, [0, -1]]
-        df = np.diff(fvals, axis=1)
-        sgn = _filled_signs(df)
-        row, idx = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
-        keep = np.maximum(np.abs(df[row, idx]), np.abs(df[row, idx + 1])) >= _NOISE_FLOOR
-        row, idx = row[keep], idx[keep]
-        found.append((row + i, idx, np.where(sgn[row, idx] > 0, 1, -1)))
+        row, idx, kinds = _brackets(fvals)
+        found.append((row + i, idx, kinds))
     row, idx, kinds = map(np.concatenate, zip(*found))
     t_out = f_out = np.zeros(0)
     if idx.size:
@@ -234,9 +263,10 @@ def _fidelity_trajectories(pairs, channel, ts: np.ndarray,
     fidelity call for the extremum sub-grids of all pairs, and one of each
     for their vertices.  F is taken on the physical branch: the exact QBM
     solution can dip a hair below the Heisenberg floor at finite coupling,
-    and the first-order maps do so by construction.
+    and the first-order maps do so by construction.  Each pair is scored in
+    its ``_frame``.
     """
-    means1, covs1, means2, covs2 = pair_moments(pairs)
+    means1, covs1, means2, covs2 = args_moments([_frame(p._args()) for p in pairs])
 
     def fid(rows, maps):
         return fidelity_arrays(means1[rows], covs1[rows], means2[rows], covs2[rows],
@@ -288,21 +318,29 @@ _FAMILIES = ("coherent", "squeezed", "coherent_thermal", "general_pure")
 def _zoom_max(f, lo: float, hi: float, points: int) -> tuple[float, float, float]:
     """(x, f(x), best value of the first grid) of a batched zoom of [lo, hi].
 
-    ``f`` maps an array of abscissae to their values.  A ``points``-point
-    grid over [lo, hi] is followed by _ZOOM_LEVELS levels of _ZOOM_POINTS
-    points, each spanning one previous step either side of the best x.
+    ``f`` maps an array of abscissae to their values, each independent of
+    the others in the array.  A ``points``-point grid over [lo, hi] is
+    followed by _ZOOM_LEVELS levels of _ZOOM_POINTS points, each spanning
+    one previous step either side of the best x.  A level's centre and ends
+    are often points scored before, and no point scored before beats the
+    best value, so a level sends ``f`` only the points it has not scored.
     """
     xs = np.linspace(lo, hi, points)
     vals = f(xs)
     j = int(np.argmax(vals))
     best_x, best_val, coarse = xs[j], vals[j], vals[j]
+    scored = set(xs[max(j - 1, 0):j + 2].tolist())  # all of the grid the first level spans
     for _ in range(_ZOOM_LEVELS):
         half = xs[1] - xs[0]
         xs = np.linspace(max(lo, best_x - half), min(hi, best_x + half), _ZOOM_POINTS)
-        vals = f(xs)
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_x, best_val = xs[j], vals[j]
+        keys = xs.tolist()
+        new = xs[[x not in scored for x in keys]]
+        if new.size:  # else a zero-width box, all one point
+            scored.update(keys)
+            vals = f(new)
+            j = int(np.argmax(vals))
+            if vals[j] > best_val:
+                best_x, best_val = new[j], vals[j]
     return float(best_x), float(best_val), float(coarse)
 
 
@@ -355,7 +393,8 @@ def _k_optimum(a_lo: float, a_hi: float) -> tuple[float, float]:
     return k, max(math.exp(-k * a_lo) - math.exp(-k * a_hi), 0.0)
 
 
-def _coherent_optimum(channel, ts, grid_maps, k_max: float, ns) -> np.ndarray:
+def _coherent_optimum(channel, ts, grid_maps, edge_maps, k_max: float,
+                      ns) -> np.ndarray:
     """(N, K) of coherent-thermal pairs at each occupation in ns, one row each.
 
     Two displaced thermal states with one occupation n share one isotropic
@@ -364,7 +403,10 @@ def _coherent_optimum(channel, ts, grid_maps, k_max: float, ns) -> np.ndarray:
     falls where a_n rises, for every K, and each rise contributes
     e^{-K a_lo} - e^{-K a_hi}, peaking at its own K_I.  A row's optimum lies
     between its extreme K_I (inside [1e-9, k_max]), and is zoomed in on in
-    log K.  The extrema of all rows cost one ``_grid_extrema`` call.
+    log K.  On exact damping a_n = 1 / (2n + e^{x})
+    rises exactly on the gamma < 0 intervals, so the rises are read at
+    ``_edge_maps``' edges; elsewhere the extrema of all rows cost one
+    ``_grid_extrema`` call.
     """
     ns = np.asarray(ns, dtype=float)[:, None]
 
@@ -372,15 +414,21 @@ def _coherent_optimum(channel, ts, grid_maps, k_max: float, ns) -> np.ndarray:
         m, c, n = grid_maps if maps is None else maps
         return m * m / ((2.0 * ns[rows] + 1.0) * c + 2.0 * n)
 
-    row, t, a, _ = _grid_extrema(ts, len(ns), a_of, channel.maps)
-    rise = (a[1:] > a[:-1]) & (t[1:] > t[:-1]) & (row[1:] == row[:-1])
+    if edge_maps is None:
+        row, t, a, _ = _grid_extrema(ts, len(ns), a_of, channel.maps)
+        rise = (a[1:] > a[:-1]) & (t[1:] > t[:-1]) & (row[1:] == row[:-1])
+        row, lows, highs = row[1:][rise], a[:-1][rise], a[1:][rise]
+    else:  # a at t+_I, t-_I of each interval I, in time order
+        a = a_of(slice(None), edge_maps)
+        rise = a[:, 1::2] > a[:, ::2]
+        row, lows, highs = np.nonzero(rise)[0], a[:, ::2][rise], a[:, 1::2][rise]
     out = []
     for i in range(len(ns)):
-        rises = rise & (row[1:] == i)
+        rises = row == i
         if not rises.any():
             out.append((0.0, 1.0))  # no backflow; K = 1 is the first-order optimum
             continue
-        a_lo, a_hi = a[:-1][rises], a[1:][rises]
+        a_lo, a_hi = lows[rises], highs[rises]
         k_opt = np.clip([_k_optimum(*r)[0] for r in zip(a_lo, a_hi)], 1e-9, k_max)
         k_lo, ratio = k_opt.min(), k_opt.max() / k_opt.min()
 
@@ -399,7 +447,7 @@ def _edge_maps(channel, ts):
     is exact damping by x2 - x1, CPTP, so F = G(x) with G non-decreasing and
     N(pair) = sum_I max(F(t+_I) - F(t-_I), 0) if x >= 0 (physical states):
     c = e^{-x} <= 1 is checked where x is least, at ts[0] and each t-_I."""
-    if channel.tag != "damping" or channel.mode != "exact":
+    if not isinstance(channel, DampingChannel) or channel.mode != "exact":
         return None
     edges = [max(t, ts[0]) for iv in channel.rate.negativity_intervals(ts[-1])
              if iv[1] > ts[0] for t in iv] or [ts[0], ts[0]]  # no I: N = 0
@@ -428,23 +476,23 @@ def _pair_measures(moments, channel, ts, grid_maps, edge_maps) -> np.ndarray:
     return np.array([sum(drops[a:b]) for a, b in zip(cuts, cuts[1:])], dtype=float)
 
 
-def _numeric_optimum(family: str, channel, ts, grid_maps, bounds, phi,
-                     equal_squeezing):
+def _numeric_optimum(family: str, channel, ts, grid_maps, edge_maps, bounds,
+                     phi, equal_squeezing):
     """(N, argmax, diagnostics) of a family by batched chord zooms.
 
     Each batch is one ``_pair_measures`` call on moments built straight from
-    the search vectors (only the argmax is built).  From the best point of a
-    coarse product grid, or from the lower end of a one-parameter box,
-    ``_zoom_max`` searches the box's chords through the best point along the
-    family's directions in turn, until every direction has been searched
-    from the current best without improving it (at most _MAX_CHORDS each).
+    the search vectors, each pair in its ``_frame`` (only the argmax is
+    built).  From the best point of a coarse product grid, or from the
+    lower end of a one-parameter box, ``_zoom_max`` searches the box's
+    chords through the best point along the family's directions in turn,
+    until every direction has been searched from the current best without
+    improving it (at most _MAX_CHORDS each).
     """
     dims, build, dirs, args = _family_space(family, bounds, phi, equal_squeezing)
     lo, hi = np.array(dims).T
-    edge_maps = _edge_maps(channel, ts)
 
     def measures(vecs) -> np.ndarray:
-        mom = args_moments([args(v) for v in np.clip(vecs, lo, hi).tolist()])
+        mom = args_moments([_frame(args(v)) for v in np.clip(vecs, lo, hi).tolist()])
         return _pair_measures(mom, channel, ts, grid_maps, edge_maps)
 
     n_per_dim = _GRID_POINTS[len(dims) - 1]
@@ -493,9 +541,9 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     batched chord zooms (``"numeric_opt"``): squeezed pairs reduce to
     (r1, r2) at fixed relative angle ``phi``, or to a single r with
     ``equal_squeezing``; the families with several parameters start from a
-    coarse product grid.  On exact damping a pair costs two fidelity calls
-    per gamma < 0 interval (``_edge_maps``), elsewhere one grid pass in
-    small blocks (``_pair_measures``); ``intervals`` always come from
+    coarse product grid.  On exact damping a pair or an occupation costs
+    two samples per gamma < 0 interval (``_edge_maps``), elsewhere one grid
+    pass in small blocks (``_grid_extrema``); ``intervals`` always come from
     the argmax's trajectory on the grid.  A first-order channel whose |x| =
     |1 - c| exceeds FIRST_ORDER_X_LIMIT on the grid raises one
     ApproximationWarning.
@@ -506,9 +554,11 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     ts = _grid(times)
     grid_maps = channel.maps(ts)
     _warn_first_order(channel, grid_maps, stacklevel=2)
+    edge_maps = _edge_maps(channel, ts)
     if family in ("coherent", "coherent_thermal"):
         def optima(ns):
-            return _coherent_optimum(channel, ts, grid_maps, bounds.k_max, ns)
+            return _coherent_optimum(channel, ts, grid_maps, edge_maps,
+                                     bounds.k_max, ns)
 
         # N(n) is not monotone under first-order maps: search n too
         n = 0.0 if family == "coherent" else _zoom_max(
@@ -522,7 +572,7 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
                        else [float(k), n]}
     else:
         value, argmax, diagnostics = _numeric_optimum(
-            family, channel, ts, grid_maps, bounds, phi, equal_squeezing)
+            family, channel, ts, grid_maps, edge_maps, bounds, phi, equal_squeezing)
         method = "numeric_opt"
     traj, = _fidelity_trajectories([argmax], channel, ts, grid_maps)
     return MeasureResult(value=value, argmax=argmax,

@@ -207,23 +207,19 @@ def build_coefficients(env: EnvironmentSpec, alpha: float, t_end: float,
 
 
 def divisibility_check(coeffs: ChannelCoefficients) -> list[tuple[float, float]]:
-    """Grid-resolved intervals where Delta(t) < |gamma(t)|.
-
-    Empty means the map is divisible at the grid resolution.
-    """
-    bad = coeffs.delta < np.abs(coeffs.gamma)
-    ts = coeffs.times
-    intervals = []
-    start = None
-    for i, flag in enumerate(bad):
-        if flag and start is None:
-            start = ts[i]
-        elif not flag and start is not None:
-            intervals.append((float(start), float(ts[i])))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(ts[-1])))
-    return intervals
+    """Maximal intervals of [0, t_end] where Delta(t) < |gamma(t)|: the union
+    of the negative intervals of the splines of Delta - gamma and
+    Delta + gamma, cut at their exact roots.  Empty means the map is
+    CP-divisible (Torre, Roga & Illuminati, PRL 115, 070401 (2015))."""
+    from .channels import _negative_intervals  # channels imports this module
+    splines = cubic_splines(coeffs.times, coeffs.delta - coeffs.gamma,
+                            coeffs.delta + coeffs.gamma)
+    out = []
+    for lo, hi in sorted(iv for s in splines for iv in _negative_intervals(s, coeffs.t_end)):
+        if out and lo <= out[-1][1]:  # overlaps the last one: merge
+            lo, hi = out[-1][0], max(hi, out.pop()[1])
+        out.append((lo, hi))
+    return out
 
 
 def _write_csv(path, header: list[str], columns) -> None:

@@ -18,7 +18,9 @@ from gaussnm import (
     trajectory,
     write_trajectory_csv,
 )
-from gaussnm.spectral import EnvironmentSpec
+from gaussnm import channels
+from gaussnm._spline import cubic_splines, cumulative_simpson
+from gaussnm.spectral import ChannelCoefficients, EnvironmentSpec
 from gaussnm.states import _det2, fidelity_arrays
 from helpers import coefficients_from_functions
 
@@ -214,6 +216,29 @@ class TestEvolveQbm:
         out = qbm_evolved(s, 3.0, table)
         factor = math.exp(-2.0 * 0.2 * g * 3.0)
         assert np.max(np.abs(out.cov - factor * s.cov)) <= 1e-8
+
+    @pytest.mark.parametrize("temperature", [0.2, 4.0])
+    def test_propagator_takes_exact_knot_slopes(self, monkeypatch, temperature):
+        # on every 32nd knot of a 32000-step table, Hermite pieces with the
+        # exact slopes x' = 2 alpha gamma, y' = 2 alpha Delta and
+        # z' = alpha e^x Delta stay at most half as far from the fine table
+        # between the knots as not-a-knot splines through the same values
+        env = EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=temperature)
+        fine = build_coefficients(env, alpha=0.1, t_end=40.0, n_steps=32000)
+        z = cumulative_simpson(0.1 * np.exp(fine.x) * fine.delta, fine.times)
+        knot = np.zeros(fine.times.size, dtype=bool)
+        knot[::32] = True
+        coarse = ChannelCoefficients(
+            times=fine.times[knot], gamma=fine.gamma[knot], delta=fine.delta[knot],
+            x=fine.x[knot], y=fine.y[knot], alpha=0.1)
+        # z at the knots from the fine table, so that only the interpolation errs
+        monkeypatch.setattr(channels, "cumulative_simpson", lambda y, x: z[knot])
+        prop = channels.QbmPropagator(coarse)
+        t = fine.times[~knot]
+        for spline, col in zip((prop.x, prop.y, prop.z), (fine.x, fine.y, z)):
+            not_a_knot, = cubic_splines(coarse.times, col[knot])
+            err = np.max(np.abs(spline(t) - col[~knot]))
+            assert 0.0 < err <= 0.5 * np.max(np.abs(not_a_knot(t) - col[~knot]))
 
     def test_first_order_matches_exact_at_weak_coupling(self, qbm_table):
         s = make_gaussian(r=0.8, phi=0.4)

@@ -269,6 +269,14 @@ class TestDivisibility:
         lo, hi = intervals[0]
         assert lo == 0.0 and hi == 5.0
 
+    def test_overlapping_windows_merge_at_exact_roots(self):
+        # cos t < sin t on (pi/4, 5 pi/4) and cos t < -sin t on (3 pi/4, 7 pi/4)
+        table = coefficients_from_functions(math.sin, math.cos, alpha=0.1,
+                                            t_end=2.0 * math.pi, n_steps=400)
+        (lo, hi), = divisibility_check(table)
+        assert lo == pytest.approx(math.pi / 4.0, abs=1e-8)
+        assert hi == pytest.approx(7.0 * math.pi / 4.0, abs=1e-8)
+
     def test_reference_environment_not_divisible(self):
         table = build_coefficients(ENV_REF, alpha=0.05, t_end=20.0, n_steps=800)
         assert divisibility_check(table) != []

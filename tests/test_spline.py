@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson as scipy_simpson
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import CubicHermiteSpline, CubicSpline, PPoly
 
-from gaussnm._spline import PiecewisePoly, cubic_splines, cumulative_simpson
+from gaussnm._spline import PiecewisePoly, cubic_splines, cumulative_simpson, hermite_splines
 from gaussnm.channels import _negative_intervals
 
 
@@ -39,6 +39,21 @@ def test_spline_matches_scipy(n, uniform):
         # one column alone gives the same spline as built beside another
         alone, = cubic_splines(x, y)
         assert np.array_equal(alone.c, spline.c)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("n", [2, 3, 1001])
+def test_hermite_matches_scipy(n, uniform):
+    x = _knots(n, uniform)
+    values = [np.sin(1.3 * x) - 0.2, np.exp(-0.3 * x) * np.cos(2.0 * x)]
+    slopes = [1.3 * np.cos(1.3 * x), np.random.default_rng(n).normal(size=n)]
+    t = np.concatenate([x, np.linspace(0.0, 10.0, 4001)])
+    for y, dydx, spline in zip(values, slopes, hermite_splines(x, values, slopes)):
+        ref = CubicHermiteSpline(x, y, dydx)
+        assert np.max(np.abs(spline(t) - ref(t))) <= 1e-13 * np.max(np.abs(ref(t)))
+        # the pieces pass through the knot values with the knot slopes
+        assert np.array_equal(spline(x[:-1]), y[:-1])
+        assert np.array_equal(spline.c[-2], dydx[:-1])
 
 
 def test_scalar_evaluation():
