@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -230,11 +229,6 @@ class QbmPropagator:
             raise ValueError(f"t outside the coefficient grid [0, {self.t_end:g}]")
 
 
-@lru_cache(maxsize=64)
-def _propagator(coeffs: ChannelCoefficients) -> QbmPropagator:
-    return QbmPropagator(coeffs)
-
-
 @dataclass(frozen=True, eq=False)
 class DampingChannel:
     """Damping channel with coupling alpha and a rate specification."""
@@ -296,7 +290,7 @@ class QbmChannel:
 
     @property
     def propagator(self) -> QbmPropagator:
-        return _propagator(self.coeffs)
+        return self.coeffs.propagator()
 
     def maps(self, ts):
         prop = self.propagator

@@ -17,7 +17,7 @@ squeezed and coherent-thermal pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +31,7 @@ from .channels import (
     _warn_first_order,
 )
 from .spectral import ChannelCoefficients
-from .states import StatePairParams, args_moments, fidelity_arrays
+from .states import StatePairParams, fidelity_arrays, pair_invariants
 
 __all__ = [
     "UnsupportedShapeError",
@@ -93,9 +93,12 @@ class FidelityTrajectory:
 
     ``extrema`` holds (t, F(t), kind) with kind +1 for maxima, -1 for
     minima.  Each is refined on a 65-point sub-grid over its two-step
-    bracket plus a parabolic vertex: at a smooth extremum F is exact to
-    rounding and t lies within one sub-grid step (two grid steps / 64);
-    at a kink F is the best sub-grid sample.
+    bracket plus a parabolic vertex through the best sample and its
+    neighbours, which replaces that sample wherever it scores higher: at a
+    smooth extremum F is exact to rounding and t lies within one sub-grid
+    step (two grid steps / 64).  At a kink the vertex often wins too, on a
+    flank of the kink, so there F carries the samples' rounding times the
+    slope.
     """
 
     times: np.ndarray
@@ -161,24 +164,6 @@ def squeezed_pair(r1: float, r2: float, phi: float) -> StatePairParams:
     return StatePairParams(r1=r1, r2=r2, phi1=phi, phi2=0.0)
 
 
-def _frame(args):
-    """An undisplaced pair's ``_args()`` in its own frame: the state of larger
-    (r, n) first (the second on a tie) at phase 0, the other at the phase
-    difference.  A joint rotation, a reflection and an exchange of the
-    states commute with every channel and keep F; exchange and reflection
-    are exact in ``args_moments`` and ``fidelity_arrays``, so pairs that
-    differ by them and a rotation, as squeezed_pair(r1, r2, phi) and
-    squeezed_pair(r2, r1, phi) do, score bit for bit alike.  Near a pure
-    state F is ill-conditioned in det(V) - 1/4, which rounds differently in
-    a rotated covariance.  A displaced pair keeps its frame."""
-    a, b = args
-    if a[3] or b[3]:
-        return args
-    if (b[1], b[0]) >= (a[1], a[0]):
-        a, b = b, a
-    return (a[0], a[1], 0.0, a[3]), (b[0], b[1], b[2] - a[2], b[3])
-
-
 def _filled_signs(up: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """``up`` (each row's rising steps), in place, with every ``flat`` (zero)
     step taking the nearest earlier nonzero step's direction, else the
@@ -197,7 +182,7 @@ def _brackets(fvals: np.ndarray):
     reaches _NOISE_FLOOR; found by comparing values, not differencing."""
     low, high = fvals[:, :-1], fvals[:, 1:]
     up = _filled_signs(high > low, high == low)
-    row, idx = np.nonzero(up[:, 1:] != up[:, :-1])
+    row, idx = np.divmod(np.flatnonzero(up[:, 1:] != up[:, :-1]), up.shape[1] - 1)
     f0, f1, f2 = (fvals[row, idx + k] for k in range(3))
     keep = np.maximum(np.abs(f1 - f0), np.abs(f2 - f1)) >= _NOISE_FLOOR
     row, idx = row[keep], idx[keep]
@@ -263,16 +248,14 @@ def _fidelity_trajectories(pairs, channel, ts: np.ndarray,
     fidelity call for the extremum sub-grids of all pairs, and one of each
     for their vertices.  F is taken on the physical branch: the exact QBM
     solution can dip a hair below the Heisenberg floor at finite coupling,
-    and the first-order maps do so by construction.  Each pair is scored in
-    its ``_frame``.
+    and the first-order maps do so by construction.
     """
-    means1, covs1, means2, covs2 = args_moments([_frame(p._args()) for p in pairs])
+    inv = _invariants_of(pairs)
 
     def fid(rows, maps):
-        return fidelity_arrays(means1[rows], covs1[rows], means2[rows], covs2[rows],
-                               branch=True, maps=maps)
+        return fidelity_arrays(inv[:, rows], maps, branch=True)
 
-    fvals = fidelity_arrays(means1, covs1, means2, covs2, branch=True, maps=grid_maps)
+    fvals = fidelity_arrays(inv, grid_maps, branch=True)
     points = _grid_extrema(ts, len(fvals), lambda rows, maps=None:
                            fvals[rows] if maps is None else fid(rows, maps),
                            channel.maps)
@@ -282,6 +265,11 @@ def _fidelity_trajectories(pairs, channel, ts: np.ndarray,
     return [FidelityTrajectory(times=ts, fidelities=f, extrema=tuple(ext),
                                channel=channel.tag, params=pair)
             for pair, f, ext in zip(pairs, fvals, extrema)]
+
+
+def _invariants_of(pairs) -> np.ndarray:
+    """``pair_invariants`` (8, P) of a list of StatePairParams."""
+    return pair_invariants(*np.reshape([astuple(p) for p in pairs], (-1, 10)).T)
 
 
 def fidelity_trajectory(pair: StatePairParams, channel, times) -> FidelityTrajectory:
@@ -346,7 +334,8 @@ def _zoom_max(f, lo: float, hi: float, points: int) -> tuple[float, float, float
 
 def _family_space(family: str, bounds: ParamBounds, phi: float,
                   equal_squeezing: bool):
-    """(box, pair builder, chord directions, v -> build(v)._args() bit for bit)."""
+    """(box, pair builder, chord directions, vectors (P, D) -> the
+    ``pair_invariants`` keywords of their pairs, as build(v) stores them)."""
     ph = StatePairParams(phi1=phi).phi1  # checked and reduced as a pair stores it
     if family == "squeezed":
         if equal_squeezing:
@@ -360,8 +349,8 @@ def _family_space(family: str, bounds: ParamBounds, phi: float,
         def build(v):  # v[-1] is v[0] with equal squeezing
             return squeezed_pair(v[0], v[-1], phi)
 
-        def args(v):
-            return (0.0, v[0], ph, 0.0), (0.0, v[-1], 0.0, 0.0)
+        def params(v):
+            return {"r1": v[:, 0], "r2": v[:, -1], "phi1": ph}
     elif family == "general_pure":
         dims = [(1e-9, 2.0 * bounds.beta_max), (0.0, math.pi),
                 (0.0, bounds.r_max), (0.0, bounds.r_max)]
@@ -371,12 +360,12 @@ def _family_space(family: str, bounds: ParamBounds, phi: float,
             return StatePairParams(beta1_mag=v[0], theta1=v[1],
                                    r1=v[2], r2=v[3], phi1=phi, phi2=0.0)
 
-        def args(v):  # theta reduced as a pair stores it
-            beta = v[0] * np.exp(1j * (float(v[1]) % (2.0 * math.pi)))
-            return (0.0, v[2], ph, beta), (0.0, v[3], 0.0, 0.0)
+        def params(v):  # theta reduced as a pair stores it
+            return {"beta1_mag": v[:, 0], "theta1": v[:, 1] % (2.0 * math.pi),
+                    "r1": v[:, 2], "r2": v[:, 3], "phi1": ph}
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
-    return dims, build, np.asarray(dirs, dtype=float), args
+    return dims, build, np.asarray(dirs, dtype=float), params
 
 
 def _k_optimum(a_lo: float, a_hi: float) -> tuple[float, float]:
@@ -442,37 +431,40 @@ def _coherent_optimum(channel, ts, grid_maps, edge_maps, k_max: float,
 
 
 def _edge_maps(channel, ts):
-    """Exact damping's maps at t+_I, t-_I of each gamma < 0 interval I cut to
-    [ts[0], ts[-1]], or None (grid route).  From x1 to x2 >= x1 exact damping
-    is exact damping by x2 - x1, CPTP, so F = G(x) with G non-decreasing and
-    N(pair) = sum_I max(F(t+_I) - F(t-_I), 0) if x >= 0 (physical states):
-    c = e^{-x} <= 1 is checked where x is least, at ts[0] and each t-_I."""
+    """(times, maps) of exact damping at t+_I, t-_I of each gamma < 0
+    interval I cut to [ts[0], ts[-1]], or None (grid route).  From x1 to
+    x2 >= x1 exact damping is exact damping by x2 - x1, CPTP, so F = G(x)
+    with G non-decreasing and N(pair) = sum_I max(F(t+_I) - F(t-_I), 0) if
+    x >= 0 (physical states): c = e^{-x} <= 1 is checked where x is least,
+    at ts[0] and each t-_I."""
     if not isinstance(channel, DampingChannel) or channel.mode != "exact":
         return None
     edges = [max(t, ts[0]) for iv in channel.rate.negativity_intervals(ts[-1])
              if iv[1] > ts[0] for t in iv] or [ts[0], ts[0]]  # no I: N = 0
     m, c, n = channel.maps([ts[0], *edges])
-    return (m[1:], c[1:], n[1:]) if (c <= 1.0).all() else None
+    return (np.array(edges), (m[1:], c[1:], n[1:])) if (c <= 1.0).all() else None
 
 
-def _pair_measures(moments, channel, ts, grid_maps, edge_maps) -> np.ndarray:
-    """N of each pair of ``pair_moments`` ``moments``: one fidelity call at
-    ``_edge_maps``, else the blocked grid route of ``_grid_extrema``.  N adds
-    ``backflow_intervals``' drops by the builtin ``sum`` in time order, bit
-    for bit ``measure_from_trajectory``'s, with no trajectory built."""
-    if edge_maps is not None and len(moments[0]):
-        f = fidelity_arrays(*moments, branch=True, maps=edge_maps)
+def _pair_measures(inv, channel, ts, grid_maps, edge_maps) -> np.ndarray:
+    """N of each pair of the invariants ``inv`` (8, P): one fidelity call at
+    ``_edge_maps``' maps, else the blocked grid route of ``_grid_extrema``.
+    N adds ``backflow_intervals``' drops by the builtin ``sum`` in time
+    order, bit for bit ``measure_from_trajectory``'s, with no trajectory
+    built."""
+    count = inv.shape[1]
+    if edge_maps is not None and count:
+        f = fidelity_arrays(inv, edge_maps, branch=True)
         return np.maximum(f[:, ::2] - f[:, 1::2], 0.0).sum(axis=1)
 
     def fid(rows, maps=None):  # F of the rows on the grid, or from maps
-        return fidelity_arrays(*(m[rows] for m in moments), branch=True,
-                               maps=grid_maps if maps is None else maps)
+        return fidelity_arrays(inv[:, rows], grid_maps if maps is None else maps,
+                               branch=True)
 
-    row, t, f, _ = _grid_extrema(ts, len(moments[0]), fid, channel.maps)
+    row, t, f, _ = _grid_extrema(ts, count, fid, channel.maps)
     drop = f[:-1] - f[1:]
     take = (drop > 0.0) & (t[1:] > t[:-1]) & (row[1:] == row[:-1])
     drops = drop[take].tolist()
-    cuts = np.searchsorted(row[1:][take], np.arange(len(moments[0]) + 1)).tolist()
+    cuts = np.searchsorted(row[1:][take], np.arange(count + 1)).tolist()
     return np.array([sum(drops[a:b]) for a, b in zip(cuts, cuts[1:])], dtype=float)
 
 
@@ -480,20 +472,20 @@ def _numeric_optimum(family: str, channel, ts, grid_maps, edge_maps, bounds,
                      phi, equal_squeezing):
     """(N, argmax, diagnostics) of a family by batched chord zooms.
 
-    Each batch is one ``_pair_measures`` call on moments built straight from
-    the search vectors, each pair in its ``_frame`` (only the argmax is
-    built).  From the best point of a coarse product grid, or from the
-    lower end of a one-parameter box, ``_zoom_max`` searches the box's
-    chords through the best point along the family's directions in turn,
-    until every direction has been searched from the current best without
-    improving it (at most _MAX_CHORDS each).
+    Each batch is one ``_pair_measures`` call on invariants built straight
+    from the search vectors' parameter arrays (only the argmax is built).
+    From the best point of a coarse product grid, or from the lower end of
+    a one-parameter box, ``_zoom_max`` searches the box's chords through the
+    best point along the family's directions in turn, until every direction
+    has been searched from the current best without improving it (at most
+    _MAX_CHORDS each).
     """
-    dims, build, dirs, args = _family_space(family, bounds, phi, equal_squeezing)
+    dims, build, dirs, params = _family_space(family, bounds, phi, equal_squeezing)
     lo, hi = np.array(dims).T
 
     def measures(vecs) -> np.ndarray:
-        mom = args_moments([_frame(args(v)) for v in np.clip(vecs, lo, hi).tolist()])
-        return _pair_measures(mom, channel, ts, grid_maps, edge_maps)
+        inv = pair_invariants(**params(np.clip(vecs, lo, hi)))
+        return _pair_measures(inv, channel, ts, grid_maps, edge_maps)
 
     n_per_dim = _GRID_POINTS[len(dims) - 1]
     axes = [np.linspace(a, b, n_per_dim) for a, b in dims]
@@ -543,10 +535,12 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     ``equal_squeezing``; the families with several parameters start from a
     coarse product grid.  On exact damping a pair or an occupation costs
     two samples per gamma < 0 interval (``_edge_maps``), elsewhere one grid
-    pass in small blocks (``_grid_extrema``); ``intervals`` always come from
-    the argmax's trajectory on the grid.  A first-order channel whose |x| =
-    |1 - c| exceeds FIRST_ORDER_X_LIMIT on the grid raises one
-    ApproximationWarning.
+    pass in small blocks (``_grid_extrema``).  ``intervals`` come the same
+    way.  Where the edges serve, F of the argmax falls only across the
+    gamma < 0 intervals, so each is (t+, t-, F(t+) - F(t-)) where that drop
+    is positive; elsewhere they come from the argmax's grid trajectory.  A
+    first-order channel whose |x| = |1 - c| exceeds FIRST_ORDER_X_LIMIT on
+    the grid raises one ApproximationWarning.
     """
     bounds = bounds or ParamBounds()
     if times is None:
@@ -554,7 +548,8 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     ts = _grid(times)
     grid_maps = channel.maps(ts)
     _warn_first_order(channel, grid_maps, stacklevel=2)
-    edge_maps = _edge_maps(channel, ts)
+    edges = _edge_maps(channel, ts)
+    edge_maps = None if edges is None else edges[1]
     if family in ("coherent", "coherent_thermal"):
         def optima(ns):
             return _coherent_optimum(channel, ts, grid_maps, edge_maps,
@@ -574,9 +569,15 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
         value, argmax, diagnostics = _numeric_optimum(
             family, channel, ts, grid_maps, edge_maps, bounds, phi, equal_squeezing)
         method = "numeric_opt"
-    traj, = _fidelity_trajectories([argmax], channel, ts, grid_maps)
-    return MeasureResult(value=value, argmax=argmax,
-                         intervals=backflow_intervals(traj),
+    if edges is None:
+        intervals = backflow_intervals(
+            _fidelity_trajectories([argmax], channel, ts, grid_maps)[0])
+    else:
+        t, f = edges[0].tolist(), fidelity_arrays(
+            _invariants_of([argmax]), edge_maps, branch=True)[0].tolist()
+        intervals = [NegativityInterval(t[i], t[i + 1], f[i] - f[i + 1])
+                     for i in range(0, len(t), 2) if f[i] > f[i + 1]]
+    return MeasureResult(value=value, argmax=argmax, intervals=intervals,
                          method=method, diagnostics=diagnostics,
                          family=family, channel=channel.tag,
                          alpha=channel.alpha, **_env_fields(channel))

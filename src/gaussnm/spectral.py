@@ -68,6 +68,8 @@ class ChannelCoefficients:
     bound for run summaries.  Delta's spline and negativity intervals do not
     depend on alpha: each is built at most once, when first asked for, and
     shared by the table and all its ``rescaled`` copies (pickles included).
+    The ``propagator`` is built the same way but belongs to this table
+    alone: a rescaled copy builds its own, and a pickle leaves it out.
     """
 
     times: np.ndarray
@@ -93,6 +95,10 @@ class ChannelCoefficients:
             raise ValueError("alpha must be positive")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "_delta_view", {})  # see delta_spline
+        object.__setattr__(self, "_propagator", None)  # see propagator
+
+    def __getstate__(self):
+        return {**self.__dict__, "_propagator": None}
 
     @property
     def t_end(self) -> float:
@@ -115,6 +121,14 @@ class ChannelCoefficients:
         if "spline" not in view:
             view["spline"], = cubic_splines(self.times, self.delta)
         return view["spline"]
+
+    def propagator(self):
+        """The ``channels.QbmPropagator`` of this table, built when first
+        asked for; it lives and dies with the table."""
+        if self._propagator is None:
+            from .channels import QbmPropagator  # channels imports this module
+            object.__setattr__(self, "_propagator", QbmPropagator(self))
+        return self._propagator
 
     def delta_negativity_intervals(self) -> list[tuple[float, float]]:
         """Maximal intervals of [0, t_end] where Delta(t) < 0, cut at the

@@ -137,19 +137,6 @@ def _moments(n: float, r: float, phi: float, beta: complex) -> tuple:
             k * (lo * c2 + hi * s2), k * off, k * (hi * c2 + lo * s2))
 
 
-def pair_moments(pairs) -> tuple[np.ndarray, ...]:
-    """(means1, covs1, means2, covs2), (P, 2) and (P, 2, 2): those of each
-    ``pair.states()`` entry for entry, without building or validating states."""
-    return args_moments([pair._args() for pair in pairs])
-
-
-def args_moments(args) -> tuple[np.ndarray, ...]:
-    """``pair_moments`` of pairs given as their ``_args()``, empty for no pair."""
-    rows = np.reshape([[_moments(*a) for a in pair] for pair in args], (-1, 2, 5))
-    means, covs = rows[..., :2], rows[..., [2, 3, 3, 4]].reshape(-1, 2, 2, 2)
-    return means[:, 0], covs[:, 0], means[:, 1], covs[:, 1]
-
-
 def make_gaussian(n: float = 0.0, r: float = 0.0, phi: float = 0.0,
                   beta: complex = 0.0j) -> GaussianState:
     """Build the displaced squeezed thermal state with the given parameters.
@@ -187,35 +174,75 @@ def _adj_quad(s: np.ndarray, d: np.ndarray) -> np.ndarray:
             + s[..., 0, 0] * d[..., 1] ** 2)
 
 
-def fidelity_arrays(means1, covs1, means2, covs2, branch: bool = False,
-                    maps=None):
-    """Vectorized Uhlmann fidelity over stacked means (..., 2) and covs (..., 2, 2).
+def matrix_invariants(means1, covs1, means2, covs2) -> np.ndarray:
+    """The 8 pair invariants, stacked (8, ...), of means (..., 2) and covs
+    (..., 2, 2): with S0 = V1 + V2 and d0 = mu1 - mu2, det S0, tr S0,
+    d0^T adj(S0) d0, |d0|^2, det V1, tr V1, det V2 and tr V2."""
+    s0, d0 = covs1 + covs2, means1 - means2
+    return np.array([
+        _det2(s0), s0[..., 0, 0] + s0[..., 1, 1], _adj_quad(s0, d0),
+        d0[..., 0] ** 2 + d0[..., 1] ** 2, _det2(covs1),
+        covs1[..., 0, 0] + covs1[..., 1, 1], _det2(covs2),
+        covs2[..., 0, 0] + covs2[..., 1, 1]])
 
-    Internal fast path; inputs are trusted (no invariant checks beyond a
+
+def pair_invariants(n1=0.0, n2=0.0, r1=0.0, r2=0.0, phi1=0.0, phi2=0.0,
+                    beta1_mag=0.0, beta2_mag=0.0, theta1=0.0, theta2=0.0) -> np.ndarray:
+    """``matrix_invariants`` (8, P) of pairs given by their ``StatePairParams``
+    fields (arrays or scalars, broadcast), with no matrix built.  With
+    nu_i = n_i + 1/2 and delta = beta1 - beta2, det Vi = nu_i^2 and
+    tr Vi = 2 nu_i cosh 2r_i are exact for pure states, |d0|^2 = 2 |delta|^2,
+        det S0 = (nu1 - nu2)^2 + 4 nu1 nu2 [cosh^2(r1 - r2)
+                 + sinh 2r1 sinh 2r2 sin^2((phi1 - phi2) / 2)]
+        d0^T adj(S0) d0 = 2 sum_i nu_i [e^{2r_i} Re(w_i)^2 + e^{-2r_i} Im(w_i)^2]
+    with w_i = conj(delta) e^{i phi_i / 2}: sums of positive terms, the same
+    bits for exchanged states, and moved by a joint rotation (every phi_i by
+    2 rho, every theta_i by rho) only through rounding.
+    """
+    nu1, nu2 = n1 + 0.5, n2 + 0.5
+    tr1, tr2 = 2.0 * nu1 * np.cosh(2.0 * r1), 2.0 * nu2 * np.cosh(2.0 * r2)
+    det0 = (nu1 - nu2) ** 2 + 4.0 * (nu1 * nu2) * (
+        np.cosh(np.abs(r1 - r2)) ** 2 + np.sinh(2.0 * r1) * np.sinh(2.0 * r2)
+        * np.sin(0.5 * np.abs(phi1 - phi2)) ** 2)
+    dad0 = dd0 = 0.0
+    if np.any(beta1_mag) or np.any(beta2_mag):
+        delta = beta1_mag * np.exp(1j * theta1) - beta2_mag * np.exp(1j * theta2)
+        dd0 = 2.0 * (delta.real ** 2 + delta.imag ** 2)
+        for nu, r, phi in ((nu1, r1, phi1), (nu2, r2, phi2)):
+            w = np.conj(delta) * np.exp(0.5j * phi)
+            dad0 = dad0 + 2.0 * nu * (np.exp(2.0 * r) * w.real ** 2
+                                      + np.exp(-2.0 * r) * w.imag ** 2)
+    rows = (det0, tr1 + tr2, dad0, dd0, nu1 * nu1, tr1, nu2 * nu2, tr2)
+    out = np.empty((8, *np.broadcast(*rows).shape))
+    for k, row in enumerate(rows):
+        out[k] = row
+    return out
+
+
+def fidelity_arrays(invariants, maps=None, branch: bool = False):
+    """Vectorized Uhlmann fidelity of pairs given by their 8 invariants.
+
+    ``invariants`` (8, ...) come from ``matrix_invariants`` or
+    ``pair_invariants``; inputs are trusted (no invariant checks beyond a
     singularity guard on the summed covariance).  With ``branch=True`` the
     sqrt of the (det1 - 1/4)(det2 - 1/4) product carries the sign of the
     factors, which continues the physical branch smoothly through the
     pure-state boundary; the two expressions agree on physical states.
 
-    With ``maps=(m, c, n)`` the inputs are P initial pairs, (P, 2) and
-    (P, 2, 2), and F is that of the pairs evolved by mean -> m mean,
+    With ``maps=(m, c, n)`` the invariants are those of P initial pairs,
+    (8, P), and F is that of the pairs evolved by mean -> m mean,
     cov -> c cov + n I, the maps broadcast against (P, 1): K grid times
     give (P, K), maps of shape (P, S) give each pair its own S times.  No
     evolved matrix is built.  Without maps the identity maps (1, 1, 0)
-    apply and F keeps the inputs' leading shape.  With S0 = V1 + V2 and
+    apply and F has the invariants' trailing shape.  With S0 = V1 + V2 and
     d0 = mu1 - mu2:
         det s         = c^2 det S0 + 2cn tr S0 + 4n^2
         d^T adj(s) d  = m^2 (c d0^T adj(S0) d0 + 2n |d0|^2)
         det Vi        = c^2 det Vi0 + cn tr Vi0 + n^2
     """
     m, c, n = (1.0, 1.0, 0.0) if maps is None else maps
-    s0, d0 = covs1 + covs2, means1 - means2
     # the 8 pair invariants, as (..., 1) columns
-    det0, tr0, dad0, dd0, det1, tr1, det2, tr2 = (v[..., None] for v in (
-        _det2(s0), s0[..., 0, 0] + s0[..., 1, 1], _adj_quad(s0, d0),
-        d0[..., 0] ** 2 + d0[..., 1] ** 2, _det2(covs1),
-        covs1[..., 0, 0] + covs1[..., 1, 1], _det2(covs2),
-        covs2[..., 0, 0] + covs2[..., 1, 1]))
+    det0, tr0, dad0, dd0, det1, tr1, det2, tr2 = invariants[..., None]
     # in place on 5 buffers, each expression in its left-to-right order
     cc, cn, nn = c * c, c * n, n * n
     det_s, tmp = cc * det0, 2.0 * cn * tr0
@@ -257,7 +284,7 @@ def fidelity(a: GaussianState, b: GaussianState) -> float:
     matrices, in the square-root (not squared) convention: two coherent
     states give exp(-|beta1 - beta2|^2 / 2).
     """
-    return float(fidelity_arrays(a.mean, a.cov, b.mean, b.cov))
+    return float(fidelity_arrays(matrix_invariants(a.mean, a.cov, b.mean, b.cov)))
 
 
 def bures_distance(a: GaussianState, b: GaussianState) -> float:

@@ -1,5 +1,6 @@
 """Small helpers that only the tests call: stub coefficient tables, the
-paper's printed squeezing coefficient and a state physicality check."""
+paper's printed squeezing coefficient, a state physicality check and the
+matrix route to a batch's pair invariants."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 
 from gaussnm._spline import cumulative_simpson
 from gaussnm.spectral import ChannelCoefficients
-from gaussnm.states import EPS_TOL, _below_heisenberg
+from gaussnm.states import EPS_TOL, _below_heisenberg, _moments, matrix_invariants
 
 
 def coefficients_from_functions(gamma_fn, delta_fn, alpha: float, t_end: float,
@@ -42,3 +43,17 @@ def is_physical(state) -> bool:
     c = state.cov
     return (abs(c[0, 1] - c[1, 0]) <= EPS_TOL and c[0, 0] > 0.0
             and not _below_heisenberg(c))
+
+
+def pair_moments(pairs) -> tuple[np.ndarray, ...]:
+    """(means1, covs1, means2, covs2), (P, 2) and (P, 2, 2): those of each
+    ``pair.states()`` entry for entry, without building or validating states."""
+    rows = np.reshape([[_moments(*a) for a in p._args()] for p in pairs], (-1, 2, 5))
+    means, covs = rows[..., :2], rows[..., [2, 3, 3, 4]].reshape(-1, 2, 2, 2)
+    return means[:, 0], covs[:, 0], means[:, 1], covs[:, 1]
+
+
+def moment_invariants(pairs) -> np.ndarray:
+    """``matrix_invariants`` (8, P) of the pairs' stacked states: the matrix
+    route, the oracle of ``states.pair_invariants``."""
+    return matrix_invariants(*pair_moments(pairs))

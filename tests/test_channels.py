@@ -1,5 +1,8 @@
+import gc
 import math
+import pickle
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from gaussnm import (
 from gaussnm import channels
 from gaussnm._spline import cubic_splines, cumulative_simpson
 from gaussnm.spectral import ChannelCoefficients, EnvironmentSpec
-from gaussnm.states import _det2, fidelity_arrays
+from gaussnm.states import _det2, fidelity_arrays, matrix_invariants
 from helpers import coefficients_from_functions
 
 RATE = DampingRateSpec.decaying_sine()
@@ -240,6 +243,18 @@ class TestEvolveQbm:
             err = np.max(np.abs(spline(t) - col[~knot]))
             assert 0.0 < err <= 0.5 * np.max(np.abs(not_a_knot(t) - col[~knot]))
 
+    def test_propagator_lives_with_its_table(self, qbm_table):
+        # built once per table, not shared with a rescaled copy, left out of
+        # the table's pickle, and collected with the channel that used it
+        channel = QbmChannel(qbm_table.rescaled(0.02))
+        prop = weakref.ref(channel.propagator)
+        assert channel.propagator is prop() is channel.coeffs.propagator()
+        assert channel.coeffs.rescaled(0.02).propagator() is not prop()
+        assert pickle.loads(pickle.dumps(channel.coeffs))._propagator is None
+        del channel
+        gc.collect()
+        assert prop() is None
+
     def test_first_order_matches_exact_at_weak_coupling(self, qbm_table):
         s = make_gaussian(r=0.8, phi=0.4)
         worst = 0.0
@@ -316,7 +331,7 @@ class TestTrajectory:
         pair = StatePairParams(beta1_mag=1.2, r2=0.3)
         channel = DampingChannel(alpha=0.2, rate=DampingRateSpec.constant(0.6))
         t1, t2 = trajectory(pair, channel, np.linspace(0.0, 10.0, 201))
-        f = fidelity_arrays(t1.means, t1.covs, t2.means, t2.covs)
+        f = fidelity_arrays(matrix_invariants(t1.means, t1.covs, t2.means, t2.covs))
         assert np.all(np.diff(f) >= -1e-12)
 
     def test_damping_exact_heisenberg_violation_rejected(self):

@@ -48,8 +48,8 @@ from gaussnm.measure import (
     _grid_extrema,
 )
 from gaussnm.spectral import EnvironmentSpec
-from gaussnm.states import args_moments, fidelity, fidelity_arrays, pair_moments
-from helpers import coefficients_from_functions, g1_squeezed
+from gaussnm.states import fidelity, fidelity_arrays, matrix_invariants, pair_invariants
+from helpers import coefficients_from_functions, g1_squeezed, moment_invariants
 from interval_oracle import _sign_intervals
 
 RATE = DampingRateSpec.decaying_sine()
@@ -571,11 +571,11 @@ class TestEdgeRoute:
     ])
     def test_edges_match_grid_route(self, rate, times, edges):
         channel = DampingChannel(alpha=0.3, rate=rate, t_max=float(times[-1]))
-        edge_maps = measure._edge_maps(channel, times)
-        assert (edge_maps is not None) == edges
+        found = measure._edge_maps(channel, times)
+        assert (found is not None) == edges
         pairs = mixed_pairs(np.random.default_rng(16), 40)
-        got = measure._pair_measures(pair_moments(pairs), channel, times,
-                                     channel.maps(times), edge_maps)
+        got = measure._pair_measures(measure._invariants_of(pairs), channel, times,
+                                     channel.maps(times), found and found[1])
         want = [measure_from_trajectory(fidelity_trajectory(p, channel, times))
                 for p in pairs]
         assert max(want) > 1e-3
@@ -583,9 +583,32 @@ class TestEdgeRoute:
 
     def test_edges_of_a_window(self):
         channel = DampingChannel(alpha=0.3, rate=SINE_TABLE, t_max=20.0)
-        m, c, n = measure._edge_maps(channel, np.linspace(4.0, 17.0, 1301))
+        t, (m, c, n) = measure._edge_maps(channel, np.linspace(4.0, 17.0, 1301))
         (lo1, hi1), (lo2, hi2), (lo3, _) = SINE_TABLE.negativity_intervals(20.0)
-        assert np.array_equal(c, channel.maps([4.0, hi1, lo2, hi2, lo3, 17.0])[1])
+        assert t.tolist() == [4.0, hi1, lo2, hi2, lo3, 17.0]
+        assert np.array_equal(c, channel.maps(t)[1])
+
+    @pytest.mark.parametrize("family", ["squeezed", "general_pure", "coherent_thermal"])
+    def test_intervals_are_the_edge_drops(self, family):
+        # F of the argmax falls only across the gamma < 0 intervals, so those
+        # are the result's intervals, each with the drop of F between its
+        # edges, and the drops add up to the value
+        channel = DampingChannel(alpha=0.3, rate=SINE_TABLE, t_max=20.0)
+        res = maximize_measure(family, channel, phi=0.1, times=SINE_TIMES)
+        _, maps = measure._edge_maps(channel, SINE_TIMES)
+        f = fidelity_arrays(measure._invariants_of([res.argmax]), maps, branch=True)[0]
+        assert ([(iv.t_plus, iv.t_minus) for iv in res.intervals]
+                == SINE_TABLE.negativity_intervals(20.0))
+        drops = [iv.contribution for iv in res.intervals]
+        assert drops == (f[::2] - f[1::2]).tolist()
+        assert res.value == pytest.approx(sum(drops), rel=1e-12 if family
+                                          == "coherent_thermal" else 1e-15)
+        # the argmax's grid trajectory finds them to its resolution
+        grid = backflow_intervals(fidelity_trajectory(res.argmax, channel, SINE_TIMES))
+        assert len(grid) == len(res.intervals) == 3
+        for g, e in zip(grid, res.intervals):
+            assert abs(g.t_plus - e.t_plus) <= 0.02 and abs(g.t_minus - e.t_minus) <= 0.02
+            assert g.contribution == pytest.approx(e.contribution, rel=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
@@ -647,7 +670,7 @@ class TestGridRoute:
                 assert measure._edge_maps(channel, times) is None
         want = [measure_from_trajectory(traj) for traj in trajs]
         assert max(want) > 1e-4
-        got = measure._pair_measures(pair_moments(pairs), channel, times,
+        got = measure._pair_measures(measure._invariants_of(pairs), channel, times,
                                      channel.maps(times), None)
         assert got.tolist() == want
 
@@ -703,7 +726,7 @@ class TestGridRoute:
         assert [t for t, _, _ in traj.extrema] == [7.0, 5.0, 12.0]
         want = measure_from_trajectory(traj)
         assert want == pytest.approx(math.exp(-2.0) - math.exp(-2.4), rel=1e-12)
-        assert measure._pair_measures(pair_moments([pair]), channel, times,
+        assert measure._pair_measures(measure._invariants_of([pair]), channel, times,
                                       channel.maps(times), None).tolist() == [want]
 
     def test_filled_signs_row_by_row(self):
@@ -714,8 +737,8 @@ class TestGridRoute:
         ts = np.linspace(0.0, 25.0, 501)
         pairs = [squeezed_pair(1.0, 1.0, 0.1), squeezed_pair(0.0, 0.0, 0.1),
                  coherent_pair(1.0), StatePairParams(n1=1.0)]
-        df = np.diff(fidelity_arrays(*pair_moments(pairs), branch=True,
-                                     maps=channel.maps(ts)), axis=1)
+        df = np.diff(fidelity_arrays(measure._invariants_of(pairs), channel.maps(ts),
+                                     branch=True), axis=1)
         assert not df[1].any() and df[[0, 2, 3]].all()
         ups = measure._filled_signs(df > 0.0, df == 0.0)
         for row, alone in zip(ups, df):
@@ -769,28 +792,30 @@ class TestFamilyMoments:
     @pytest.mark.parametrize("family, equal", [
         ("squeezed", True), ("squeezed", False), ("general_pure", False)])
     def test_moments_are_those_of_the_built_pairs(self, family, equal):
-        # phi and theta beyond 2 pi are reduced as StatePairParams does
-        dims, build, _, args = measure._family_space(family, ParamBounds(),
-                                                     7.5, equal)
+        # the invariants of a batch's parameter arrays are those of the
+        # built pairs, bit for bit: phi and theta beyond 2 pi are reduced as
+        # StatePairParams does
+        dims, build, _, params = measure._family_space(family, ParamBounds(),
+                                                       7.5, equal)
         rng = np.random.default_rng(17)
         lo, hi = np.array(dims).T
         vecs = rng.uniform(lo, hi, size=(25, len(dims)))
         if family == "general_pure":
             vecs[:, 1] += 2.0 * math.pi * rng.integers(1, 4, size=25)
-        got = args_moments([args(v) for v in vecs.tolist()])
-        want = pair_moments([build(v) for v in vecs])
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
+        got = pair_invariants(**params(vecs))
+        want = measure._invariants_of([build(v) for v in vecs])
+        assert got.shape == want.shape == (8, 25)
+        assert got.tobytes() == want.tobytes()
 
     def test_empty_batch(self):
         # the equal-squeezing family has no product grid: its first batch
         # is empty
-        empty = args_moments([])
-        assert [a.shape for a in empty] == [(0, 2), (0, 2, 2), (0, 2), (0, 2, 2)]
+        _, _, _, params = measure._family_space("squeezed", ParamBounds(), 0.1, True)
+        empty = pair_invariants(**params(np.zeros((0, 1))))
+        assert empty.shape == (8, 0)
         channel = damping_channel(0.1)
         ts = np.linspace(0.0, 25.0, 201)
-        for edge_maps in (measure._edge_maps(channel, ts), None):
+        for edge_maps in (measure._edge_maps(channel, ts)[1], None):
             assert measure._pair_measures(empty, channel, ts, channel.maps(ts),
                                           edge_maps).shape == (0,)
 
@@ -929,9 +954,9 @@ class TestZoomMemo:
         # a level's centre and ends repeat earlier points: 152 visited, 131 scored
         rows, pair_measures = [], measure._pair_measures
 
-        def counted(moments, *args):
-            rows.append(len(moments[0]))
-            return pair_measures(moments, *args)
+        def counted(inv, *args):
+            rows.append(inv.shape[1])
+            return pair_measures(inv, *args)
 
         monkeypatch.setattr(measure, "_pair_measures", counted)
         res = maximize_measure("squeezed", QbmChannel(fig3_tables[0.2].rescaled(0.1)),
@@ -1027,13 +1052,14 @@ class TestSwapSymmetry:
     # a joint rotation by -phi, a reflection and an exchange of the states
     # map squeezed_pair(r1, r2, phi) onto squeezed_pair(r2, r1, phi); all
     # commute with the channels, so N is symmetric, which the (1, 1) and
-    # (1, -1) chord directions rely on.  measure._frame scores both pairs in
-    # one frame, so N agrees to the bit.  Scored as given it did not: a pure
-    # state's det - 1/4 is rounding, different in a rotated covariance, and
-    # where an evolved det - 1/4 nears 0 the kernel's root of
-    # 16 (det1 - 1/4)(det2 - 1/4) amplifies it: ~1e-9 in N under damping
-    # (r1 = 1e-8, r2 = 2), 2.3e-15 under QBM (r1 = 0, r2 = 0.16,
-    # phi = 0.375, at a kink of F)
+    # (1, -1) chord directions rely on.  states.pair_invariants gives both
+    # pairs the same floats (det Vi = nu_i^2 exactly, and the phases enter
+    # det S0 only through |phi1 - phi2|), so N agrees to the bit.  From the
+    # matrices it did not: a pure state's det - 1/4 is rounding, different
+    # in a rotated covariance, and where an evolved det - 1/4 nears 0 the
+    # kernel's root of 16 (det1 - 1/4)(det2 - 1/4) amplifies it: ~1e-9 in N
+    # under damping (r1 = 1e-8, r2 = 2), 2.3e-15 under QBM (r1 = 0,
+    # r2 = 0.16, phi = 0.375, at a kink of F)
     @staticmethod
     def swapped(channel, t_end, r1, r2, phi):
         times = np.linspace(0.0, t_end, 801)
@@ -1058,19 +1084,23 @@ class TestSwapSymmetry:
     def test_measure_is_joint_rotation_invariant(self, swap_channels, n, r, phi,
                                                  beta, theta, rot):
         # R(rot) on both states turns phi_i into phi_i + 2 rot and theta_i
-        # into theta_i + rot, and commutes with both channels
+        # into theta_i + rot, and commutes with both channels.  The pair
+        # invariants see the rotation only through angle differences: on
+        # 1500 random pairs (half of their states pure) no damping N moved
+        # beyond 1e-12 relative, and no QBM N beyond that by more than 1.4e-16
+        # (the matrix route needed 1e-8 under damping near the vacuum)
         def pair(turn):
             return StatePairParams(n1=n[0], n2=n[1], r1=r[0], r2=r[1],
                                    phi1=phi[0] + 2.0 * turn, phi2=phi[1] + 2.0 * turn,
                                    beta1_mag=beta[0], beta2_mag=beta[1],
                                    theta1=theta[0] + turn, theta2=theta[1] + turn)
 
-        for tag, t_end, slack in (("damping", 25.0, 1e-8), ("qbm", 40.0, 1e-15)):
+        for tag, t_end in (("damping", 25.0), ("qbm", 40.0)):
             times = np.linspace(0.0, t_end, 801)
             n0, n_rot = (measure_from_trajectory(fidelity_trajectory(
                 pair(turn), swap_channels[tag], times)) for turn in (0.0, rot))
             assert 0.0 <= n0 <= 1.0
-            assert n_rot == pytest.approx(n0, rel=1e-12, abs=slack)
+            assert n_rot == pytest.approx(n0, rel=1e-12, abs=1e-15)
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -1098,29 +1128,47 @@ class TestSwapSymmetry:
                 for shift in (0.0, cmath.rect(delta, arg)))
             assert n_shift == pytest.approx(n0, rel=1e-12, abs=slack)
 
+    @pytest.mark.parametrize("r1, r2, phi1, phi2", [
+        (0.0, 0.16, 0.375, 0.0), (1e-8, 2.0, 0.3, 0.0), (1e-6, 1.0, 0.5, 0.0),
+        (2.0, 2.0, 0.1, 0.0), (3.0, 0.5, 2.0, 0.0), (4.0, 4.0, 1e-6, 0.0),
+        (1.0, 2.5, 0.7, 4.1), (3.0, 3.0, 5.9, 0.4)])
+    def test_pure_pair_starts_at_the_mpmath_value(self, swap_channels, r1, r2,
+                                                  phi1, phi2):
+        # det Vi = 1/4 exactly, so F(0) of an undisplaced pure pair is
+        # det(S0)^(-1/4) to rounding, whatever the phases
+        with mpmath.workdps(50):
+            ref = float(mp_branch_fidelity(*(
+                mp_squeezed_cov(mpmath.mpf(r), mpmath.mpf(phi))
+                for r, phi in ((r1, phi1), (r2, phi2)))))
+        pair = StatePairParams(r1=r1, r2=r2, phi1=phi1, phi2=phi2)
+        for tag, t_end in (("damping", 25.0), ("qbm", 40.0)):
+            traj = fidelity_trajectory(pair, swap_channels[tag],
+                                       np.linspace(0.0, t_end, 801))
+            assert abs(traj.fidelities[0] - ref) <= 1e-14 * ref
+
     def test_near_vacuum_damping_to_rounding(self, swap_channels):
         # scored as given the two differed by 3e-9 relative
         n12, n21 = self.swapped(swap_channels["damping"], 25.0, 1e-6, 1.0, 0.5)
         assert n21 == n12 > 0.0
 
-    def test_frame_keeps_the_measure(self, swap_channels):
+    def test_parameter_route_keeps_the_measure(self, swap_channels):
         # undisplaced squeezed thermal pairs (n >= 0.05, away from the
-        # pure-state boundary) scored in their frame and as given
+        # pure-state boundary), and a displaced one, scored from their
+        # parameters and from their covariance matrices
         rng = np.random.default_rng(22)
         rows = rng.uniform([0.05, 0.05, 0.0, 0.0, 0.0, 0.0],
                            [1.0, 1.0, 2.0, 2.0, 2.0 * math.pi, 2.0 * math.pi], size=(12, 6))
         pairs = [StatePairParams(n1=a, n2=b, r1=c, r2=d, phi1=e, phi2=f)
                  for a, b, c, d, e, f in rows.tolist()]
+        pairs.append(StatePairParams(n1=0.3, n2=0.2, r1=1.0, phi1=0.5, beta2_mag=0.3))
         for tag, t_end in (("damping", 25.0), ("qbm", 40.0)):
             channel, times = swap_channels[tag], np.linspace(0.0, t_end, 801)
             framed = [measure_from_trajectory(fidelity_trajectory(p, channel, times))
                       for p in pairs]
-            as_given = measure._pair_measures(pair_moments(pairs), channel, times,
+            as_given = measure._pair_measures(moment_invariants(pairs), channel, times,
                                               channel.maps(times), None)
             assert min(framed) > 1e-4 and (as_given != framed).any()
             np.testing.assert_allclose(as_given, framed, rtol=1e-11, atol=0.0)
-        displaced = StatePairParams(r1=1.0, phi1=0.5, beta2_mag=0.3)._args()
-        assert measure._frame(displaced) is displaced
 
 
 class TestFirstOrderRange:
@@ -1195,7 +1243,7 @@ class TestExactCoherent:
         # a_n = 1 / (2n + e^x) rises exactly on the gamma < 0 intervals: the
         # edges give the grid route's optima with no grid pass
         grid_maps, k_max = channel.maps(times), ParamBounds().k_max
-        edge_maps = measure._edge_maps(channel, times)
+        _, edge_maps = measure._edge_maps(channel, times)
         ns = [0.0, 0.3, 2.0]
         want = measure._coherent_optimum(channel, times, grid_maps, None, k_max, ns)
         monkeypatch.setattr(measure, "_grid_extrema", None)
@@ -1481,9 +1529,9 @@ def richardson_response(r1, r2, phi, path, step=1e-5):
     f = []
     for h in (step, -step, 0.5 * step, -0.5 * step):
         c, n = PATHS[path][0](h)
-        f.append(float(fidelity_arrays(np.zeros(2), c * c1 + n * np.eye(2),
-                                       np.zeros(2), c * c2 + n * np.eye(2),
-                                       branch=True)))
+        f.append(float(fidelity_arrays(matrix_invariants(
+            np.zeros(2), c * c1 + n * np.eye(2), np.zeros(2), c * c2 + n * np.eye(2)),
+            branch=True)))
     d1 = (f[0] - f[1]) / (2.0 * step)
     d2 = (f[2] - f[3]) / step
     return (4.0 * d2 - d1) / 3.0

@@ -19,9 +19,10 @@ from gaussnm import (
 )
 from gaussnm.channels import evolve_arrays
 from gaussnm.spectral import EnvironmentSpec
-from gaussnm.states import _adj_quad, _det2, fidelity_arrays, pair_moments
+from gaussnm.states import (_adj_quad, _det2, fidelity_arrays, matrix_invariants,
+                            pair_invariants)
 from fock_oracle import oracle_fidelity
-from helpers import is_physical
+from helpers import is_physical, moment_invariants, pair_moments
 
 
 def random_params(rng, n_max=2.0, r_max=1.0, beta_max=2.0):
@@ -288,6 +289,12 @@ def old_maps_fidelity_arrays(means1, covs1, means2, covs2, branch, maps):
     return np.sqrt(f2)
 
 
+def matrix_fidelity(means1, covs1, means2, covs2, branch=False, maps=None):
+    """The kernel on the invariants of stacked means and covariances."""
+    return fidelity_arrays(matrix_invariants(means1, covs1, means2, covs2), maps,
+                           branch=branch)
+
+
 def stacked_pairs(rng, count, **ranges):
     """(means1, covs1, means2, covs2) of ``count`` random pairs."""
     pairs = [(state_of(random_params(rng, **ranges)),
@@ -311,10 +318,10 @@ class TestPairInvariantKernel:
         rng = np.random.default_rng(11)
         args = stacked_pairs(rng, 200, r_max=3.0)
         for branch in (False, True):
-            assert np.array_equal(fidelity_arrays(*args, branch=branch),
+            assert np.array_equal(matrix_fidelity(*args, branch=branch),
                                   old_fidelity_arrays(*args, branch=branch))
         one = tuple(a[0] for a in args)
-        assert fidelity_arrays(*one) == old_fidelity_arrays(*one)
+        assert matrix_fidelity(*one) == old_fidelity_arrays(*one)
 
     @pytest.mark.parametrize("name", ["damping-exact", "damping-first-order",
                                       "qbm-exact"])
@@ -324,17 +331,17 @@ class TestPairInvariantKernel:
         means1, covs1, means2, covs2 = stacked_pairs(rng, 64, r_max=2.0,
                                                      beta_max=1.5)
         maps = channel.maps(np.linspace(0.0, channel.t_max, 2001))
-        got = fidelity_arrays(means1, covs1, means2, covs2, branch=True,
+        got = matrix_fidelity(means1, covs1, means2, covs2, branch=True,
                               maps=maps)
         assert got.shape == (64, 2001)
-        ref = np.array([fidelity_arrays(*evolve_arrays(maps, means1[p], covs1[p]),
+        ref = np.array([matrix_fidelity(*evolve_arrays(maps, means1[p], covs1[p]),
                                         *evolve_arrays(maps, means2[p], covs2[p]),
                                         branch=True) for p in range(64)])
         assert np.max(np.abs(got / ref - 1.0)) <= 2e-13
         # maps of shape (P, S) give each pair its own times
         rows = np.array([3, 3, 17])
         cols = np.array([[0, 5, 2000], [7, 7, 8], [1999, 3, 4]])
-        per_row = fidelity_arrays(means1[rows], covs1[rows], means2[rows],
+        per_row = matrix_fidelity(means1[rows], covs1[rows], means2[rows],
                                   covs2[rows], branch=True,
                                   maps=tuple(v[cols] for v in maps))
         assert np.array_equal(per_row, got[rows[:, None], cols])
@@ -350,7 +357,7 @@ class TestPairInvariantKernel:
         m, c, n = channel.maps(ts)
         args = tuple(np.array([getattr(state_of(p[i]), attr) for p in params])
                      for i in (0, 1) for attr in ("mean", "cov"))
-        got = fidelity_arrays(*args, branch=True, maps=(m, c, n))
+        got = matrix_fidelity(*args, branch=True, maps=(m, c, n))
         with mpmath.workdps(50):
             for p, (a, b) in enumerate(params):
                 for k in range(ts.size):
@@ -381,7 +388,7 @@ class TestPairInvariantKernel:
                 for mp in (maps, tuple(v[cols] for v in maps)):
                     rows = args if mp is maps else tuple(a[:10] for a in args)
                     assert np.array_equal(
-                        fidelity_arrays(*rows, branch=branch, maps=mp),
+                        matrix_fidelity(*rows, branch=branch, maps=mp),
                         old_maps_fidelity_arrays(*rows, branch, mp))
 
     def test_nan_map_entry_raises(self, kernel_channels):
@@ -392,7 +399,7 @@ class TestPairInvariantKernel:
             np.linspace(0.0, 10.0, 11)))
         c[3] = np.nan
         with pytest.raises(RuntimeError, match="singular summed covariance"):
-            fidelity_arrays(*args, branch=True, maps=(m, c, n))
+            matrix_fidelity(*args, branch=True, maps=(m, c, n))
 
 
 class TestPairMoments:
@@ -416,3 +423,89 @@ class TestPairMoments:
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert g.tobytes() == np.ascontiguousarray(w).tobytes()
+
+
+def mp_invariants(a, b):
+    """The 8 pair invariants of make_gaussian(*a), make_gaussian(*b), in mpmath."""
+    (m1, c1), (m2, c2) = mp_state(*a), mp_state(*b)
+
+    def det(m):
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+    s = [[c1[i][j] + c2[i][j] for j in range(2)] for i in range(2)]
+    d = [m1[0] - m2[0], m1[1] - m2[1]]
+    return [det(s), s[0][0] + s[1][1],
+            s[1][1] * d[0] ** 2 - 2 * s[0][1] * d[0] * d[1] + s[0][0] * d[1] ** 2,
+            d[0] ** 2 + d[1] ** 2, det(c1), c1[0][0] + c1[1][1], det(c2),
+            c2[0][0] + c2[1][1]]
+
+
+def random_pair_fields(rng, count, kind):
+    """StatePairParams fields (arrays) of ``count`` random pairs of a kind."""
+    zero = np.zeros(count)
+    fields = {"n1": rng.uniform(0.05, 2.0, count), "n2": rng.uniform(0.05, 2.0, count)}
+    if kind != "thermal":
+        fields.update(r1=rng.uniform(0.0, 2.0, count), r2=rng.uniform(0.0, 2.0, count),
+                      phi1=rng.uniform(0.0, 2.0 * math.pi, count),
+                      phi2=rng.uniform(0.0, 2.0 * math.pi, count))
+    if kind == "displaced":
+        fields.update(beta1_mag=rng.uniform(0.0, 2.0, count),
+                      beta2_mag=np.where(rng.random(count) < 0.2, zero,
+                                         rng.uniform(0.0, 2.0, count)),
+                      theta1=rng.uniform(0.0, 2.0 * math.pi, count),
+                      theta2=rng.uniform(0.0, 2.0 * math.pi, count))
+    return fields
+
+
+class TestPairInvariants:
+    """states.pair_invariants against the matrix route and mpmath."""
+
+    @pytest.mark.parametrize("kind", ["thermal", "squeezed", "displaced"])
+    def test_matches_the_matrix_route(self, kind):
+        # away from the pure-state boundary (n >= 0.05) the matrix route is
+        # accurate too, so the two agree to rounding
+        fields = random_pair_fields(np.random.default_rng(31), 300, kind)
+        got = pair_invariants(**fields)
+        pairs = [StatePairParams(**dict(zip(fields, row)))
+                 for row in np.array(list(fields.values())).T.tolist()]
+        want = moment_invariants(pairs)
+        assert got.shape == want.shape == (8, 300)
+        assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
+        assert (got[2:4] > 0.0).any() == (kind == "displaced")
+
+    def test_pure_states_exact(self):
+        # det Vi = 1/4 exactly and tr Vi = cosh 2r to the ulp, where the
+        # matrix route's determinant is rounding off 1/4
+        rng = np.random.default_rng(32)
+        r1, r2 = rng.uniform(0.0, 5.0, (2, 200))
+        phi1 = rng.uniform(0.0, 2.0 * math.pi, 200)
+        inv = pair_invariants(r1=r1, r2=r2, phi1=phi1)
+        assert (inv[4] == 0.25).all() and (inv[6] == 0.25).all()
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.cosh(2 * mpmath.mpf(r))) for r in r1])
+        assert (np.abs(inv[5] - ref) <= 2.3e-16 * ref).all()
+        pairs = [StatePairParams(r1=a, r2=b, phi1=c)
+                 for a, b, c in zip(r1.tolist(), r2.tolist(), phi1.tolist())]
+        assert (moment_invariants(pairs)[4] != 0.25).any()
+
+    def test_against_mpmath(self):
+        # det S0 as a sum of positive terms keeps full precision at strong
+        # squeezing, where cosh cosh - sinh sinh cos cancels; pure and mixed
+        # states, displaced and not, and a nearly aligned r = 4 pair first
+        rng = np.random.default_rng(33)
+        n1, n2 = rng.choice([0.0, 0.0, 0.5, 2.0], size=(2, 60))
+        r1, r2 = rng.uniform(0.0, 4.0, (2, 60))
+        phi1, phi2, theta1, theta2 = rng.uniform(0.0, 2.0 * math.pi, (4, 60))
+        mag1, mag2 = rng.uniform(0.0, 2.0, (2, 60))
+        mag1[::3] = mag2[::3] = 0.0
+        r1[0], r2[0], phi1[0], phi2[0] = 4.0, 4.0, 1e-6, 0.0
+        got = pair_invariants(n1=n1, n2=n2, r1=r1, r2=r2, phi1=phi1, phi2=phi2,
+                              beta1_mag=mag1, beta2_mag=mag2, theta1=theta1,
+                              theta2=theta2)
+        with mpmath.workdps(50):
+            for p in range(60):
+                a, b = ((n[p], r[p], phi[p], mag[p] * np.exp(1j * theta[p]))
+                        for n, r, phi, mag, theta in ((n1, r1, phi1, mag1, theta1),
+                                                      (n2, r2, phi2, mag2, theta2)))
+                for k, want in enumerate(mp_invariants(a, b)):
+                    assert abs(got[k, p] - want) <= 1e-14 * abs(want), (p, k)
