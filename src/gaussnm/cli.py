@@ -149,8 +149,9 @@ def _first_order_result(args, channel) -> MeasureResult:
     if family == "coherent":
         value, argmax = first_order_coherent(channel), coherent_pair(1.0)
     elif family == "coherent_thermal":
-        value = first_order_coherent_thermal(args.n_thermal, channel)
-        argmax = coherent_pair(1.0)
+        n = args.n_thermal  # K = 1 is the first-order optimum at every n
+        value = first_order_coherent_thermal(n, channel)
+        argmax = StatePairParams(n1=n, n2=n, beta1_mag=math.sqrt(2.0))
     elif family == "squeezed":
         value, r_star = first_order_squeezed_max(channel, args.phi, r_max=args.r_max)
         argmax = squeezed_pair(r_star, r_star, args.phi)
@@ -299,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_me.add_argument("--phi", type=float, default=0.1,
                       help="relative squeezing angle (squeezed family)")
     p_me.add_argument("--n-thermal", type=float, default=0.0,
-                      help="thermal occupation (coherent-thermal family)")
+                      help="coherent-thermal occupation, read by --method "
+                           "first-order only (numeric maximizes over n in "
+                           f"[0, {ParamBounds().n_max:g}]; closed is coherent-only)")
     p_me.add_argument("--r-max", type=float, default=5.0,
                       help="squeezing bound of the search box")
     p_me.add_argument("--out", default=None,

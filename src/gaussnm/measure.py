@@ -239,43 +239,35 @@ def _grid_extrema(ts: np.ndarray, count: int, fid, maps_of):
                  (ends[:, 0], f_out, ends[:, 1]), (zero, kinds, zero)))
 
 
-def _fidelity_trajectories(pairs, channel, ts: np.ndarray,
-                           grid_maps) -> list[FidelityTrajectory]:
-    """Fidelity trajectories of many pairs on the grid ts, in one batch.
-
-    ``grid_maps`` are the channel's maps on ts.  The batch costs one
-    fidelity call on the grid, then one ``channel.maps`` call and one
-    fidelity call for the extremum sub-grids of all pairs, and one of each
-    for their vertices.  F is taken on the physical branch: the exact QBM
-    solution can dip a hair below the Heisenberg floor at finite coupling,
-    and the first-order maps do so by construction.
-    """
-    inv = _invariants_of(pairs)
-
-    def fid(rows, maps):
-        return fidelity_arrays(inv[:, rows], maps, branch=True)
-
-    fvals = fidelity_arrays(inv, grid_maps, branch=True)
-    points = _grid_extrema(ts, len(fvals), lambda rows, maps=None:
-                           fvals[rows] if maps is None else fid(rows, maps),
-                           channel.maps)
-    extrema = [[] for _ in pairs]
-    for r, *ext in zip(*(a[points[3] != 0].tolist() for a in points)):
-        extrema[r].append(tuple(ext))
-    return [FidelityTrajectory(times=ts, fidelities=f, extrema=tuple(ext),
-                               channel=channel.tag, params=pair)
-            for pair, f, ext in zip(pairs, fvals, extrema)]
-
-
 def _invariants_of(pairs) -> np.ndarray:
     """``pair_invariants`` (8, P) of a list of StatePairParams."""
     return pair_invariants(*np.reshape([astuple(p) for p in pairs], (-1, 10)).T)
 
 
+def _fid(inv, grid_maps):
+    """``fid(rows, maps=None)``: F of the pairs ``inv[:, rows]`` on the grid
+    (``grid_maps``), or from ``maps``.  F is taken on the physical branch:
+    the exact QBM solution can dip a hair below the Heisenberg floor at
+    finite coupling, and the first-order maps do so by construction."""
+    def fid(rows, maps=None):
+        return fidelity_arrays(inv[:, rows], grid_maps if maps is None else maps,
+                               branch=True)
+
+    return fid
+
+
 def fidelity_trajectory(pair: StatePairParams, channel, times) -> FidelityTrajectory:
-    """Fidelity of the evolved pair on a grid, with refined extrema."""
+    """Fidelity of the evolved pair on a grid, with refined extrema: one
+    pair's ``_grid_extrema`` pass."""
     ts = _grid(times)
-    return _fidelity_trajectories([pair], channel, ts, channel.maps(ts))[0]
+    fid = _fid(_invariants_of([pair]), channel.maps(ts))
+    fvals = fid(slice(None))
+    _, *points = _grid_extrema(ts, 1, lambda rows, maps=None:
+                               fvals[rows] if maps is None else fid(rows, maps),
+                               channel.maps)
+    extrema = tuple(ext for ext in zip(*(p.tolist() for p in points)) if ext[2])
+    return FidelityTrajectory(times=ts, fidelities=fvals[0], extrema=extrema,
+                              channel=channel.tag, params=pair)
 
 
 def backflow_intervals(traj: FidelityTrajectory) -> list[NegativityInterval]:
@@ -334,8 +326,8 @@ def _zoom_max(f, lo: float, hi: float, points: int) -> tuple[float, float, float
 
 def _family_space(family: str, bounds: ParamBounds, phi: float,
                   equal_squeezing: bool):
-    """(box, pair builder, chord directions, vectors (P, D) -> the
-    ``pair_invariants`` keywords of their pairs, as build(v) stores them)."""
+    """(box, chord directions, vectors (..., D) -> the ``StatePairParams``
+    fields of their pairs, as a pair stores them)."""
     ph = StatePairParams(phi1=phi).phi1  # checked and reduced as a pair stores it
     if family == "squeezed":
         if equal_squeezing:
@@ -346,26 +338,19 @@ def _family_space(family: str, bounds: ParamBounds, phi: float,
             # maximum along both (1, 1) and (1, -1) is one in (r1, r2)
             dims, dirs = [(0.0, bounds.r_max)] * 2, [[1.0, 1.0], [1.0, -1.0]]
 
-        def build(v):  # v[-1] is v[0] with equal squeezing
-            return squeezed_pair(v[0], v[-1], phi)
-
-        def params(v):
-            return {"r1": v[:, 0], "r2": v[:, -1], "phi1": ph}
+        def params(v):  # v[..., -1] is v[..., 0] with equal squeezing
+            return {"r1": v[..., 0], "r2": v[..., -1], "phi1": ph}
     elif family == "general_pure":
         dims = [(1e-9, 2.0 * bounds.beta_max), (0.0, math.pi),
                 (0.0, bounds.r_max), (0.0, bounds.r_max)]
         dirs = np.eye(4)
 
-        def build(v):
-            return StatePairParams(beta1_mag=v[0], theta1=v[1],
-                                   r1=v[2], r2=v[3], phi1=phi, phi2=0.0)
-
         def params(v):  # theta reduced as a pair stores it
-            return {"beta1_mag": v[:, 0], "theta1": v[:, 1] % (2.0 * math.pi),
-                    "r1": v[:, 2], "r2": v[:, 3], "phi1": ph}
+            return {"beta1_mag": v[..., 0], "theta1": v[..., 1] % (2.0 * math.pi),
+                    "r1": v[..., 2], "r2": v[..., 3], "phi1": ph}
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
-    return dims, build, np.asarray(dirs, dtype=float), params
+    return dims, np.asarray(dirs, dtype=float), params
 
 
 def _k_optimum(a_lo: float, a_hi: float) -> tuple[float, float]:
@@ -382,42 +367,33 @@ def _k_optimum(a_lo: float, a_hi: float) -> tuple[float, float]:
     return k, max(math.exp(-k * a_lo) - math.exp(-k * a_hi), 0.0)
 
 
-def _coherent_optimum(channel, ts, grid_maps, edge_maps, k_max: float,
+def _coherent_optimum(channel, ts, grid_maps, edges, k_max: float,
                       ns) -> np.ndarray:
     """(N, K) of coherent-thermal pairs at each occupation in ns, one row each.
 
     Two displaced thermal states with one occupation n share one isotropic
     covariance, so on the physical branch F(t) = exp(-K a_n(t)), with
     a_n = m^2 / ((2n + 1) c + 2 n_map); n = 0 is the coherent family.  F
-    falls where a_n rises, for every K, and each rise contributes
+    falls where a_n rises, for every K: the rises are the ``_falls`` of -a_n
+    (exact negatives, on either route).  Each contributes
     e^{-K a_lo} - e^{-K a_hi}, peaking at its own K_I.  A row's optimum lies
     between its extreme K_I (inside [1e-9, k_max]), and is zoomed in on in
-    log K.  On exact damping a_n = 1 / (2n + e^{x})
-    rises exactly on the gamma < 0 intervals, so the rises are read at
-    ``_edge_maps``' edges; elsewhere the extrema of all rows cost one
-    ``_grid_extrema`` call.
+    log K.
     """
     ns = np.asarray(ns, dtype=float)[:, None]
 
-    def a_of(rows, maps=None):  # a_n of the rows on the grid, or from maps
+    def minus_a(rows, maps=None):  # -a_n of the rows on the grid, or from maps
         m, c, n = grid_maps if maps is None else maps
-        return m * m / ((2.0 * ns[rows] + 1.0) * c + 2.0 * n)
+        return -(m * m / ((2.0 * ns[rows] + 1.0) * c + 2.0 * n))
 
-    if edge_maps is None:
-        row, t, a, _ = _grid_extrema(ts, len(ns), a_of, channel.maps)
-        rise = (a[1:] > a[:-1]) & (t[1:] > t[:-1]) & (row[1:] == row[:-1])
-        row, lows, highs = row[1:][rise], a[:-1][rise], a[1:][rise]
-    else:  # a at t+_I, t-_I of each interval I, in time order
-        a = a_of(slice(None), edge_maps)
-        rise = a[:, 1::2] > a[:, ::2]
-        row, lows, highs = np.nonzero(rise)[0], a[:, ::2][rise], a[:, 1::2][rise]
+    row, _, _, lows, highs = _falls(minus_a, len(ns), channel, ts, edges)
     out = []
     for i in range(len(ns)):
         rises = row == i
         if not rises.any():
             out.append((0.0, 1.0))  # no backflow; K = 1 is the first-order optimum
             continue
-        a_lo, a_hi = lows[rises], highs[rises]
+        a_lo, a_hi = -lows[rises], -highs[rises]
         k_opt = np.clip([_k_optimum(*r)[0] for r in zip(a_lo, a_hi)], 1e-9, k_max)
         k_lo, ratio = k_opt.min(), k_opt.max() / k_opt.min()
 
@@ -445,47 +421,55 @@ def _edge_maps(channel, ts):
     return (np.array(edges), (m[1:], c[1:], n[1:])) if (c <= 1.0).all() else None
 
 
-def _pair_measures(inv, channel, ts, grid_maps, edge_maps) -> np.ndarray:
-    """N of each pair of the invariants ``inv`` (8, P): one fidelity call at
-    ``_edge_maps``' maps, else the blocked grid route of ``_grid_extrema``.
-    N adds ``backflow_intervals``' drops by the builtin ``sum`` in time
-    order, bit for bit ``measure_from_trajectory``'s, with no trajectory
-    built."""
+def _falls(fid, count: int, channel, ts, edges):
+    """(row, t+, t-, v(t+), v(t-)) of every fall of the values ``fid`` gives
+    each of ``count`` rows (as ``_grid_extrema`` asks), by row, then in time.
+
+    The one choice between edges and grid: with ``_edge_maps``' (times,
+    maps) as ``edges`` the values are read once at the edges, and fall over
+    the intervals where v(t+) > v(t-); else a fall joins two consecutive
+    ``_grid_extrema`` points of a row where t rises and the value falls
+    (``backflow_intervals``' rule).
+    """
+    if edges is not None and count:  # an empty batch calls no kernel on the grid route
+        t, maps = edges
+        v = fid(slice(None), maps)
+        hi, lo = v[:, ::2], v[:, 1::2]
+        fall = hi > lo
+        row, k = np.nonzero(fall)
+        return row, t[::2][k], t[1::2][k], hi[fall], lo[fall]
+    row, t, v, _ = _grid_extrema(ts, count, fid, channel.maps)
+    take = (v[:-1] > v[1:]) & (t[1:] > t[:-1]) & (row[1:] == row[:-1])
+    return row[1:][take], t[:-1][take], t[1:][take], v[:-1][take], v[1:][take]
+
+
+def _pair_measures(inv, channel, ts, grid_maps, edges) -> np.ndarray:
+    """N of each pair of the invariants ``inv`` (8, P), with no trajectory
+    built: ``bincount`` adds each pair's ``_falls`` drops in time order from
+    0.0, bit for bit ``measure_from_trajectory``'s builtin ``sum``."""
     count = inv.shape[1]
-    if edge_maps is not None and count:
-        f = fidelity_arrays(inv, edge_maps, branch=True)
-        return np.maximum(f[:, ::2] - f[:, 1::2], 0.0).sum(axis=1)
-
-    def fid(rows, maps=None):  # F of the rows on the grid, or from maps
-        return fidelity_arrays(inv[:, rows], grid_maps if maps is None else maps,
-                               branch=True)
-
-    row, t, f, _ = _grid_extrema(ts, count, fid, channel.maps)
-    drop = f[:-1] - f[1:]
-    take = (drop > 0.0) & (t[1:] > t[:-1]) & (row[1:] == row[:-1])
-    drops = drop[take].tolist()
-    cuts = np.searchsorted(row[1:][take], np.arange(count + 1)).tolist()
-    return np.array([sum(drops[a:b]) for a, b in zip(cuts, cuts[1:])], dtype=float)
+    row, _, _, f_plus, f_minus = _falls(_fid(inv, grid_maps), count, channel, ts, edges)
+    return np.bincount(row, f_plus - f_minus, minlength=count)
 
 
-def _numeric_optimum(family: str, channel, ts, grid_maps, edge_maps, bounds,
+def _numeric_optimum(family: str, channel, ts, grid_maps, edges, bounds,
                      phi, equal_squeezing):
     """(N, argmax, diagnostics) of a family by batched chord zooms.
 
     Each batch is one ``_pair_measures`` call on invariants built straight
-    from the search vectors' parameter arrays (only the argmax is built).
-    From the best point of a coarse product grid, or from the lower end of
-    a one-parameter box, ``_zoom_max`` searches the box's chords through the
-    best point along the family's directions in turn, until every direction
-    has been searched from the current best without improving it (at most
-    _MAX_CHORDS each).
+    from the search vectors' parameter fields, and the argmax is the pair of
+    the best vector's fields.  From the best point of a coarse product grid,
+    or from the lower end of a one-parameter box, ``_zoom_max`` searches the
+    box's chords through the best point along the family's directions in
+    turn, until every direction has been searched from the current best
+    without improving it (at most _MAX_CHORDS each).
     """
-    dims, build, dirs, params = _family_space(family, bounds, phi, equal_squeezing)
+    dims, dirs, params = _family_space(family, bounds, phi, equal_squeezing)
     lo, hi = np.array(dims).T
 
     def measures(vecs) -> np.ndarray:
         inv = pair_invariants(**params(np.clip(vecs, lo, hi)))
-        return _pair_measures(inv, channel, ts, grid_maps, edge_maps)
+        return _pair_measures(inv, channel, ts, grid_maps, edges)
 
     n_per_dim = _GRID_POINTS[len(dims) - 1]
     axes = [np.linspace(a, b, n_per_dim) for a, b in dims]
@@ -519,7 +503,7 @@ def _numeric_optimum(family: str, channel, ts, grid_maps, edge_maps, bounds,
                        _CHORD_POINTS + _ZOOM_LEVELS * _ZOOM_POINTS),
                    "stagnation": not zoomed,
                    "argmax_vector": [float(v) for v in best_vec]}
-    return best_val, build(best_vec), diagnostics
+    return best_val, StatePairParams(**params(best_vec)), diagnostics
 
 
 def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
@@ -535,12 +519,10 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     ``equal_squeezing``; the families with several parameters start from a
     coarse product grid.  On exact damping a pair or an occupation costs
     two samples per gamma < 0 interval (``_edge_maps``), elsewhere one grid
-    pass in small blocks (``_grid_extrema``).  ``intervals`` come the same
-    way.  Where the edges serve, F of the argmax falls only across the
-    gamma < 0 intervals, so each is (t+, t-, F(t+) - F(t-)) where that drop
-    is positive; elsewhere they come from the argmax's grid trajectory.  A
-    first-order channel whose |x| = |1 - c| exceeds FIRST_ORDER_X_LIMIT on
-    the grid raises one ApproximationWarning.
+    pass in small blocks (``_grid_extrema``).  ``intervals`` are the
+    argmax's ``_falls``, each (t+, t-, F(t+) - F(t-)).  A first-order
+    channel whose |x| = |1 - c| exceeds FIRST_ORDER_X_LIMIT on the grid
+    raises one ApproximationWarning.
     """
     bounds = bounds or ParamBounds()
     if times is None:
@@ -549,10 +531,9 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     grid_maps = channel.maps(ts)
     _warn_first_order(channel, grid_maps, stacklevel=2)
     edges = _edge_maps(channel, ts)
-    edge_maps = None if edges is None else edges[1]
     if family in ("coherent", "coherent_thermal"):
         def optima(ns):
-            return _coherent_optimum(channel, ts, grid_maps, edge_maps,
+            return _coherent_optimum(channel, ts, grid_maps, edges,
                                      bounds.k_max, ns)
 
         # N(n) is not monotone under first-order maps: search n too
@@ -567,16 +548,12 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
                        else [float(k), n]}
     else:
         value, argmax, diagnostics = _numeric_optimum(
-            family, channel, ts, grid_maps, edge_maps, bounds, phi, equal_squeezing)
+            family, channel, ts, grid_maps, edges, bounds, phi, equal_squeezing)
         method = "numeric_opt"
-    if edges is None:
-        intervals = backflow_intervals(
-            _fidelity_trajectories([argmax], channel, ts, grid_maps)[0])
-    else:
-        t, f = edges[0].tolist(), fidelity_arrays(
-            _invariants_of([argmax]), edge_maps, branch=True)[0].tolist()
-        intervals = [NegativityInterval(t[i], t[i + 1], f[i] - f[i + 1])
-                     for i in range(0, len(t), 2) if f[i] > f[i + 1]]
+    _, t_plus, t_minus, f_plus, f_minus = _falls(
+        _fid(_invariants_of([argmax]), grid_maps), 1, channel, ts, edges)
+    intervals = map(NegativityInterval, t_plus.tolist(), t_minus.tolist(),
+                    (f_plus - f_minus).tolist())
     return MeasureResult(value=value, argmax=argmax, intervals=intervals,
                          method=method, diagnostics=diagnostics,
                          family=family, channel=channel.tag,

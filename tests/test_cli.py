@@ -180,6 +180,16 @@ class TestMeasureCommand:
         assert float(record["param_r1"]) <= 0.3
         assert float(record["param_r2"]) <= 0.3
 
+    def test_first_order_coherent_thermal_reports_its_occupation(self):
+        # the record's pair is the one its value is for: K = 1 at n
+        proc = run_cli("measure", "--channel", "damping", "--alpha", "0.05",
+                       "--family", "coherent-thermal", "--method", "first-order",
+                       "--n-thermal", "0.5")
+        assert proc.returncode == 0
+        header, row = proc.stdout.strip().splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert record["param_K"] == "1" and record["param_n"] == "0.5"
+
     @pytest.mark.parametrize("family, method", [
         ("coherent", "numeric"), ("squeezed", "numeric"),
         ("squeezed", "first-order")])

@@ -521,14 +521,17 @@ class TestBatchedTrajectories:
         pairs = [StatePairParams(r1=0.5, r2=0.5), coherent_pair(1.0),
                  StatePairParams(n1=1.0), StatePairParams(n1=0.2, r1=1.5, phi1=2.0),
                  squeezed_pair(2.0, 0.3, 1.0)]
-        batch = measure._fidelity_trajectories(pairs, channel, ts, channel.maps(ts))
-        assert [len(traj.extrema) for traj in batch] == [0, 1, 2, 2, 1]
-        for pair, traj in zip(pairs, batch):
-            lone = fidelity_trajectory(pair, channel, ts)
-            assert traj.params == pair
-            assert np.array_equal(traj.fidelities, lone.fidelities)
-            assert traj.extrema == lone.extrema
-            assert measure_from_trajectory(traj) == measure_from_trajectory(lone)
+        lone = [fidelity_trajectory(pair, channel, ts) for pair in pairs]
+        assert [len(traj.extrema) for traj in lone] == [0, 1, 2, 2, 1]
+        falls = measure._falls(measure._fid(measure._invariants_of(pairs),
+                                            channel.maps(ts)),
+                               len(pairs), channel, ts, None)
+        assert falls[0].tolist() == [1, 2, 3, 4]  # one fall each but the first's
+        for r, traj in enumerate(lone):
+            assert traj.params == pairs[r]
+            got = [NegativityInterval(tp, tm, fp - fm) for row, tp, tm, fp, fm
+                   in zip(*(a.tolist() for a in falls)) if row == r]
+            assert got == backflow_intervals(traj)
 
 
 # 0.5 (sin t + 0.2) on [0, 20]: three gamma < 0 intervals, x > 0 throughout
@@ -575,7 +578,7 @@ class TestEdgeRoute:
         assert (found is not None) == edges
         pairs = mixed_pairs(np.random.default_rng(16), 40)
         got = measure._pair_measures(measure._invariants_of(pairs), channel, times,
-                                     channel.maps(times), found and found[1])
+                                     channel.maps(times), found)
         want = [measure_from_trajectory(fidelity_trajectory(p, channel, times))
                 for p in pairs]
         assert max(want) > 1e-3
@@ -601,8 +604,10 @@ class TestEdgeRoute:
                 == SINE_TABLE.negativity_intervals(20.0))
         drops = [iv.contribution for iv in res.intervals]
         assert drops == (f[::2] - f[1::2]).tolist()
-        assert res.value == pytest.approx(sum(drops), rel=1e-12 if family
-                                          == "coherent_thermal" else 1e-15)
+        if family == "coherent_thermal":  # the value is the zoomed K's total
+            assert res.value == pytest.approx(sum(drops), rel=1e-12)
+        else:
+            assert res.value == sum(drops)
         # the argmax's grid trajectory finds them to its resolution
         grid = backflow_intervals(fidelity_trajectory(res.argmax, channel, SINE_TIMES))
         assert len(grid) == len(res.intervals) == 3
@@ -729,6 +734,20 @@ class TestGridRoute:
         assert measure._pair_measures(measure._invariants_of([pair]), channel, times,
                                       channel.maps(times), None).tolist() == [want]
 
+    @pytest.mark.parametrize("mode", ["exact", "first_order"])
+    @pytest.mark.parametrize("equal", [False, True], ids=["r1_r2", "equal"])
+    def test_intervals_are_the_argmax_trajectory(self, fig3_tables, mode, equal):
+        # the argmax's intervals are its own trajectory's, field for field,
+        # and their contributions add up to the value bit for bit
+        channel = QbmChannel(fig3_tables[0.5].rescaled(0.1), mode=mode)
+        times = np.linspace(0.0, 40.0, 401)
+        res = maximize_measure("squeezed", channel, phi=0.1, equal_squeezing=equal,
+                               times=times)
+        want = backflow_intervals(fidelity_trajectory(res.argmax, channel, times))
+        assert len(want) >= 2
+        assert list(res.intervals) == want
+        assert res.value == sum(iv.contribution for iv in res.intervals)
+
     def test_filled_signs_row_by_row(self):
         # under exact damping the identical pair r1 = r2 = 0 has F = 1
         # exactly: its row of grid differences is all zeros, and the other
@@ -793,31 +812,38 @@ class TestFamilyMoments:
         ("squeezed", True), ("squeezed", False), ("general_pure", False)])
     def test_moments_are_those_of_the_built_pairs(self, family, equal):
         # the invariants of a batch's parameter arrays are those of the
-        # built pairs, bit for bit: phi and theta beyond 2 pi are reduced as
-        # StatePairParams does
-        dims, build, _, params = measure._family_space(family, ParamBounds(),
-                                                       7.5, equal)
+        # family's pairs, bit for bit: phi and theta beyond 2 pi are reduced
+        # as StatePairParams does; one vector's fields are its pair
+        dims, _, params = measure._family_space(family, ParamBounds(), 7.5, equal)
+
+        def pair(v):
+            if family == "squeezed":  # v[-1] is v[0] with equal squeezing
+                return squeezed_pair(v[0], v[-1], 7.5)
+            return StatePairParams(beta1_mag=v[0], theta1=v[1], r1=v[2], r2=v[3],
+                                   phi1=7.5)
+
         rng = np.random.default_rng(17)
         lo, hi = np.array(dims).T
         vecs = rng.uniform(lo, hi, size=(25, len(dims)))
         if family == "general_pure":
             vecs[:, 1] += 2.0 * math.pi * rng.integers(1, 4, size=25)
         got = pair_invariants(**params(vecs))
-        want = measure._invariants_of([build(v) for v in vecs])
+        want = measure._invariants_of([pair(v) for v in vecs])
         assert got.shape == want.shape == (8, 25)
         assert got.tobytes() == want.tobytes()
+        assert [StatePairParams(**params(v)) for v in vecs] == [pair(v) for v in vecs]
 
     def test_empty_batch(self):
         # the equal-squeezing family has no product grid: its first batch
         # is empty
-        _, _, _, params = measure._family_space("squeezed", ParamBounds(), 0.1, True)
+        _, _, params = measure._family_space("squeezed", ParamBounds(), 0.1, True)
         empty = pair_invariants(**params(np.zeros((0, 1))))
         assert empty.shape == (8, 0)
         channel = damping_channel(0.1)
         ts = np.linspace(0.0, 25.0, 201)
-        for edge_maps in (measure._edge_maps(channel, ts)[1], None):
+        for edges in (measure._edge_maps(channel, ts), None):
             assert measure._pair_measures(empty, channel, ts, channel.maps(ts),
-                                          edge_maps).shape == (0,)
+                                          edges).shape == (0,)
 
 
 NM_OPTIONS = {"xatol": 1e-7, "fatol": 1e-13, "maxiter": 500}
@@ -1243,11 +1269,11 @@ class TestExactCoherent:
         # a_n = 1 / (2n + e^x) rises exactly on the gamma < 0 intervals: the
         # edges give the grid route's optima with no grid pass
         grid_maps, k_max = channel.maps(times), ParamBounds().k_max
-        _, edge_maps = measure._edge_maps(channel, times)
+        edges = measure._edge_maps(channel, times)
         ns = [0.0, 0.3, 2.0]
         want = measure._coherent_optimum(channel, times, grid_maps, None, k_max, ns)
         monkeypatch.setattr(measure, "_grid_extrema", None)
-        got = measure._coherent_optimum(channel, times, grid_maps, edge_maps, k_max, ns)
+        got = measure._coherent_optimum(channel, times, grid_maps, edges, k_max, ns)
         assert (want[:, 0] > 1e-3).all()
         np.testing.assert_allclose(got[:, 0], want[:, 0], rtol=1e-12, atol=0.0)
         # N is flat at its optimum: an ulp in a moves the zoomed K a little
