@@ -13,6 +13,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -111,7 +114,7 @@ class ExperimentConfig:
                 raise ValueError(f"{self.experiment} needs at least one {key!r} value")
             if first_only and n > 1:
                 raise ValueError(f"{self.experiment} takes one {key!r} value, got {n}")
-        self.bounds()  # a bad search box fails here, not in a pool worker
+        self.bounds()  # a bad search box fails here, not in a worker
 
     @property
     def alphas(self) -> np.ndarray:
@@ -220,13 +223,83 @@ def _resolve_workers(cfg: ExperimentConfig) -> int:
     return max(1, workers)
 
 
-def _run_tasks(tasks, workers: int):
-    """Run (fn, args) tasks, preserving order; fan out when workers > 1."""
+def _pool_tasks(tasks, workers: int):
+    """Run (fn, args) tasks in a process pool, preserving order."""
     if workers <= 1 or len(tasks) <= 1:
         return [fn(*args) for fn, args in tasks]
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         futures = [pool.submit(fn, *args) for fn, args in tasks]
         return [f.result() for f in futures]
+
+
+def _child(tasks, fd: int):
+    """Run ``tasks`` and write ``pickle.dumps((ok, results or exception))``
+    to ``fd``; never returns (exit status 1 if nothing was written)."""
+    status = 1
+    try:
+        try:
+            reply = True, [fn(*args) for fn, args in tasks]
+        except Exception as exc:
+            reply = False, exc
+        try:
+            data = pickle.dumps(reply)
+        except Exception as exc:  # an unpicklable result or exception
+            data = pickle.dumps((False, RuntimeError(repr(exc))))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_tasks(tasks, workers: int):
+    """Run (fn, args) tasks and return their results in task order.
+
+    With W = min(workers, len(tasks)) > 1 on Linux, this process forks
+    W - 1 children once: child w runs ``tasks[w::W]`` on its inherited copy
+    of the inputs and pipes back its pickled results, while this process
+    runs ``tasks[0::W]``.  Every child is reaped, and killed first if this
+    process's share raised; a child's exception is re-raised here.  Where
+    fork is not the platform's usual way to start a worker (macOS and
+    Windows), the tasks run in this process.
+    """
+    width = min(workers, len(tasks))
+    if width <= 1 or sys.platform != "linux":
+        return [fn(*args) for fn, args in tasks]
+    results, children, done = [None] * len(tasks), [], False
+    try:
+        for w in range(1, width):
+            read, write = os.pipe()
+            pipe = os.fdopen(read, "rb")
+            try:
+                pid = os.fork()
+            except OSError:
+                pipe.close()
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(tasks[w::width], write)
+            os.close(write)
+            children.append((pid, pipe))
+        results[0::width] = [fn(*args) for fn, args in tasks[0::width]]
+        replies = [pipe.read() for _, pipe in children]
+        done = True
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid, _ in children]
+    for w, (reply, code) in enumerate(zip(replies, codes), 1):
+        if code != 0 or not reply:
+            raise RuntimeError(f"worker {w} exited with status {code} "
+                               "without a result")
+        ok, value = pickle.loads(reply)
+        if not ok:
+            raise value
+        results[w::width] = value
+    return results
 
 
 def _write_outputs(cfg: ExperimentConfig, out_dir, name: str, header: list[str],
@@ -289,8 +362,8 @@ def _tables(cfg: ExperimentConfig, keys, workers: int) -> dict:
     and coupling at its key.
     """
     keys = list(dict.fromkeys(keys))
-    return dict(zip(keys, _run_tasks([(_table, (cfg, *key)) for key in keys],
-                                     workers)))
+    return dict(zip(keys, _pool_tasks([(_table, (cfg, *key)) for key in keys],
+                                      workers)))
 
 
 def _point(cfg: ExperimentConfig, channel, family: str, phi: float,
@@ -357,7 +430,7 @@ def _run_qbm_sweep(cfg: ExperimentConfig, out_dir, name: str, specs,
     workers = _resolve_workers(cfg)
     w0 = cfg.omega0[0]
     tables = _tables(cfg, [(w0, tv) for _, tv, *_ in specs], workers)
-    if include_first_order:  # Delta's roots, found once here, ride in every task
+    if include_first_order:  # Delta's roots, found once here, before any fork
         for table in tables.values():
             table.delta_negativity_intervals()
     tasks = [(_point, (cfg, QbmChannel(tables[w0, tv].rescaled(alpha)), family,

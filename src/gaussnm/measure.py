@@ -431,7 +431,7 @@ def _falls(fid, count: int, channel, ts, edges):
     ``_grid_extrema`` points of a row where t rises and the value falls
     (``backflow_intervals``' rule).
     """
-    if edges is not None and count:  # an empty batch calls no kernel on the grid route
+    if edges is not None:
         t, maps = edges
         v = fid(slice(None), maps)
         hi, lo = v[:, ::2], v[:, 1::2]
@@ -522,16 +522,22 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     pass in small blocks (``_grid_extrema``).  ``intervals`` are the
     argmax's ``_falls``, each (t+, t-, F(t+) - F(t-)).  A first-order
     channel whose |x| = |1 - c| exceeds FIRST_ORDER_X_LIMIT on the grid
-    raises one ApproximationWarning.
+    raises one ApproximationWarning; one that reaches c <= 0 is rejected
+    with a ValueError for the squeezing families.
     """
     bounds = bounds or ParamBounds()
     if times is None:
         times = np.linspace(0.0, channel.t_max, 2001)
     ts = _grid(times)
     grid_maps = channel.maps(ts)
+    coherent = family in ("coherent", "coherent_thermal")
+    c_min = grid_maps[1].min()
+    if not coherent and channel.mode == "first_order" and c_min <= 0.0:
+        raise ValueError(f"first-order maps reach c = 1 - x = {c_min:.3g} <= 0, "
+                         "outside their domain; use mode='exact' or a smaller alpha")
     _warn_first_order(channel, grid_maps, stacklevel=2)
     edges = _edge_maps(channel, ts)
-    if family in ("coherent", "coherent_thermal"):
+    if coherent:
         def optima(ns):
             return _coherent_optimum(channel, ts, grid_maps, edges,
                                      bounds.k_max, ns)

@@ -248,7 +248,7 @@ def fidelity_arrays(invariants, maps=None, branch: bool = False):
     det_s, tmp = cc * det0, 2.0 * cn * tr0
     det_s += tmp
     det_s += 4.0 * nn  # det_s = cc det0 + 2 cn tr0 + 4 nn
-    if not det_s.min() > 0.0:  # a NaN fails too
+    if det_s.size and not det_s.min() > 0.0:  # a NaN fails too
         raise RuntimeError("singular summed covariance in fidelity; "
                            "internal invariant violation")
     g1, g2 = cc * det1, cc * det2

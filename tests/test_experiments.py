@@ -293,6 +293,7 @@ class TestQbmSweeps:
 _TINY = {
     1: dict(alpha_points=2, traj_points=300, phis=(0.1, 0.2)),
     2: dict(n_steps=300),
+    3: dict(alpha_points=2, n_steps=300, traj_points=300),
     4: dict(alpha_points=2, n_steps=300, traj_points=300, phis=(0.05, 0.1)),
     5: dict(alpha_points=2, n_steps=300, traj_points=300,
             temperatures=(0.3, 0.9)),
@@ -312,9 +313,9 @@ class TestDeterminismAndWorkers:
         assert open(p1[0], "rb").read() == open(p2[0], "rb").read()
         assert open(p1[1]).read() == open(p2[1]).read()
 
-    @pytest.mark.parametrize("figure", [1, 2, 4, 5])
+    @pytest.mark.parametrize("figure", [1, 2, 3, 4, 5])
     def test_worker_pool_matches_serial(self, tmp_path, figure):
-        # fig4: three curves share one table; fig5: two tables
+        # fig4: three curves share one table; figs 3 and 5: two tables
         p1 = run_experiment(tiny_config(figure, workers=1), tmp_path / "serial")
         p2 = run_experiment(tiny_config(figure, workers=2), tmp_path / "pool")
         assert open(p1[0], "rb").read() == open(p2[0], "rb").read()
@@ -324,7 +325,7 @@ class TestDeterminismAndWorkers:
 
     def test_pool_workers_repeat_no_root_search(self, tmp_path, monkeypatch):
         # the sweep finds each table's Delta intervals before the fan-out,
-        # so the forked workers unpickle them and never search again
+        # so the forked workers inherit them and never search again
         parent, original = os.getpid(), channels._negative_intervals
 
         def parent_only(spline, t_end):
@@ -337,6 +338,62 @@ class TestDeterminismAndWorkers:
         monkeypatch.undo()
         p2 = run_experiment(tiny_config(4, workers=1), tmp_path / "serial")
         assert open(p1[0], "rb").read() == open(p2[0], "rb").read()
+
+    def test_points_fork_once_per_extra_worker(self, tmp_path, monkeypatch):
+        # four fig1 points on two workers: this process runs two of them
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(0) or real_fork())
+        p2 = run_experiment(tiny_config(1, workers=2), tmp_path / "pool")
+        assert len(forks) == 1
+        # off Linux the points run in this process
+        monkeypatch.setattr(experiments.sys, "platform", "darwin")
+        p1 = run_experiment(tiny_config(1, workers=2), tmp_path / "serial")
+        assert len(forks) == 1
+        with open(p1[0], "rb") as serial, open(p2[0], "rb") as pool:
+            assert serial.read() == pool.read()
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "child"])
+    def test_point_error_reaches_the_caller(self, tmp_path, monkeypatch,
+                                            failing):
+        # fig1's tasks alternate alpha, so with two workers every alphas[0]
+        # point runs in this process and every alphas[1] point in the child
+        cfg = tiny_config(1, workers=2)
+        bad_alpha = cfg.alphas[failing]
+        original = experiments._point
+
+        def point(cfg, channel, *args):
+            if channel.alpha == bad_alpha:
+                raise ArithmeticError(f"no point at alpha = {bad_alpha}")
+            return original(cfg, channel, *args)
+
+        monkeypatch.setattr(experiments, "_point", point)
+        with pytest.raises(ArithmeticError, match=f"alpha = {bad_alpha}"):
+            run_experiment(cfg, tmp_path)
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_that_dies_is_named(self, tmp_path, monkeypatch):
+        original = experiments._point
+        parent = os.getpid()
+
+        def point(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "_point", point)
+        with pytest.raises(RuntimeError, match="worker 1 exited with status 3"):
+            run_experiment(tiny_config(1, workers=2), tmp_path)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unpicklable_child_result_is_named(self):
+        # a child whose result cannot be pickled sends the pickling error
+        tasks = [(int, ("1",)), (lambda: (lambda: 0), ())]
+        with pytest.raises(RuntimeError, match="(?i)pickle"):
+            experiments._run_tasks(tasks, 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GAUSSNM_THREADS", "1")

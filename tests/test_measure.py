@@ -1219,6 +1219,23 @@ class TestFirstOrderRange:
             maximize_measure("coherent", DampingChannel(alpha=0.01, mode="first_order",
                                                         t_max=25.0), times=times)
 
+    @pytest.mark.parametrize("family", ["squeezed", "general_pure"])
+    def test_squeezing_searches_reject_maps_beyond_c_zero(self, family):
+        # alpha = 0.3 takes c = 1 - x to -1.63, where strongly squeezed pairs'
+        # summed covariance turns singular; alpha = 0.1 keeps c >= 0.124
+        times = np.linspace(0.0, 25.0, 501)
+        beyond = DampingChannel(alpha=0.3, mode="first_order")
+        with pytest.raises(ValueError, match=r"c = 1 - x = -1\.63 <= 0.*mode='exact'"):
+            maximize_measure(family, beyond, times=times)
+        with pytest.warns(ApproximationWarning):
+            coherent = maximize_measure("coherent", beyond, times=times)
+        assert coherent.value > 0.99
+        if family == "squeezed":
+            with pytest.warns(ApproximationWarning):
+                res = maximize_measure(family, DampingChannel(
+                    alpha=0.1, mode="first_order"), times=times)
+            assert res.value > 0.0
+
     def test_rise_from_zero_has_no_finite_optimum(self):
         # 1 - e^{-K a_hi} grows towards 1 with K
         assert measure._k_optimum(0.0, 0.5) == (math.inf, 1.0)

@@ -401,6 +401,14 @@ class TestPairInvariantKernel:
         with pytest.raises(RuntimeError, match="singular summed covariance"):
             matrix_fidelity(*args, branch=True, maps=(m, c, n))
 
+    def test_empty_batch_gives_an_empty_array(self, kernel_channels):
+        # the singularity guard has no minimum to take on zero pairs
+        inv = pair_invariants(r1=np.zeros(0))
+        maps = kernel_channels["damping-exact"].maps(np.linspace(0.0, 10.0, 11))
+        for branch in (False, True):
+            assert fidelity_arrays(inv, branch=branch).shape == (0,)
+            assert fidelity_arrays(inv, maps, branch=branch).shape == (0, 11)
+
 
 class TestPairMoments:
     @settings(max_examples=25, deadline=None)
