@@ -433,7 +433,10 @@ def _run_qbm_sweep(cfg: ExperimentConfig, out_dir, name: str, specs,
     if include_first_order:  # Delta's roots, found once here, before any fork
         for table in tables.values():
             table.delta_negativity_intervals()
-    tasks = [(_point, (cfg, QbmChannel(tables[w0, tv].rescaled(alpha)), family,
+    # one table, and so one propagator, per (T, alpha) serves all its curves
+    scaled = {(tv, alpha): table.rescaled(alpha)
+              for (_, tv), table in tables.items() for alpha in cfg.alphas}
+    tasks = [(_point, (cfg, QbmChannel(scaled[tv, alpha]), family,
                        phi, eq, include_first_order))
              for (_, tv, family, phi, eq) in specs for alpha in cfg.alphas]
     exact, first, diag = _regroup(_run_tasks(tasks, workers), len(specs))

@@ -179,30 +179,64 @@ def _filled_signs(up: np.ndarray, flat: np.ndarray) -> np.ndarray:
 def _brackets(fvals: np.ndarray):
     """(row, i, kind) of each turn of the rows of fvals between the steps i
     and i + 1 (kind +1 after a rise, -1 after a fall) where either step
-    reaches _NOISE_FLOOR; found by comparing values, not differencing."""
-    low, high = fvals[:, :-1], fvals[:, 1:]
-    up = _filled_signs(high > low, high == low)
-    row, idx = np.divmod(np.flatnonzero(up[:, 1:] != up[:, :-1]), up.shape[1] - 1)
+    reaches _NOISE_FLOOR; found by comparing values, not differencing.  The
+    comparisons run along the block's contiguous samples, so a row's last
+    entry of ``up`` compares it with the next row: coming after all its
+    steps, it can fill only a row of flat steps, which turns nowhere, and
+    no turn at it is kept."""
+    width = fvals.shape[1]
+    f = fvals.ravel()
+    up, flat = np.empty((2, f.size), dtype=bool)
+    np.greater(f[1:], f[:-1], out=up[:-1])
+    np.equal(f[1:], f[:-1], out=flat[:-1])
+    up[-1] = flat[-1] = False
+    _filled_signs(up.reshape(fvals.shape), flat.reshape(fvals.shape))
+    turns = np.flatnonzero(up[1:] != up[:-1])
+    row, idx = np.divmod(turns[turns % width < width - 2], width)
     f0, f1, f2 = (fvals[row, idx + k] for k in range(3))
     keep = np.maximum(np.abs(f1 - f0), np.abs(f2 - f1)) >= _NOISE_FLOOR
     row, idx = row[keep], idx[keep]
-    return row, idx, np.where(up[row, idx], 1, -1)
+    return row, idx, np.where(up[row * width + idx], 1, -1)
 
 
-def _grid_extrema(ts: np.ndarray, count: int, fid, maps_of):
+class _SubGrid:
+    """The bracket sub-grids of a grid ``ts``: a bracket starting at ts[i]
+    samples lo[i] + k step[i], k < _SUBGRID.  ``maps(idx)`` gathers their
+    (B, _SUBGRID) maps, taking each start's row from ``maps_of`` the first
+    time it is asked for.  Each ``maximize_measure`` or
+    ``fidelity_trajectory`` call owns one, so no row outlives it."""
+
+    def __init__(self, ts, maps_of):
+        self.ts, self.maps_of = ts, maps_of
+        self.lo, self.step = ts[:-2], (ts[2:] - ts[:-2]) / (_SUBGRID - 1)
+        self._slot = np.full(ts.size, -1)
+        self._rows = (np.zeros((0, _SUBGRID)),) * 3
+
+    def maps(self, idx):
+        new = np.unique(idx[self._slot[idx] < 0])
+        if new.size:
+            self._slot[new] = len(self._rows[0]) + np.arange(new.size)
+            rows = self.maps_of(self.lo[new, None]
+                                + self.step[new, None] * np.arange(_SUBGRID))
+            self._rows = tuple(map(np.vstack, zip(self._rows, rows)))
+        at = self._slot[idx]
+        return tuple(m[at] for m in self._rows)
+
+
+def _grid_extrema(count: int, fid, sub: _SubGrid):
     """(row, t, F, kind) of the points of each of ``count`` rows, in order:
-    (ts[0], 0), its refined grid extrema (kind +1 or -1) and (ts[-1], 0).
+    (ts[0], 0), its refined grid extrema (kind +1 or -1) and (ts[-1], 0) on
+    the grid ts = ``sub.ts``.
 
     ``fid(rows)`` gives F on ts of a block of rows (a slice), at most
     _BATCH_SAMPLES samples.  A turn of a row after step i (``_brackets``)
     brackets an extremum in [ts[i], ts[i + 2]].  All brackets are sampled on
-    one _SUBGRID-point sub-grid, then at the parabolic vertex around each
-    best sample (its shift clipped to one sub-step, inside the bracket),
-    which replaces that sample where better.  ``fid(rows, maps)`` gives F of
-    the rows ``rows`` (B,) from maps (B, S) of ``maps_of(t)``, one row of
-    times t per bracket.  Brackets of many rows share a start i, so the
-    sub-grid maps are taken once per distinct start and gathered per bracket.
+    their ``sub`` sub-grids, then at the parabolic vertex around each best
+    sample (its shift clipped to one sub-step, inside the bracket), which
+    replaces that sample where better.  ``fid(rows, maps)`` gives F of the
+    rows ``rows`` (B,) from maps (B, S), one row of times per bracket.
     """
+    ts = sub.ts
     size = max(1, _BATCH_SAMPLES // ts.size)
     ends, found = np.empty((count, 2)), [(np.zeros(0, dtype=int),) * 3]
     for i in range(0, count, size):
@@ -213,11 +247,8 @@ def _grid_extrema(ts: np.ndarray, count: int, fid, maps_of):
     row, idx, kinds = map(np.concatenate, zip(*found))
     t_out = f_out = np.zeros(0)
     if idx.size:
-        starts, at = np.unique(idx, return_inverse=True)
-        lo = ts[starts]
-        step = (ts[starts + 2] - lo) / (_SUBGRID - 1)
-        sub_t = lo[:, None] + step[:, None] * np.arange(_SUBGRID)
-        sub_f = fid(row, tuple(m[at] for m in maps_of(sub_t)))
+        lo, step = sub.lo[idx], sub.step[idx]
+        sub_f = fid(row, sub.maps(idx))
         # signed so that every bracket is a maximization
         signed = kinds[:, None] * sub_f
         brackets = np.arange(idx.size)
@@ -227,10 +258,10 @@ def _grid_extrema(ts: np.ndarray, count: int, fid, maps_of):
         curv = f_m - 2.0 * f_0 + f_p
         with np.errstate(divide="ignore", invalid="ignore"):
             shift = np.where(curv < 0.0, 0.5 * (f_m - f_p) / curv, 0.0)
-        t_v = sub_t[at, mid] + np.clip(shift, -1.0, 1.0) * step[at]
-        f_v = fid(row, maps_of(t_v[:, None]))[:, 0]
+        t_v = (lo + step * mid) + np.clip(shift, -1.0, 1.0) * step
+        f_v = fid(row, sub.maps_of(t_v[:, None]))[:, 0]
         take = kinds * f_v > signed[brackets, best]
-        t_out = np.where(take, t_v, sub_t[at, best])
+        t_out = np.where(take, t_v, lo + step * best)
         f_out = np.where(take, f_v, sub_f[brackets, best])
     rows, zero = np.arange(count), np.zeros(count, dtype=int)
     order = np.argsort(np.concatenate([rows, row, rows]), kind="stable")
@@ -262,9 +293,9 @@ def fidelity_trajectory(pair: StatePairParams, channel, times) -> FidelityTrajec
     ts = _grid(times)
     fid = _fid(_invariants_of([pair]), channel.maps(ts))
     fvals = fid(slice(None))
-    _, *points = _grid_extrema(ts, 1, lambda rows, maps=None:
+    _, *points = _grid_extrema(1, lambda rows, maps=None:
                                fvals[rows] if maps is None else fid(rows, maps),
-                               channel.maps)
+                               _SubGrid(ts, channel.maps))
     extrema = tuple(ext for ext in zip(*(p.tolist() for p in points)) if ext[2])
     return FidelityTrajectory(times=ts, fidelities=fvals[0], extrema=extrema,
                               channel=channel.tag, params=pair)
@@ -367,8 +398,7 @@ def _k_optimum(a_lo: float, a_hi: float) -> tuple[float, float]:
     return k, max(math.exp(-k * a_lo) - math.exp(-k * a_hi), 0.0)
 
 
-def _coherent_optimum(channel, ts, grid_maps, edges, k_max: float,
-                      ns) -> np.ndarray:
+def _coherent_optimum(sub, grid_maps, edges, k_max: float, ns) -> np.ndarray:
     """(N, K) of coherent-thermal pairs at each occupation in ns, one row each.
 
     Two displaced thermal states with one occupation n share one isotropic
@@ -386,7 +416,7 @@ def _coherent_optimum(channel, ts, grid_maps, edges, k_max: float,
         m, c, n = grid_maps if maps is None else maps
         return -(m * m / ((2.0 * ns[rows] + 1.0) * c + 2.0 * n))
 
-    row, _, _, lows, highs = _falls(minus_a, len(ns), channel, ts, edges)
+    row, _, _, lows, highs = _falls(minus_a, len(ns), sub, edges)
     out = []
     for i in range(len(ns)):
         rises = row == i
@@ -421,15 +451,15 @@ def _edge_maps(channel, ts):
     return (np.array(edges), (m[1:], c[1:], n[1:])) if (c <= 1.0).all() else None
 
 
-def _falls(fid, count: int, channel, ts, edges):
+def _falls(fid, count: int, sub, edges):
     """(row, t+, t-, v(t+), v(t-)) of every fall of the values ``fid`` gives
     each of ``count`` rows (as ``_grid_extrema`` asks), by row, then in time.
 
     The one choice between edges and grid: with ``_edge_maps``' (times,
     maps) as ``edges`` the values are read once at the edges, and fall over
     the intervals where v(t+) > v(t-); else a fall joins two consecutive
-    ``_grid_extrema`` points of a row where t rises and the value falls
-    (``backflow_intervals``' rule).
+    ``_grid_extrema`` points of a row (on the ``_SubGrid`` ``sub``) where t
+    rises and the value falls (``backflow_intervals``' rule).
     """
     if edges is not None:
         t, maps = edges
@@ -438,22 +468,22 @@ def _falls(fid, count: int, channel, ts, edges):
         fall = hi > lo
         row, k = np.nonzero(fall)
         return row, t[::2][k], t[1::2][k], hi[fall], lo[fall]
-    row, t, v, _ = _grid_extrema(ts, count, fid, channel.maps)
+    row, t, v, _ = _grid_extrema(count, fid, sub)
     take = (v[:-1] > v[1:]) & (t[1:] > t[:-1]) & (row[1:] == row[:-1])
     return row[1:][take], t[:-1][take], t[1:][take], v[:-1][take], v[1:][take]
 
 
-def _pair_measures(inv, channel, ts, grid_maps, edges) -> np.ndarray:
+def _pair_measures(inv, sub, grid_maps, edges) -> np.ndarray:
     """N of each pair of the invariants ``inv`` (8, P), with no trajectory
     built: ``bincount`` adds each pair's ``_falls`` drops in time order from
     0.0, bit for bit ``measure_from_trajectory``'s builtin ``sum``."""
     count = inv.shape[1]
-    row, _, _, f_plus, f_minus = _falls(_fid(inv, grid_maps), count, channel, ts, edges)
+    row, _, _, f_plus, f_minus = _falls(_fid(inv, grid_maps), count, sub, edges)
     return np.bincount(row, f_plus - f_minus, minlength=count)
 
 
-def _numeric_optimum(family: str, channel, ts, grid_maps, edges, bounds,
-                     phi, equal_squeezing):
+def _numeric_optimum(family: str, sub, grid_maps, edges, bounds, phi,
+                     equal_squeezing):
     """(N, argmax, diagnostics) of a family by batched chord zooms.
 
     Each batch is one ``_pair_measures`` call on invariants built straight
@@ -469,7 +499,7 @@ def _numeric_optimum(family: str, channel, ts, grid_maps, edges, bounds,
 
     def measures(vecs) -> np.ndarray:
         inv = pair_invariants(**params(np.clip(vecs, lo, hi)))
-        return _pair_measures(inv, channel, ts, grid_maps, edges)
+        return _pair_measures(inv, sub, grid_maps, edges)
 
     n_per_dim = _GRID_POINTS[len(dims) - 1]
     axes = [np.linspace(a, b, n_per_dim) for a, b in dims]
@@ -536,11 +566,10 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
         raise ValueError(f"first-order maps reach c = 1 - x = {c_min:.3g} <= 0, "
                          "outside their domain; use mode='exact' or a smaller alpha")
     _warn_first_order(channel, grid_maps, stacklevel=2)
-    edges = _edge_maps(channel, ts)
+    edges, sub = _edge_maps(channel, ts), _SubGrid(ts, channel.maps)
     if coherent:
         def optima(ns):
-            return _coherent_optimum(channel, ts, grid_maps, edges,
-                                     bounds.k_max, ns)
+            return _coherent_optimum(sub, grid_maps, edges, bounds.k_max, ns)
 
         # N(n) is not monotone under first-order maps: search n too
         n = 0.0 if family == "coherent" else _zoom_max(
@@ -554,10 +583,10 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
                        else [float(k), n]}
     else:
         value, argmax, diagnostics = _numeric_optimum(
-            family, channel, ts, grid_maps, edges, bounds, phi, equal_squeezing)
+            family, sub, grid_maps, edges, bounds, phi, equal_squeezing)
         method = "numeric_opt"
     _, t_plus, t_minus, f_plus, f_minus = _falls(
-        _fid(_invariants_of([argmax]), grid_maps), 1, channel, ts, edges)
+        _fid(_invariants_of([argmax]), grid_maps), 1, sub, edges)
     intervals = map(NegativityInterval, t_plus.tolist(), t_minus.tolist(),
                     (f_plus - f_minus).tolist())
     return MeasureResult(value=value, argmax=argmax, intervals=intervals,

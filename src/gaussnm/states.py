@@ -251,21 +251,30 @@ def fidelity_arrays(invariants, maps=None, branch: bool = False):
     if det_s.size and not det_s.min() > 0.0:  # a NaN fails too
         raise RuntimeError("singular summed covariance in fidelity; "
                            "internal invariant violation")
-    g1, g2 = cc * det1, cc * det2
-    for g, tr in ((g1, tr1), (g2, tr2)):  # g = cc det + cn tr + (nn - 1/4)
+    # gaps g = cc det + cn tr + (nn - 1/4); states with the same bits of det
+    # and tr in every row (the r1 = r2, n1 = n2 searches) share one
+    equal = invariants[4:6].tobytes() == invariants[6:8].tobytes()
+    g1, g2 = cc * det1, None if equal else cc * det2
+    for g, tr in [(g1, tr1), (g2, tr2)][:1 if equal else 2]:
         g += np.multiply(cn, tr, out=tmp)
         g += nn - 0.25
-    # product of (det - 1/4) factors is >= 0 for physical states; clip the
-    # float roundoff so sqrt stays real
-    small = np.multiply(16.0, g1, out=tmp)
-    small *= g2
-    root = np.sqrt(np.maximum(small, 0.0, out=small))
-    if branch:
-        np.copysign(root, np.add(g1, g2, out=g1), out=root)
+    if equal:  # 16 g g = (4 g)^2 to the bit and sqrt(fl(x^2)) = |x|
+        root = np.multiply(4.0, g1)
+        if not branch:
+            np.abs(root, out=root)
+        small = np.multiply(root, root, out=tmp)
+    else:
+        # product of (det - 1/4) factors is >= 0 for physical states; clip
+        # the float roundoff so sqrt stays real
+        small = np.multiply(16.0, g1, out=tmp)
+        small *= g2
+        root = np.sqrt(np.maximum(small, 0.0, out=small))
+        if branch:
+            np.copysign(root, np.add(g1, g2, out=g1), out=root)
     displaced = dad0.any() or dd0.any()
     if displaced:  # else quad = 0 and exp(-quad / 2) is exactly 1
         quad = np.multiply(c, dad0, out=g1)
-        quad += np.multiply(2.0 * n, dd0, out=g2)
+        quad += np.multiply(2.0 * n, dd0, out=g2)  # a new buffer if equal
         quad *= m * m  # quad = m m (c dad0 + 2 n dd0) / det_s
         quad /= det_s
         np.exp(np.multiply(-0.5, quad, out=quad), out=quad)

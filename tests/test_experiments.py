@@ -3,6 +3,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import gaussnm.channels as channels
 import gaussnm.experiments as experiments
@@ -310,16 +311,16 @@ class TestDeterminismAndWorkers:
         cfg = replace(fig_defaults(1), alpha_points=3, phis=(0.1,), workers=1)
         p1 = run_experiment(cfg, tmp_path / "a")
         p2 = run_experiment(cfg, tmp_path / "b")
-        assert open(p1[0], "rb").read() == open(p2[0], "rb").read()
-        assert open(p1[1]).read() == open(p2[1]).read()
+        assert Path(p1[0]).read_bytes() == Path(p2[0]).read_bytes()
+        assert Path(p1[1]).read_text() == Path(p2[1]).read_text()
 
     @pytest.mark.parametrize("figure", [1, 2, 3, 4, 5])
     def test_worker_pool_matches_serial(self, tmp_path, figure):
         # fig4: three curves share one table; figs 3 and 5: two tables
         p1 = run_experiment(tiny_config(figure, workers=1), tmp_path / "serial")
         p2 = run_experiment(tiny_config(figure, workers=2), tmp_path / "pool")
-        assert open(p1[0], "rb").read() == open(p2[0], "rb").read()
-        s1, s2 = (json.load(open(p[1])) for p in (p1, p2))
+        assert Path(p1[0]).read_bytes() == Path(p2[0]).read_bytes()
+        s1, s2 = (json.loads(Path(p[1]).read_text()) for p in (p1, p2))
         assert (s1["config"].pop("workers"), s2["config"].pop("workers")) == (1, 2)
         assert s1 == s2
 
@@ -337,7 +338,25 @@ class TestDeterminismAndWorkers:
         p1 = run_experiment(tiny_config(4, workers=2), tmp_path / "pool")
         monkeypatch.undo()
         p2 = run_experiment(tiny_config(4, workers=1), tmp_path / "serial")
-        assert open(p1[0], "rb").read() == open(p2[0], "rb").read()
+        assert Path(p1[0]).read_bytes() == Path(p2[0]).read_bytes()
+
+    def test_one_propagator_per_coupling(self, tmp_path, monkeypatch):
+        # fig4's three curves share one temperature: each coupling's rescaled
+        # table, and so its propagator, serves all of them
+        cfg, built, original = tiny_config(4, workers=1), [], channels.QbmPropagator
+
+        def counted(coeffs):
+            built.append(coeffs.alpha)
+            return original(coeffs)
+
+        monkeypatch.setattr(channels, "QbmPropagator", counted)
+        shared = run_experiment(cfg, tmp_path / "shared")
+        assert built == cfg.alphas.tolist()
+        # a new propagator on every request writes the same CSV
+        monkeypatch.setattr(channels.QbmChannel, "propagator",
+                            property(lambda self: original(self.coeffs)))
+        fresh = run_experiment(cfg, tmp_path / "fresh")
+        assert Path(shared[0]).read_bytes() == Path(fresh[0]).read_bytes()
 
     def test_points_fork_once_per_extra_worker(self, tmp_path, monkeypatch):
         # four fig1 points on two workers: this process runs two of them

@@ -1,7 +1,9 @@
 import cmath
+import gc
 import math
 import pickle
 import warnings
+import weakref
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -204,10 +206,17 @@ class TestExtremumRefinement:
 def located(fn, times):
     times = np.asarray(times, dtype=float)
     fvals = fn(times)[None]
-    _, *points = _grid_extrema(times, 1, lambda rows, maps=None:
+    _, *points = _grid_extrema(1, lambda rows, maps=None:
                                fvals[rows] if maps is None else fn(*maps),
-                               lambda t: (t,))
+                               measure._SubGrid(times, lambda t: (t,)))
     return [(t, f, kind) for t, f, kind in zip(*(p.tolist() for p in points)) if kind]
+
+
+def pair_measures(inv, channel, times, edges=None):
+    """``measure._pair_measures`` of the invariants ``inv`` on the grid
+    ``times``, on the grid route unless ``edges`` are given."""
+    return measure._pair_measures(inv, measure._SubGrid(times, channel.maps),
+                                  channel.maps(times), edges)
 
 
 def diff_signs(df):
@@ -221,6 +230,16 @@ def diff_signs(df):
             last = np.searchsorted(nz, np.arange(sgn.shape[1]), side="right") - 1
             sgn[r] = sgn[r, nz[np.maximum(last, 0)]]
     return sgn
+
+
+def sign_turns(fvals):
+    """``_brackets`` by the signs of each row's differences, ``diff_signs``."""
+    df = np.diff(fvals, axis=1)
+    sgn = diff_signs(df)
+    row, idx = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
+    keep = np.maximum(np.abs(df[row, idx]), np.abs(df[row, idx + 1])) >= _NOISE_FLOOR
+    row, idx = row[keep], idx[keep]
+    return row, idx, np.where(sgn[row, idx] > 0, 1, -1)
 
 
 def refine_bracket(fn, times):
@@ -525,7 +544,8 @@ class TestBatchedTrajectories:
         assert [len(traj.extrema) for traj in lone] == [0, 1, 2, 2, 1]
         falls = measure._falls(measure._fid(measure._invariants_of(pairs),
                                             channel.maps(ts)),
-                               len(pairs), channel, ts, None)
+                               len(pairs), measure._SubGrid(ts, channel.maps),
+                               None)
         assert falls[0].tolist() == [1, 2, 3, 4]  # one fall each but the first's
         for r, traj in enumerate(lone):
             assert traj.params == pairs[r]
@@ -577,8 +597,7 @@ class TestEdgeRoute:
         found = measure._edge_maps(channel, times)
         assert (found is not None) == edges
         pairs = mixed_pairs(np.random.default_rng(16), 40)
-        got = measure._pair_measures(measure._invariants_of(pairs), channel, times,
-                                     channel.maps(times), found)
+        got = pair_measures(measure._invariants_of(pairs), channel, times, found)
         want = [measure_from_trajectory(fidelity_trajectory(p, channel, times))
                 for p in pairs]
         assert max(want) > 1e-3
@@ -675,8 +694,7 @@ class TestGridRoute:
                 assert measure._edge_maps(channel, times) is None
         want = [measure_from_trajectory(traj) for traj in trajs]
         assert max(want) > 1e-4
-        got = measure._pair_measures(measure._invariants_of(pairs), channel, times,
-                                     channel.maps(times), None)
+        got = pair_measures(measure._invariants_of(pairs), channel, times)
         assert got.tolist() == want
 
     @pytest.mark.parametrize("times", [
@@ -702,7 +720,8 @@ class TestGridRoute:
                 return fvals[rows]
             return np.array([funcs[r](t) for r, t in zip(rows, maps[0])])
 
-        row, t, f, kind = _grid_extrema(times, len(funcs), fid, maps_of)
+        row, t, f, kind = _grid_extrema(len(funcs), fid,
+                                        measure._SubGrid(times, maps_of))
         brute = [refine_bracket(funcs[r], times) for r in range(len(funcs))]
         got = [[(tt, ff, k) for rr, tt, ff, k in zip(row.tolist(), t.tolist(),
                                                       f.tolist(), kind.tolist())
@@ -719,6 +738,50 @@ class TestGridRoute:
             assert 5 < len(starts) < brackets  # some starts shared, not all
             assert got[0] != [] and got[3] != [] and got[0][0][0] != got[3][0][0]
 
+    def test_sub_grid_starts_once_per_maximization(self, fig3_tables, monkeypatch):
+        # a maximization takes each bracket start's sub-grid maps once over
+        # all its batches; the next asks again: its sub-grids died with it
+        channel = QbmChannel(fig3_tables[0.2].rescaled(0.1))
+        starts, asked, alive = [], [], []
+
+        class Recorded(measure._SubGrid):
+            def __init__(self, ts, maps_of):
+                def recorded(t):
+                    if t.shape[-1] == measure._SUBGRID:
+                        starts[-1].extend(t[:, 0].tolist())
+                    return maps_of(t)
+
+                super().__init__(ts, recorded)
+                starts.append([])
+                alive.append(weakref.ref(self))
+
+            def maps(self, idx):
+                asked.extend(idx.tolist())
+                return super().maps(idx)
+
+        monkeypatch.setattr(measure, "_SubGrid", Recorded)
+        runs = [maximize_measure("squeezed", channel, phi=0.05, equal_squeezing=True,
+                                 times=np.linspace(0.0, 40.0, 401)) for _ in range(2)]
+        gc.collect()
+        assert len(alive) == 2 and not any(ref() for ref in alive)
+        first, second = starts
+        assert len(first) == len(set(first)) > 10 and 2 * len(first) < len(asked)
+        assert second == first and runs[0].value == runs[1].value > 0.0
+
+    @pytest.mark.parametrize("mode", ["exact", "first_order"])
+    def test_sub_grid_rows_are_the_channel_maps(self, fig3_tables, mode):
+        # gathered rows, old and new starts mixed, are the channel's maps at
+        # the brackets' sub-grid times, bit for bit
+        ts = np.linspace(0.0, 40.0, 401)
+        for channel in (QbmChannel(fig3_tables[0.5].rescaled(0.1), mode=mode),
+                        DampingChannel(alpha=0.1, rate=RATE, mode=mode)):
+            sub = measure._SubGrid(ts, channel.maps)
+            for idx in ([5, 9, 5, 398], [9, 0, 200, 5, 200], [398], [7, 7]):
+                lo, step = ts[idx], (ts[np.add(idx, 2)] - ts[idx]) / 64.0
+                sub_t = lo[:, None] + step[:, None] * np.arange(measure._SUBGRID)
+                got, want = sub.maps(np.array(idx)), channel.maps(sub_t)
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
     def test_step_back_in_time_is_no_drop(self):
         # a peak (t = 5) and a dip (t = 7) inside one grid step: the first
         # bracket's refined maximum of F comes after the second's minimum,
@@ -731,8 +794,8 @@ class TestGridRoute:
         assert [t for t, _, _ in traj.extrema] == [7.0, 5.0, 12.0]
         want = measure_from_trajectory(traj)
         assert want == pytest.approx(math.exp(-2.0) - math.exp(-2.4), rel=1e-12)
-        assert measure._pair_measures(measure._invariants_of([pair]), channel, times,
-                                      channel.maps(times), None).tolist() == [want]
+        assert pair_measures(measure._invariants_of([pair]), channel,
+                             times).tolist() == [want]
 
     @pytest.mark.parametrize("mode", ["exact", "first_order"])
     @pytest.mark.parametrize("equal", [False, True], ids=["r1_r2", "equal"])
@@ -795,15 +858,25 @@ class TestGridRoute:
         fvals = 0.5 + np.cumsum(steps, axis=1)
         fvals[140:160] = fvals[140:160, :1]  # ties of the first value
         fvals[160:200] += 1e-15 * rng.standard_normal((40, 40))  # rounding noise
-        df = np.diff(fvals, axis=1)
-        sgn = diff_signs(df)
-        row, idx = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
-        keep = np.maximum(np.abs(df[row, idx]), np.abs(df[row, idx + 1])) >= _NOISE_FLOOR
-        row, idx = row[keep], idx[keep]
-        want = (row, idx, np.where(sgn[row, idx] > 0, 1, -1))
-        got = measure._brackets(fvals)
-        assert len(row) > 1000 and (want[2] == 1).any() and (want[2] == -1).any()
-        for a, b in zip(got, want):
+        want = sign_turns(fvals)
+        assert len(want[0]) > 1000 and (want[2] == 1).any() and (want[2] == -1).any()
+        for a, b in zip(measure._brackets(fvals), want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("width", [3, 4, 9])
+    def test_brackets_stop_at_row_junctions(self, width):
+        # rows compared as one contiguous run of samples: turns at a row's
+        # last step, flat runs into the junction and junctions that rise,
+        # fall or stay level are those of the rows taken one by one
+        rng = np.random.default_rng(width)
+        fvals = np.cumsum(rng.choice([-1.0, 0.0, 1.0], size=(400, width)), axis=1)
+        fvals[::7, -2:] = fvals[::7, -3:-2] + [[1.0, 0.0]]  # a turn at the last step
+        fvals[1::7, -2:] = fvals[1::7, -3:-2]  # a flat run into the junction
+        fvals[2::7] -= fvals[2::7, :1] - fvals[1::7, -1:]  # level with the row before
+        want = sign_turns(fvals)
+        assert (want[1] == width - 3).sum() > 50 and len(want[0]) > 100
+        assert (fvals[2::7, 0] == fvals[1::7, -1]).all()
+        for a, b in zip(measure._brackets(fvals), want):
             assert np.array_equal(a, b)
 
 
@@ -842,8 +915,7 @@ class TestFamilyMoments:
         channel = damping_channel(0.1)
         ts = np.linspace(0.0, 25.0, 201)
         for edges in (measure._edge_maps(channel, ts), None):
-            assert measure._pair_measures(empty, channel, ts, channel.maps(ts),
-                                          edges).shape == (0,)
+            assert pair_measures(empty, channel, ts, edges).shape == (0,)
 
 
 NM_OPTIONS = {"xatol": 1e-7, "fatol": 1e-13, "maxiter": 500}
@@ -1191,8 +1263,7 @@ class TestSwapSymmetry:
             channel, times = swap_channels[tag], np.linspace(0.0, t_end, 801)
             framed = [measure_from_trajectory(fidelity_trajectory(p, channel, times))
                       for p in pairs]
-            as_given = measure._pair_measures(moment_invariants(pairs), channel, times,
-                                              channel.maps(times), None)
+            as_given = pair_measures(moment_invariants(pairs), channel, times)
             assert min(framed) > 1e-4 and (as_given != framed).any()
             np.testing.assert_allclose(as_given, framed, rtol=1e-11, atol=0.0)
 
@@ -1288,9 +1359,10 @@ class TestExactCoherent:
         grid_maps, k_max = channel.maps(times), ParamBounds().k_max
         edges = measure._edge_maps(channel, times)
         ns = [0.0, 0.3, 2.0]
-        want = measure._coherent_optimum(channel, times, grid_maps, None, k_max, ns)
+        sub = measure._SubGrid(times, channel.maps)
+        want = measure._coherent_optimum(sub, grid_maps, None, k_max, ns)
         monkeypatch.setattr(measure, "_grid_extrema", None)
-        got = measure._coherent_optimum(channel, times, grid_maps, edges, k_max, ns)
+        got = measure._coherent_optimum(sub, grid_maps, edges, k_max, ns)
         assert (want[:, 0] > 1e-3).all()
         np.testing.assert_allclose(got[:, 0], want[:, 0], rtol=1e-12, atol=0.0)
         # N is flat at its optimum: an ulp in a moves the zoomed K a little

@@ -380,10 +380,28 @@ class TestPairInvariantKernel:
         undisplaced = stacked_pairs(rng, 24, r_max=2.0, beta_max=0.0)
         mixed = tuple(np.concatenate([u[:5], d[:1], u[5:9]])
                       for u, d in zip(undisplaced, displaced))
+        # equal states, pure (their gap's sign is rounding) and mixed: V2 is
+        # V1 reflected (phi -> -phi), every other one also turned by pi / 2,
+        # with det V and tr V kept to the bit, so the kernel builds one gap
+        pure = stacked_pairs(rng, 24, n_max=0.0, r_max=2.0, beta_max=1.5)
+        means1, covs1, means2, _ = (np.concatenate([p[:5], d[:12], p[5:12]])
+                                    for p, d in zip(pure, displaced))
+        covs2 = covs1 * [[1.0, -1.0], [-1.0, 1.0]]
+        covs2[1::2] = covs2[1::2, ::-1, ::-1].copy()
+        equal_displaced = means1, covs1, means2, covs2
+        equal_undisplaced = means1, covs1, means1, covs2
+        equal_and_not = tuple(np.concatenate([e[:5], u[:2], e[5:9]])
+                              for e, u in zip(equal_undisplaced, undisplaced))
         maps = channel.maps(np.linspace(0.0, channel.t_max, 501))
         cols = rng.integers(0, 501, size=(10, 7))
-        for args in (displaced, undisplaced, mixed):
-            assert np.all(args[0] == args[2]) == (args is undisplaced)
+        for args, moved, equal in ((displaced, True, False),
+                                   (undisplaced, False, False), (mixed, True, False),
+                                   (equal_displaced, True, True),
+                                   (equal_undisplaced, False, True),
+                                   (equal_and_not, False, False)):
+            inv = matrix_invariants(*args)
+            same = inv[4:6].tobytes() == inv[6:8].tobytes()
+            assert (inv[3].any(), same) == (moved, equal)
             for branch in (False, True):
                 for mp in (maps, tuple(v[cols] for v in maps)):
                     rows = args if mp is maps else tuple(a[:10] for a in args)
