@@ -61,7 +61,8 @@ _NOISE_FLOOR = 1e-14  # ignore grid-level fidelity wiggles below this
 _SUBGRID = 65  # samples per extremum bracket (two grid steps)
 _GRID_POINTS = (0, 7, 7, 5)  # product-grid points per axis, by family dimension
 _CHORD_POINTS, _K_POINTS = 33, 129  # first-grid points of a chord, of the log K range
-_ZOOM_LEVELS, _ZOOM_POINTS = 7, 17  # zoom levels after a coarse 1-d grid
+_ZOOM_POINTS = 17  # points per level of a zoom at the box's edge
+_ZOOM_TOL = 1e-9  # a zoom's last stencil width, relative to 1 + |x|
 _MAX_CHORDS = 8  # chord searches per family parameter, at most
 # samples per block of a grid pass: 64 KiB temporaries stay under glibc's 128 KiB
 # mmap threshold, so the heap is reused, not grown and trimmed (page faults) per batch
@@ -326,33 +327,59 @@ def measure_from_trajectory(traj: FidelityTrajectory) -> float:
 _FAMILIES = ("coherent", "squeezed", "coherent_thermal", "general_pure")
 
 
-def _zoom_max(f, lo: float, hi: float, points: int) -> tuple[float, float, float]:
-    """(x, f(x), best value of the first grid) of a batched zoom of [lo, hi].
+def _zoom_max(f, lo: float, hi: float, points: int):
+    """(x, f(x), best value of the first grid, batches after it, abscissae
+    scored) of a batched zoom of [lo, hi]; f(x) is the best value scored.
 
     ``f`` maps an array of abscissae to their values, each independent of
-    the others in the array.  A ``points``-point grid over [lo, hi] is
-    followed by _ZOOM_LEVELS levels of _ZOOM_POINTS points, each spanning
-    one previous step either side of the best x.  A level's centre and ends
-    are often points scored before, and no point scored before beats the
-    best value, so a level sends ``f`` only the points it has not scored.
+    the others; no abscissa is sent twice.  After a ``points``-point grid,
+    each step scores the vertex of the parabola through the best point and
+    its neighbours at spacing h (|s| <= h / 2) and two points either side at
+    h' = min(max(|s|, h / 64), h / 4), then two more beyond while an end is
+    best (R. P. Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 5), until the curvature is not negative or h' < _ZOOM_TOL
+    (1 + |x|).  Where a stencil would leave the box, levels of _ZOOM_POINTS
+    points, each spanning one previous step either side of the best x, go
+    on to that width.  A step sends at most 5 abscissae: on a 2001-point grid
+    no temporary of its pass exceeds one _BATCH_SAMPLES block.
     """
-    xs = np.linspace(lo, hi, points)
-    vals = f(xs)
+    seen, sizes = {}, []
+
+    def score(xs):
+        new = [x for x in xs if x not in seen]
+        if new:
+            sizes.append(len(new))
+            seen.update(zip(new, f(np.array(new)).tolist()))
+        return [seen[x] for x in xs]
+
+    grid = np.linspace(lo, hi, points).tolist()
+    vals = score(grid)
     j = int(np.argmax(vals))
-    best_x, best_val, coarse = xs[j], vals[j], vals[j]
-    scored = set(xs[max(j - 1, 0):j + 2].tolist())  # all of the grid the first level spans
-    for _ in range(_ZOOM_LEVELS):
-        half = xs[1] - xs[0]
-        xs = np.linspace(max(lo, best_x - half), min(hi, best_x + half), _ZOOM_POINTS)
-        keys = xs.tolist()
-        new = xs[[x not in scored for x in keys]]
-        if new.size:  # else a zero-width box, all one point
-            scored.update(keys)
-            vals = f(new)
-            j = int(np.argmax(vals))
-            if vals[j] > best_val:
-                best_x, best_val = new[j], vals[j]
-    return float(best_x), float(best_val), float(coarse)
+    half, stencil = grid[1] - grid[0], grid[j - 1:j + 2] if 0 < j < points - 1 else []
+    while stencil:  # the best point and its neighbours, inside the box
+        (xm, x0, xp), (fm, f0, fp) = stencil, score(stencil)
+        half, curv = 0.5 * (xp - xm), fm - 2.0 * f0 + fp
+        if not curv < 0.0:
+            break
+        s = min(max(0.5 * half * (fm - fp) / curv, -0.5 * half), 0.5 * half)
+        h = min(max(abs(s), half / 64.0), half / 4.0)
+        if h < _ZOOM_TOL * (1.0 + abs(x0 + s)):
+            break
+        # x0 + (s - h) is x0 where h = s; the stencil stays [] if a trial leaves the box
+        trial, stencil = [x0 + (s + k * h) for k in (-2, -1, 0, 1, 2)], []
+        while lo <= trial[0] and trial[-1] <= hi:
+            k = int(np.argmax(score(trial)))
+            if 0 < k < len(trial) - 1:
+                stencil = trial[k - 1:k + 2]
+                break
+            trial = ([trial[0] - 2.0 * h, trial[0] - h, *trial] if k == 0
+                     else [*trial, trial[-1] + h, trial[-1] + 2.0 * h])
+    while not stencil and half >= _ZOOM_TOL * (1.0 + abs(x := max(seen, key=seen.get))):
+        level = np.linspace(max(lo, x - half), min(hi, x + half), _ZOOM_POINTS)
+        half = level[1] - level[0]
+        score(level.tolist())
+    x = max(seen, key=seen.get)
+    return x, seen[x], vals[j], len(sizes) - 1, sum(sizes)
 
 
 def _family_space(family: str, bounds: ParamBounds, phi: float,
@@ -431,7 +458,7 @@ def _coherent_optimum(sub, grid_maps, edges, k_max: float, ns) -> np.ndarray:
             k = k_lo * ratio ** u[:, None]
             return np.sum(np.exp(-k * a_lo) - np.exp(-k * a_hi), axis=-1)
 
-        u, value, _ = _zoom_max(total, 0.0, 1.0, _K_POINTS)
+        u, value, *_ = _zoom_max(total, 0.0, 1.0, _K_POINTS)
         out.append((value, float(k_lo * ratio ** u)))
     return np.array(out)
 
@@ -512,15 +539,15 @@ def _numeric_optimum(family: str, sub, grid_maps, edges, bounds, phi,
     vals = np.append(measures(grid), -math.inf)  # lo: a box without a grid
     j = int(np.argmax(vals))
     best_vec, best_val = np.vstack([grid, lo])[j], float(vals[j])
-    chords, searched, zoomed = 0, 0, False
+    chords, searched, zoomed, steps, scored = 0, 0, False, 0, len(grid)
     while searched < len(dirs) and chords < _MAX_CHORDS * len(dims):
         d = dirs[chords % len(dirs)]
         moving = d != 0.0
         ends = (np.array([lo, hi])[:, moving] - best_vec[moving]) / d[moving]
-        s, val, coarse = _zoom_max(lambda t: measures(best_vec + t[:, None] * d),
-                                   ends.min(axis=0).max(), ends.max(axis=0).min(),
-                                   _CHORD_POINTS)
-        chords += 1
+        s, val, coarse, batches, pairs = _zoom_max(
+            lambda t: measures(best_vec + t[:, None] * d),
+            ends.min(axis=0).max(), ends.max(axis=0).min(), _CHORD_POINTS)
+        chords, steps, scored = chords + 1, steps + batches, scored + pairs
         # gains below 1e-12 are rounding: near the vacuum the kernel's pure-state
         # error alone gives a divisible damping map N ~ 4e-14
         zoomed |= val > coarse + 1e-12 * (1.0 + coarse)
@@ -528,9 +555,8 @@ def _numeric_optimum(family: str, sub, grid_maps, edges, bounds, phi,
             best_vec, best_val, searched = np.clip(best_vec + s * d, lo, hi), val, 0
         searched += 1
     diagnostics = {"grid_evaluations": len(grid) + chords * _CHORD_POINTS,
-                   "restarts": 0, "iterations": chords * _ZOOM_LEVELS,
-                   "function_evaluations": len(grid) + chords * (
-                       _CHORD_POINTS + _ZOOM_LEVELS * _ZOOM_POINTS),
+                   "restarts": 0, "iterations": steps,
+                   "function_evaluations": scored,
                    "stagnation": not zoomed,
                    "argmax_vector": [float(v) for v in best_vec]}
     return best_val, StatePairParams(**params(best_vec)), diagnostics
@@ -771,7 +797,7 @@ def _equal_response_max(phi: float, direction: tuple, r_max: float):
     def responses(rs):
         return np.array([_pure_response(r, r, phi, *direction) for r in rs])
 
-    r_star, response, _ = _zoom_max(responses, 0.0, r_max, _CHORD_POINTS)
+    r_star, response, *_ = _zoom_max(responses, 0.0, r_max, _CHORD_POINTS)
     return r_star, response
 
 

@@ -1,11 +1,14 @@
 """Small helpers that only the tests call: stub coefficient tables, the
-paper's printed squeezing coefficient, a state physicality check and the
-matrix route to a batch's pair invariants."""
+paper's printed squeezing coefficient, a state physicality check, the
+matrix route to a batch's pair invariants and a recorder of scored pairs."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
+from gaussnm import measure
 from gaussnm._spline import cumulative_simpson
 from gaussnm.spectral import ChannelCoefficients
 from gaussnm.states import EPS_TOL, _below_heisenberg, _moments, matrix_invariants
@@ -57,3 +60,18 @@ def moment_invariants(pairs) -> np.ndarray:
     """``matrix_invariants`` (8, P) of the pairs' stacked states: the matrix
     route, the oracle of ``states.pair_invariants``."""
     return matrix_invariants(*pair_moments(pairs))
+
+
+@contextmanager
+def pair_batches():
+    """The pairs of each ``measure._pair_measures`` call made in the block,
+    in order: one batch of a search each."""
+    rows, pair_measures = [], measure._pair_measures
+
+    def counted(inv, *args):
+        rows.append(inv.shape[1])
+        return pair_measures(inv, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "_pair_measures", counted)
+        yield rows

@@ -19,6 +19,7 @@ from gaussnm.experiments import (
     run_experiment,
 )
 from gaussnm.spectral import ChannelCoefficients, EnvironmentSpec, build_coefficients
+from helpers import pair_batches
 
 
 def read_csv(path):
@@ -162,13 +163,14 @@ class TestConfig:
 def small_fig1(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig1")
     cfg = replace(fig_defaults(1), alpha_points=4, workers=1)
-    paths = run_experiment(cfg, out)
-    return cfg, paths
+    with pair_batches() as rows:  # one process: every search is recorded
+        paths = run_experiment(cfg, out)
+    return cfg, paths, rows
 
 
 class TestFig1:
     def test_schema(self, small_fig1):
-        _, paths = small_fig1
+        _, paths, _ = small_fig1
         data = read_csv(paths[0])
         assert len(data.dtype.names) == 7
         assert data.dtype.names[0] == "alpha"
@@ -181,7 +183,7 @@ class TestFig1:
         assert float(data["coherent_exact"]) == pytest.approx(0.0459, abs=5e-4)
 
     def test_first_order_tracks_exact_for_coherent(self, small_fig1):
-        _, paths = small_fig1
+        _, paths, _ = small_fig1
         data = read_csv(paths[0])
         mask = data["alpha"] <= 0.1
         gap = np.abs(data["coherent_exact"][mask]
@@ -189,26 +191,27 @@ class TestFig1:
         assert np.max(gap / data["coherent_exact"][mask]) <= 0.02
 
     def test_squeezed_above_coherent(self, small_fig1):
-        _, paths = small_fig1
+        _, paths, _ = small_fig1
         data = read_csv(paths[0])
         assert np.all(data["squeezed_exact_phi01"] > data["coherent_exact"])
         assert np.all(data["squeezed_exact_phi01"] > data["squeezed_exact_phi02"])
 
     def test_summary_sidecar(self, small_fig1):
-        cfg, paths = small_fig1
+        cfg, paths, rows = small_fig1
         with open(paths[1]) as fh:
             summary = json.load(fh)
         assert summary["schema"] == 1
         assert summary["experiment"] == "fig1"
         assert "optimizer" in summary and "quadrature" in summary
-        # every (r1, r2) search: a 78-point grid, then chords of 33 grid
-        # points and 7 zoom levels, at least one along (1, 1) and (1, -1);
-        # the chord search never restarts
+        # every (r1, r2) search: a 78-point grid, then chords of a 33-point
+        # grid and one batch per zoom step (at most 17 pairs), at least one
+        # chord along (1, 1) and (1, -1); the chord search never restarts
         optimizer = summary["optimizer"]
         searches = len(cfg.phis) * cfg.alpha_points
-        chords = optimizer["iterations"] // 7
+        chords = rows.count(33)
+        assert rows.count(78) == searches and chords >= 2 * searches
         assert optimizer["restarts"] == 0
-        assert optimizer["iterations"] == 7 * chords >= 7 * 2 * searches
+        assert optimizer["iterations"] == len(rows) - searches - chords
         assert optimizer["grid_evaluations"] == 78 * searches + 33 * chords
 
 

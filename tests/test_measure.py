@@ -51,7 +51,8 @@ from gaussnm.measure import (
 )
 from gaussnm.spectral import EnvironmentSpec
 from gaussnm.states import fidelity, fidelity_arrays, matrix_invariants, pair_invariants
-from helpers import coefficients_from_functions, g1_squeezed, moment_invariants
+from helpers import (coefficients_from_functions, g1_squeezed, moment_invariants,
+                     pair_batches)
 from interval_oracle import _sign_intervals
 
 RATE = DampingRateSpec.decaying_sine()
@@ -994,23 +995,30 @@ class TestEqualSqueezingSearch:
         times = np.linspace(0.0, cfg.t_end, cfg.traj_points + 1)
         for alpha in cfg.alphas:
             channel = QbmChannel(base.rescaled(alpha))
-            res = maximize_measure("squeezed", channel, bounds=cfg.bounds(),
-                                   phi=phi, equal_squeezing=True, times=times)
+            with pair_batches() as rows:
+                res = maximize_measure("squeezed", channel, bounds=cfg.bounds(),
+                                       phi=phi, equal_squeezing=True, times=times)
             oracle = oracle_equal_squeezing(channel, phi, times, cfg.r_max)
             assert res.value >= oracle - 1e-12 * res.value
+            # an empty product grid, then one chord: its 33-point grid and
+            # one batch per zoom step
             d = res.diagnostics
-            assert (d["grid_evaluations"], d["iterations"], d["restarts"]) == (33, 7, 0)
-            assert d["function_evaluations"] == 33 + 7 * 17
+            assert rows[:2] == [0, 33]
+            assert (d["grid_evaluations"], d["restarts"]) == (33, 0)
+            assert d["iterations"] == len(rows) - 2
+            assert d["function_evaluations"] == sum(rows)
 
 
-def zoom_without_memo(f, lo, hi, points):
-    """``measure._zoom_max`` as it was before it kept scored points: every
-    level goes to ``f`` whole."""
+def zoom_without_memo(f, lo, hi, points, levels=7):
+    """The level loop ``measure._zoom_max`` ran before its parabolic steps,
+    with no memo: a ``points``-point grid, then ``levels`` levels of 17
+    points, each spanning one previous step either side of the best x, every
+    level sent to ``f`` whole.  Returns ``_zoom_max``'s five fields."""
     xs = np.linspace(lo, hi, points)
     vals = f(xs)
     j = int(np.argmax(vals))
     best_x, best_val, coarse = xs[j], vals[j], vals[j]
-    for _ in range(measure._ZOOM_LEVELS):
+    for _ in range(levels):
         half = xs[1] - xs[0]
         xs = np.linspace(max(lo, best_x - half), min(hi, best_x + half),
                          measure._ZOOM_POINTS)
@@ -1018,50 +1026,112 @@ def zoom_without_memo(f, lo, hi, points):
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_x, best_val = xs[j], vals[j]
-    return float(best_x), float(best_val), float(coarse)
+    return (float(best_x), float(best_val), float(coarse), levels,
+            points + levels * measure._ZOOM_POINTS)
+
+
+def recorded_zoom(fn, lo, hi, points):
+    """``measure._zoom_max`` of ``fn`` and the abscissae of each batch it sent."""
+    batches = []
+
+    def recording(xs):
+        batches.append(xs.tolist())
+        return fn(xs)
+
+    return measure._zoom_max(recording, lo, hi, points), batches
+
+
+def two_peaks(x):
+    """Two peaks whose maxima differ by 1e-13, the coarse grid nearer the lower."""
+    return (np.exp(-(x - 1.0) ** 2 / 0.01)
+            + (1.0 - 1e-13) * np.exp(-(x - 1.6) ** 2 / 0.01))
 
 
 class TestZoomMemo:
-    @pytest.mark.parametrize("fn, lo, hi, points, calls", [
-        (lambda x: -(x - 1.3) ** 2, 0.0, 5.0, 33, 33 + 7 * 14),  # dyadic steps
-        (lambda x: np.cos(7.0 * x) * np.exp(-x), 0.0, 1.0, 129, None),
-        (lambda x: -(x - 0.37) ** 2, 0.1, 2.9, 33, None),
-        (lambda x: x, 0.0, 5.0, 33, None),  # best at the upper edge
-        (lambda x: -x, 0.0, 5.0, 33, None),  # and at the lower
+    @pytest.mark.parametrize("fn, lo, hi, points", [
+        (lambda x: -(x - 1.3) ** 2, 0.0, 5.0, 33),
+        (lambda x: np.cos(7.0 * x) * np.exp(-x), 0.0, 1.0, 129),
+        (lambda x: -(x - 0.37) ** 2, 0.1, 2.9, 33),
+        (lambda x: x, 0.0, 5.0, 33),  # best at the upper edge
+        (lambda x: -x, 0.0, 5.0, 33),  # and at the lower
     ], ids=["interior", "oscillating", "non-dyadic", "upper-edge", "lower-edge"])
-    def test_each_abscissa_scored_once(self, fn, lo, hi, points, calls):
-        asked, visited = [], []
+    def test_each_abscissa_scored_once(self, fn, lo, hi, points):
+        (x, value, coarse, steps, scored), batches = recorded_zoom(fn, lo, hi, points)
+        asked = [a for batch in batches for a in batch]
+        assert len(asked) == len(set(asked)) == scored
+        assert len(batches) == steps + 1
+        # the best value scored, at least the coarse grid's best
+        assert value == fn(np.array([x]))[0] == max(fn(np.array(asked)))
+        assert coarse == max(fn(np.linspace(lo, hi, points)))
+        assert value >= coarse
+        assert value >= zoom_without_memo(fn, lo, hi, points)[1]
 
-        def recording(xs):
-            asked.extend(xs.tolist())
-            return fn(xs)
+    @pytest.mark.parametrize("lo, hi", [(0.0, 5.0), (0.1, 2.9)])
+    def test_parabola_reaches_its_vertex(self, lo, hi):
+        (x, *_), batches = recorded_zoom(lambda x: -(x - 1.3) ** 2, lo, hi, 33)
+        assert abs(x - 1.3) <= 1e-8
+        assert all(len(b) <= 5 for b in batches[1:])  # steps, no level
 
-        def plain(xs):
-            visited.extend(xs.tolist())
-            return fn(xs)
+    @pytest.mark.parametrize("sign, edge", [(1.0, 5.0), (-1.0, 0.0)],
+                             ids=["upper", "lower"])
+    def test_linear_returns_box_edge_through_levels(self, sign, edge):
+        (x, value, *_), batches = recorded_zoom(lambda x: sign * x, 0.0, 5.0, 33)
+        assert x == edge and value == sign * edge
+        # the grid's best is an end: levels of 17 points, more than a step
+        # sends, follow; each repeats at least the best point
+        assert len(batches) > 1 and all(5 < len(b) < 17 for b in batches[1:])
 
-        assert measure._zoom_max(recording, lo, hi, points) == zoom_without_memo(
-            plain, lo, hi, points)
-        assert len(asked) == len(set(asked)) and set(asked) == set(visited)
-        assert len(visited) == points + measure._ZOOM_LEVELS * measure._ZOOM_POINTS
-        assert len(asked) < len(visited)
-        if calls is not None:
-            assert len(asked) == calls
+    @pytest.mark.parametrize("fn", [lambda x: -np.abs(x - 0.37), two_peaks],
+                             ids=["kink", "two-peaks"])
+    def test_no_lower_than_the_level_loop(self, fn):
+        (_, value, *_), _ = recorded_zoom(fn, 0.0, 5.0, 33)
+        assert value >= zoom_without_memo(fn, 0.0, 5.0, 33)[1] - 1e-12
 
-    def test_equal_squeezing_chord_scores_131_pairs(self, monkeypatch, fig3_tables):
-        # a level's centre and ends repeat earlier points: 152 visited, 131 scored
-        rows, pair_measures = [], measure._pair_measures
+    def test_equal_squeezing_chord_scores_59_pairs(self, fig3_tables):
+        with pair_batches() as rows:
+            res = maximize_measure("squeezed",
+                                   QbmChannel(fig3_tables[0.2].rescaled(0.1)),
+                                   phi=0.05, equal_squeezing=True,
+                                   times=np.linspace(0.0, 40.0, 401))
+        # an empty product grid, then the chord: its grid and one batch per
+        # step (131 pairs in 9 batches when seven levels of 17 points followed)
+        assert rows == [0, 33, 5, 4, 4, 5, 5, 3]
+        assert res.diagnostics["iterations"] == len(rows) - 2
+        assert res.diagnostics["function_evaluations"] == sum(rows)
 
-        def counted(inv, *args):
-            rows.append(inv.shape[1])
-            return pair_measures(inv, *args)
 
-        monkeypatch.setattr(measure, "_pair_measures", counted)
-        res = maximize_measure("squeezed", QbmChannel(fig3_tables[0.2].rescaled(0.1)),
-                               phi=0.05, equal_squeezing=True,
-                               times=np.linspace(0.0, 40.0, 401))
-        assert res.diagnostics["function_evaluations"] == 33 + 7 * 17
-        assert rows == [0, 33] + [14] * 7  # an empty product grid, then the chord
+def accuracy_points(tables):
+    """(label, family, channel, phi, times, equal_squeezing) of the searches
+    the zoom is checked on against fourteen levels: QBM equal squeezing on
+    each table at three couplings and two angles, and two damping families."""
+    times = np.linspace(0.0, 40.0, 401)
+    out = [(f"qbm-T{tv:g}-a{alpha:g}-phi{phi:g}", "squeezed",
+            QbmChannel(table.rescaled(alpha)), phi, times, True)
+           for tv, table in tables.items() for alpha in (0.02, 0.08, 0.15)
+           for phi in (0.05, 0.1)]
+    damping_times = np.linspace(0.0, 25.0, 1001)
+    return out + [(f"damping-{family}", family, damping_channel(0.1), 0.1,
+                   damping_times, False)
+                  for family in ("squeezed", "coherent_thermal")]
+
+
+class TestZoomAccuracy:
+    def test_within_1e12_of_fourteen_levels(self, monkeypatch, fig3_tables):
+        tables = {**fig3_tables, 4.0: build_coefficients(
+            EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=4.0),
+            alpha=1.0, t_end=40.0, n_steps=400)}
+        points = accuracy_points(tables)
+
+        def values():
+            return [maximize_measure(family, channel, phi=phi, times=times,
+                                     equal_squeezing=eq).value
+                    for _, family, channel, phi, times, eq in points]
+
+        zoomed = values()
+        monkeypatch.setattr(measure, "_zoom_max",
+                            lambda *args: zoom_without_memo(*args, levels=14))
+        for (label, *_), value, oracle in zip(points, zoomed, values()):
+            assert value == pytest.approx(oracle, rel=1e-12, abs=0.0), label
 
 
 def tiny_fig1_points():
@@ -1078,16 +1148,21 @@ class TestChordSearch:
                              ids=["phi0.1-a0", "phi0.1-a1", "phi0.2-a0",
                                   "phi0.2-a1"])
     def test_squeezed_no_worse_than_nelder_mead(self, channel, phi, times, r_max):
-        res = maximize_measure("squeezed", channel, bounds=ParamBounds(r_max=r_max),
-                               phi=phi, times=times)
+        with pair_batches() as rows:
+            res = maximize_measure("squeezed", channel,
+                                   bounds=ParamBounds(r_max=r_max), phi=phi,
+                                   times=times)
         oracle = oracle_squeezed(channel, phi, times, r_max)
         assert res.value >= oracle - 1e-12 * res.value
         d = res.diagnostics
-        # the (r1, r2) grid, then at least one chord along (1, 1) and (1, -1)
-        chords = d["iterations"] // 7
+        # the (r1, r2) grid, then at least one chord along (1, 1) and (1, -1):
+        # its 33-point grid, then batches of at most 17 pairs, one per step
+        chords = rows.count(33)
+        assert rows[0] == 78 and max(rows[1:]) == 33
         assert chords >= 2 and d["restarts"] == 0
         assert d["grid_evaluations"] == 78 + 33 * chords
-        assert d["function_evaluations"] == 78 + (33 + 7 * 17) * chords
+        assert d["iterations"] == len(rows) - 1 - chords
+        assert d["function_evaluations"] == sum(rows)
 
     @pytest.mark.parametrize("make, t_end, points", [
         (lambda tabs: damping_channel(0.05), 25.0, 1001),
