@@ -17,7 +17,7 @@ import pickle
 import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -136,7 +136,8 @@ _KINDS = {int: "an integer", float: "a number", tuple: "comma-separated numbers"
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key=value config format (schema=1 header required)."""
+    """Parse the flat key=value config format (schema=1 header required):
+    the named figure's ``fig_defaults`` with the file's values."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].replace(" ", "") == f"schema={SCHEMA_VERSION}":
@@ -163,11 +164,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if experiment not in _RUNNERS:
         raise ValueError(f"experiment must be one of {', '.join(_RUNNERS)}, "
                          f"got {experiment!r}")
+    defaults = fig_defaults(int(experiment[3:]))
     for key in ("channel", "family"):  # fixed per figure: a runner reads neither
-        want = getattr(fig_defaults(int(experiment[3:])), key)
+        want = getattr(defaults, key)
         if kwargs.setdefault(key, want) != want:
             raise ValueError(f"{experiment} runs {key} {want!r}, got {kwargs[key]!r}")
-    return ExperimentConfig(**kwargs)
+    return replace(defaults, **kwargs)
 
 
 def format_config(cfg: ExperimentConfig) -> str:

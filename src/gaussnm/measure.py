@@ -63,6 +63,7 @@ _GRID_POINTS = (0, 7, 7, 5)  # product-grid points per axis, by family dimension
 _CHORD_POINTS, _K_POINTS = 33, 129  # first-grid points of a chord, of the log K range
 _ZOOM_POINTS = 17  # points per level of a zoom at the box's edge
 _ZOOM_TOL = 1e-9  # a zoom's last stencil width, relative to 1 + |x|
+_GAIN_FLOOR = 2.0 * np.finfo(float).eps  # a parabola's relative gain that is rounding
 _MAX_CHORDS = 8  # chord searches per family parameter, at most
 # samples per block of a grid pass: 64 KiB temporaries stay under glibc's 128 KiB
 # mmap threshold, so the heap is reused, not grown and trimmed (page faults) per batch
@@ -337,11 +338,13 @@ def _zoom_max(f, lo: float, hi: float, points: int):
     its neighbours at spacing h (|s| <= h / 2) and two points either side at
     h' = min(max(|s|, h / 64), h / 4), then two more beyond while an end is
     best (R. P. Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 5), until the curvature is not negative or h' < _ZOOM_TOL
+    1973, ch. 5), until the curvature is not negative, the parabola's gain
+    at its vertex is rounding (at most _GAIN_FLOOR |f0|) or h' < _ZOOM_TOL
     (1 + |x|).  Where a stencil would leave the box, levels of _ZOOM_POINTS
     points, each spanning one previous step either side of the best x, go
-    on to that width.  A step sends at most 5 abscissae: on a 2001-point grid
-    no temporary of its pass exceeds one _BATCH_SAMPLES block.
+    on to that width; a flat grid ends the zoom.  A step sends at most 5
+    abscissae: on a 2001-point grid no temporary of its pass exceeds one
+    _BATCH_SAMPLES block.
     """
     seen, sizes = {}, []
 
@@ -355,7 +358,9 @@ def _zoom_max(f, lo: float, hi: float, points: int):
     grid = np.linspace(lo, hi, points).tolist()
     vals = score(grid)
     j = int(np.argmax(vals))
-    half, stencil = grid[1] - grid[0], grid[j - 1:j + 2] if 0 < j < points - 1 else []
+    # a flat grid (j = 0) has nothing to zoom in on: no level follows
+    half = grid[1] - grid[0] if min(vals) < vals[j] else 0.0
+    stencil = grid[j - 1:j + 2] if 0 < j < points - 1 else []
     while stencil:  # the best point and its neighbours, inside the box
         (xm, x0, xp), (fm, f0, fp) = stencil, score(stencil)
         half, curv = 0.5 * (xp - xm), fm - 2.0 * f0 + fp
@@ -363,7 +368,9 @@ def _zoom_max(f, lo: float, hi: float, points: int):
             break
         s = min(max(0.5 * half * (fm - fp) / curv, -0.5 * half), 0.5 * half)
         h = min(max(abs(s), half / 64.0), half / 4.0)
-        if h < _ZOOM_TOL * (1.0 + abs(x0 + s)):
+        # the gain at the vertex, -curv s^2 / (2 half^2), or the width is spent
+        if (-curv * (s / half) ** 2 <= 2.0 * _GAIN_FLOOR * abs(f0)
+                or h < _ZOOM_TOL * (1.0 + abs(x0 + s))):
             break
         # x0 + (s - h) is x0 where h = s; the stencil stays [] if a trial leaves the box
         trial, stencil = [x0 + (s + k * h) for k in (-2, -1, 0, 1, 2)], []
@@ -425,8 +432,9 @@ def _k_optimum(a_lo: float, a_hi: float) -> tuple[float, float]:
     return k, max(math.exp(-k * a_lo) - math.exp(-k * a_hi), 0.0)
 
 
-def _coherent_optimum(sub, grid_maps, edges, k_max: float, ns) -> np.ndarray:
-    """(N, K) of coherent-thermal pairs at each occupation in ns, one row each.
+def _coherent_optimum(sub, grid_maps, edges, k_max: float, ns):
+    """((N, K) of coherent-thermal pairs at each occupation in ns, one row
+    each; their falls (row, t+, t-, drop), the rises of a_n below).
 
     Two displaced thermal states with one occupation n share one isotropic
     covariance, so on the physical branch F(t) = exp(-K a_n(t)), with
@@ -443,7 +451,7 @@ def _coherent_optimum(sub, grid_maps, edges, k_max: float, ns) -> np.ndarray:
         m, c, n = grid_maps if maps is None else maps
         return -(m * m / ((2.0 * ns[rows] + 1.0) * c + 2.0 * n))
 
-    row, _, _, lows, highs = _falls(minus_a, len(ns), sub, edges)
+    row, *times, lows, highs = _falls(minus_a, len(ns), sub, edges)
     out = []
     for i in range(len(ns)):
         rises = row == i
@@ -460,7 +468,9 @@ def _coherent_optimum(sub, grid_maps, edges, k_max: float, ns) -> np.ndarray:
 
         u, value, *_ = _zoom_max(total, 0.0, 1.0, _K_POINTS)
         out.append((value, float(k_lo * ratio ** u)))
-    return np.array(out)
+    table = np.array(out)
+    k = table[row, 1]  # e^{-K a} = e^{K (-a)}
+    return table, (row, *times, np.exp(k * lows) - np.exp(k * highs))
 
 
 def _edge_maps(channel, ts):
@@ -500,33 +510,59 @@ def _falls(fid, count: int, sub, edges):
     return row[1:][take], t[:-1][take], t[1:][take], v[:-1][take], v[1:][take]
 
 
-def _pair_measures(inv, sub, grid_maps, edges) -> np.ndarray:
-    """N of each pair of the invariants ``inv`` (8, P), with no trajectory
-    built: ``bincount`` adds each pair's ``_falls`` drops in time order from
-    0.0, bit for bit ``measure_from_trajectory``'s builtin ``sum``."""
+def _pair_measures(inv, sub, grid_maps, edges):
+    """(N, falls (row, t+, t-, F(t+) - F(t-))) of the pairs of the invariants
+    ``inv`` (8, P), with no trajectory built: ``bincount`` adds each pair's
+    drops in time order from 0.0, bit for bit ``measure_from_trajectory``'s
+    builtin ``sum``."""
     count = inv.shape[1]
-    row, _, _, f_plus, f_minus = _falls(_fid(inv, grid_maps), count, sub, edges)
-    return np.bincount(row, f_plus - f_minus, minlength=count)
+    row, *times, f_plus, f_minus = _falls(_fid(inv, grid_maps), count, sub, edges)
+    drops = f_plus - f_minus
+    return np.bincount(row, drops, minlength=count), (row, *times, drops)
+
+
+def _kept(best, values, falls, *rows):
+    """``best`` (value, falls (t+, t-, drop), ...) or, if a row of ``values``
+    beats it, the first highest row's value, its ``falls`` (row, t+, t-,
+    drop) and its entry of each of ``rows``.  Kept batch by batch, this is
+    the first maximum in scoring order: the point ``_zoom_max`` returns."""
+    if not np.any(values > best[0]):
+        return best
+    i = int(np.argmax(values))
+    on = falls[0] == i
+    return (values[i], tuple(a[on] for a in falls[1:]), *(r[i] for r in rows))
 
 
 def _numeric_optimum(family: str, sub, grid_maps, edges, bounds, phi,
                      equal_squeezing):
-    """(N, argmax, diagnostics) of a family by batched chord zooms.
+    """(N, argmax, diagnostics, the argmax's falls (t+, t-, drop)) of a
+    family by batched chord zooms.
 
     Each batch is one ``_pair_measures`` call on invariants built straight
     from the search vectors' parameter fields, and the argmax is the pair of
-    the best vector's fields.  From the best point of a coarse product grid,
-    or from the lower end of a one-parameter box, ``_zoom_max`` searches the
-    box's chords through the best point along the family's directions in
-    turn, until every direction has been searched from the current best
-    without improving it (at most _MAX_CHORDS each).
+    the best vector's fields (``_kept``).  From the best point of a coarse
+    product grid, or from the lower end of a one-parameter box,
+    ``_zoom_max`` searches the box's chords through the best point along the
+    family's directions in turn, until every direction has been searched
+    from the current best without a gain beyond rounding (at most
+    _MAX_CHORDS each).
     """
     dims, dirs, params = _family_space(family, bounds, phi, equal_squeezing)
     lo, hi = np.array(dims).T
+    best = (-math.inf, (), lo)  # value, falls, vector: lo for a box without a grid
 
     def measures(vecs) -> np.ndarray:
-        inv = pair_invariants(**params(np.clip(vecs, lo, hi)))
-        return _pair_measures(inv, sub, grid_maps, edges)
+        nonlocal best
+        vecs = np.clip(vecs, lo, hi)
+        vals, falls = _pair_measures(pair_invariants(**params(vecs)), sub,
+                                     grid_maps, edges)
+        best = _kept(best, vals, falls, vecs)
+        return vals
+
+    # gains below 1e-12 are rounding: near the vacuum the kernel's pure-state
+    # error alone gives a divisible damping map N ~ 4e-14
+    def gains(val, ref):
+        return val > ref + 1e-12 * (1.0 + ref)
 
     n_per_dim = _GRID_POINTS[len(dims) - 1]
     axes = [np.linspace(a, b, n_per_dim) for a, b in dims]
@@ -536,30 +572,26 @@ def _numeric_optimum(family: str, sub, grid_maps, edges, bounds, phi,
         # a coarse product grid samples poorly; scan the diagonal too
         diag = np.linspace(lo[0], hi[0], 4 * n_per_dim + 1)
         grid = np.concatenate([grid, np.stack([diag, diag], axis=-1)])
-    vals = np.append(measures(grid), -math.inf)  # lo: a box without a grid
-    j = int(np.argmax(vals))
-    best_vec, best_val = np.vstack([grid, lo])[j], float(vals[j])
+    measures(grid)
     chords, searched, zoomed, steps, scored = 0, 0, False, 0, len(grid)
     while searched < len(dirs) and chords < _MAX_CHORDS * len(dims):
-        d = dirs[chords % len(dirs)]
+        d, (start_val, _, start) = dirs[chords % len(dirs)], best
         moving = d != 0.0
-        ends = (np.array([lo, hi])[:, moving] - best_vec[moving]) / d[moving]
-        s, val, coarse, batches, pairs = _zoom_max(
-            lambda t: measures(best_vec + t[:, None] * d),
+        ends = (np.array([lo, hi])[:, moving] - start[moving]) / d[moving]
+        _, val, coarse, batches, pairs = _zoom_max(
+            lambda t: measures(start + t[:, None] * d),
             ends.min(axis=0).max(), ends.max(axis=0).min(), _CHORD_POINTS)
         chords, steps, scored = chords + 1, steps + batches, scored + pairs
-        # gains below 1e-12 are rounding: near the vacuum the kernel's pure-state
-        # error alone gives a divisible damping map N ~ 4e-14
-        zoomed |= val > coarse + 1e-12 * (1.0 + coarse)
-        if val > best_val:
-            best_vec, best_val, searched = np.clip(best_vec + s * d, lo, hi), val, 0
-        searched += 1
+        zoomed |= gains(val, coarse)
+        # ``best`` keeps any gain; only one beyond rounding searches anew
+        searched = 1 if gains(val, start_val) else searched + 1
+    value, falls, vec = best
     diagnostics = {"grid_evaluations": len(grid) + chords * _CHORD_POINTS,
                    "restarts": 0, "iterations": steps,
                    "function_evaluations": scored,
                    "stagnation": not zoomed,
-                   "argmax_vector": [float(v) for v in best_vec]}
-    return best_val, StatePairParams(**params(best_vec)), diagnostics
+                   "argmax_vector": [float(v) for v in vec]}
+    return float(value), StatePairParams(**params(vec)), diagnostics, falls
 
 
 def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
@@ -575,8 +607,8 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     ``equal_squeezing``; the families with several parameters start from a
     coarse product grid.  On exact damping a pair or an occupation costs
     two samples per gamma < 0 interval (``_edge_maps``), elsewhere one grid
-    pass in small blocks (``_grid_extrema``).  ``intervals`` are the
-    argmax's ``_falls``, each (t+, t-, F(t+) - F(t-)).  A first-order
+    pass in small blocks (``_grid_extrema``).  ``intervals`` are the falls
+    the search summed the value from, each (t+, t-, drop).  A first-order
     channel whose |x| = |1 - c| exceeds FIRST_ORDER_X_LIMIT on the grid
     raises one ApproximationWarning; one that reaches c <= 0 is rejected
     with a ValueError for the squeezing families.
@@ -594,27 +626,30 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     _warn_first_order(channel, grid_maps, stacklevel=2)
     edges, sub = _edge_maps(channel, ts), _SubGrid(ts, channel.maps)
     if coherent:
+        best = (-math.inf,)  # value, falls, n, K
+
         def optima(ns):
-            return _coherent_optimum(sub, grid_maps, edges, bounds.k_max, ns)
+            nonlocal best
+            table, falls = _coherent_optimum(sub, grid_maps, edges, bounds.k_max, ns)
+            best = _kept(best, table[:, 0], falls, ns.tolist(), table[:, 1].tolist())
+            return table[:, 0]
 
         # N(n) is not monotone under first-order maps: search n too
-        n = 0.0 if family == "coherent" else _zoom_max(
-            lambda ns: optima(ns)[:, 0], 0.0, bounds.n_max, _CHORD_POINTS)[0]
-        (value, k), = optima([n])
+        if family == "coherent":
+            optima(np.zeros(1))
+        else:
+            _zoom_max(optima, 0.0, bounds.n_max, _CHORD_POINTS)
+        value, falls, n, k = best
         argmax = StatePairParams(n1=n, n2=n, beta1_mag=math.sqrt(2.0 * k))
         method = "exact"
         diagnostics = {"grid_evaluations": 0, "restarts": 0, "iterations": 0,
                        "function_evaluations": 0, "stagnation": False,
-                       "argmax_vector": [float(k)] if family == "coherent"
-                       else [float(k), n]}
+                       "argmax_vector": [k] if family == "coherent" else [k, n]}
     else:
-        value, argmax, diagnostics = _numeric_optimum(
+        value, argmax, diagnostics, falls = _numeric_optimum(
             family, sub, grid_maps, edges, bounds, phi, equal_squeezing)
         method = "numeric_opt"
-    _, t_plus, t_minus, f_plus, f_minus = _falls(
-        _fid(_invariants_of([argmax]), grid_maps), 1, sub, edges)
-    intervals = map(NegativityInterval, t_plus.tolist(), t_minus.tolist(),
-                    (f_plus - f_minus).tolist())
+    intervals = map(NegativityInterval, *(a.tolist() for a in falls))
     return MeasureResult(value=value, argmax=argmax, intervals=intervals,
                          method=method, diagnostics=diagnostics,
                          family=family, channel=channel.tag,

@@ -133,6 +133,16 @@ class TestConfig:
             config = json.load(fh)["config"]
         assert (config["channel"], config["family"]) == ("qbm", "squeezed")
 
+    @pytest.mark.parametrize("figure", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("line, field, value", [
+        ("alpha_points=3", "alpha_points", 3), ("t_end=12.5", "t_end", 12.5),
+        ("phi=0.3", "phis", (0.3,))])
+    def test_one_line_overrides_the_figure(self, figure, line, field, value):
+        # omitted keys took the dataclass defaults: fig1 ran t_end = 40 and
+        # dropped its phi = 0.2 column
+        cfg = parse_config(f"schema=1\nexperiment=fig{figure}\n{line}\n")
+        assert cfg == replace(fig_defaults(figure), **{field: value})
+
     @pytest.mark.parametrize("text", ["schema=1\nexperiment=custom\n",
                                       "schema=1\nalpha_points=3\n",
                                       "schema=1\nexperiment=fig6\n"])

@@ -217,7 +217,7 @@ def pair_measures(inv, channel, times, edges=None):
     """``measure._pair_measures`` of the invariants ``inv`` on the grid
     ``times``, on the grid route unless ``edges`` are given."""
     return measure._pair_measures(inv, measure._SubGrid(times, channel.maps),
-                                  channel.maps(times), edges)
+                                  channel.maps(times), edges)[0]
 
 
 def diff_signs(df):
@@ -1087,6 +1087,31 @@ class TestZoomMemo:
         (_, value, *_), _ = recorded_zoom(fn, 0.0, 5.0, 33)
         assert value >= zoom_without_memo(fn, 0.0, 5.0, 33)[1] - 1e-12
 
+    def test_flat_grid_ends_the_zoom(self):
+        (x, value, coarse, steps, scored), batches = recorded_zoom(
+            np.zeros_like, 0.0, 5.0, 33)
+        assert (x, value, coarse, steps, scored) == (0.0, 0.0, 0.0, 0, 33)
+        assert len(batches) == 1
+
+    def test_divisible_channel_scores_one_grid(self):
+        # no gamma < 0 interval: N = 0 for every pair, and the chord's grid
+        # is all (seven levels of 15 new pairs followed it)
+        channel = DampingChannel(alpha=0.1, rate=DampingRateSpec.constant(0.5))
+        with pair_batches() as rows:
+            res = maximize_measure("squeezed", channel, phi=0.1,
+                                   equal_squeezing=True,
+                                   times=np.linspace(0.0, 10.0, 401))
+        assert rows == [0, 33]
+        assert res.value == 0.0 and res.intervals == ()
+
+    def test_stationary_stencil_stops_at_once(self):
+        # symmetric about the grid's best point: the parabola's vertex is
+        # that point, so no step can gain more than rounding
+        (x, value, _, steps, _), batches = recorded_zoom(
+            lambda x: -(x - 2.5) ** 2, 0.0, 5.0, 33)
+        assert (x, value, steps) == (2.5, 0.0, 0)
+        assert len(batches) == 1
+
     def test_equal_squeezing_chord_scores_59_pairs(self, fig3_tables):
         with pair_batches() as rows:
             res = maximize_measure("squeezed",
@@ -1098,6 +1123,90 @@ class TestZoomMemo:
         assert rows == [0, 33, 5, 4, 4, 5, 5, 3]
         assert res.diagnostics["iterations"] == len(rows) - 2
         assert res.diagnostics["function_evaluations"] == sum(rows)
+
+
+def fresh_falls(res, channel, times):
+    """The intervals of one ``measure._falls`` pass on ``res.argmax`` alone,
+    on the route ``maximize_measure`` takes: the pass it ran after its
+    search until it kept the falls its value was summed from."""
+    ts = measure._grid(times)
+    falls = measure._falls(measure._fid(measure._invariants_of([res.argmax]),
+                                        channel.maps(ts)),
+                           1, measure._SubGrid(ts, channel.maps),
+                           measure._edge_maps(channel, ts))
+    return [NegativityInterval(tp, tm, fp - fm)
+            for _, tp, tm, fp, fm in zip(*(a.tolist() for a in falls))]
+
+
+def kept_falls_channel(kind, tables):
+    """(channel, times) of exact damping (edge route) or QBM (grid route)."""
+    if kind == "damping":
+        return damping_channel(0.1), np.linspace(0.0, 25.0, 1001)
+    return QbmChannel(tables[0.2].rescaled(0.1)), np.linspace(0.0, 40.0, 401)
+
+
+class TestKeptFalls:
+    @pytest.mark.parametrize("kind", ["damping", "qbm"])
+    @pytest.mark.parametrize("family, equal", [
+        ("squeezed", True), ("squeezed", False), ("general_pure", False)],
+        ids=["equal-squeezing", "squeezed", "general-pure"])
+    def test_squeezing_families_keep_the_argmax_falls(self, fig3_tables, kind,
+                                                     family, equal):
+        channel, times = kept_falls_channel(kind, fig3_tables)
+        res = maximize_measure(family, channel, phi=0.1, equal_squeezing=equal,
+                               times=times)
+        assert res.value > 0.0 and res.intervals
+        assert list(res.intervals) == fresh_falls(res, channel, times)
+        assert sum(iv.contribution for iv in res.intervals) == res.value
+
+    @pytest.mark.parametrize("kind", ["damping", "qbm"])
+    @pytest.mark.parametrize("family", ["coherent", "coherent_thermal"])
+    def test_coherent_families_keep_the_rises_of_a(self, fig3_tables, kind, family):
+        # the rises of a at the argmax's K, against F = exp(-K a) sampled
+        # afresh: the same intervals and drops.  On the grid route the
+        # parabolic vertex of a and that of F land apart inside their
+        # sub-grid step (2e-11 in t on this table), where both are flat
+        channel, times = kept_falls_channel(kind, fig3_tables)
+        res = maximize_measure(family, channel, times=times)
+        fresh = fresh_falls(res, channel, times)
+        step = (times[2] - times[0]) / (measure._SUBGRID - 1)
+        assert res.value > 0.0 and len(res.intervals) == len(fresh) > 0
+        for kept, want in zip(res.intervals, fresh):
+            assert kept.contribution == pytest.approx(want.contribution, rel=0.0,
+                                                      abs=1e-12)
+            assert (kept.t_plus, kept.t_minus) == pytest.approx(
+                (want.t_plus, want.t_minus), rel=0.0, abs=step)
+        assert sum(iv.contribution for iv in res.intervals) == pytest.approx(
+            res.value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["damping", "qbm"])
+    @pytest.mark.parametrize("family", ["coherent", "coherent_thermal",
+                                        "squeezed"])
+    def test_no_falls_pass_after_the_search(self, monkeypatch, fig3_tables,
+                                            kind, family):
+        channel, times = kept_falls_channel(kind, fig3_tables)
+        calls, searching = [], []
+
+        def record(name):
+            fn = getattr(measure, name)
+
+            def wrapped(*args):
+                if name == "_falls":
+                    calls.append(bool(searching))
+                    return fn(*args)
+                searching.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    searching.pop()
+
+            monkeypatch.setattr(measure, name, wrapped)
+
+        for name in ("_falls", "_pair_measures", "_coherent_optimum"):
+            record(name)
+        maximize_measure(family, channel, times=times)
+        # one pass per batch, each inside a batch of the search
+        assert calls and all(calls)
 
 
 def accuracy_points(tables):
@@ -1163,6 +1272,25 @@ class TestChordSearch:
         assert d["grid_evaluations"] == 78 + 33 * chords
         assert d["iterations"] == len(rows) - 1 - chords
         assert d["function_evaluations"] == sum(rows)
+
+    def test_rounding_gain_searches_no_direction_again(self, monkeypatch):
+        # every chord reports one ulp above its start, the best point so far:
+        # a gain of ~1e-16 relative, which used to restart the round of
+        # directions until the chord budget (16) ran out
+        zoom, chords = measure._zoom_max, []
+
+        def nudged(f, lo, hi, points):
+            x, val, *rest = zoom(f, lo, hi, points)
+            start = f(np.zeros(1))[0]
+            chords.append(val)
+            return (x, max(val, np.nextafter(start, np.inf)), *rest)
+
+        monkeypatch.setattr(measure, "_zoom_max", nudged)
+        res = maximize_measure("squeezed", damping_channel(0.1), phi=0.1,
+                               times=np.linspace(0.0, 25.0, 1001))
+        # (1, 1) gains on the grid's best; (1, -1) from the diagonal cannot
+        assert len(chords) == 2
+        assert res.value == chords[0]
 
     @pytest.mark.parametrize("make, t_end, points", [
         (lambda tabs: damping_channel(0.05), 25.0, 1001),
@@ -1435,9 +1563,9 @@ class TestExactCoherent:
         edges = measure._edge_maps(channel, times)
         ns = [0.0, 0.3, 2.0]
         sub = measure._SubGrid(times, channel.maps)
-        want = measure._coherent_optimum(sub, grid_maps, None, k_max, ns)
+        want, _ = measure._coherent_optimum(sub, grid_maps, None, k_max, ns)
         monkeypatch.setattr(measure, "_grid_extrema", None)
-        got = measure._coherent_optimum(sub, grid_maps, edges, k_max, ns)
+        got, _ = measure._coherent_optimum(sub, grid_maps, edges, k_max, ns)
         assert (want[:, 0] > 1e-3).all()
         np.testing.assert_allclose(got[:, 0], want[:, 0], rtol=1e-12, atol=0.0)
         # N is flat at its optimum: an ulp in a moves the zoomed K a little
