@@ -11,7 +11,6 @@ Library layout:
 """
 
 from .channels import (
-    ApproximationWarning,
     PhysicalityWarning,
     DampingChannel,
     DampingRateSpec,

@@ -6,29 +6,25 @@ an isotropic noise weight,
     mean(t) = m(t) * mean(0),   cov(t) = c(t) * cov(0) + n(t) * I.
 
 Damping (rate gamma(t), exponent x(t) = 2 alpha int gamma):
-    exact        m = e^{-x/2},  c = e^{-x},  n = (1 - e^{-x})/2
-    first order  m = 1 - x/2,   c = 1 - x,   n = x/2
+    m = e^{-x/2},  c = e^{-x},  n = (1 - e^{-x})/2
 
-Quantum Brownian motion (damping gamma, diffusion Delta; x as above and
-y(t) = 2 alpha int Delta):
-    exact        m = e^{-x/2},  c = e^{-x},  n = e^{-x} alpha int_0^t e^{x} Delta ds
-    first order  m = 1 - x/2,   c = 1 - x,   n = y/2
+Quantum Brownian motion (damping gamma, diffusion Delta; x as above):
+    m = e^{-x/2},  c = e^{-x},  n = e^{-x} alpha int_0^t e^{x} Delta ds
 
 Each channel's ``maps(ts)`` returns (m, c, n) on a grid and is the only
 place these formulas live; ``evolve_arrays`` is the only place they are
-applied to a state.
+applied to a state.  The weak-coupling (first-order) results are closed
+forms in ``gaussnm.measure``, not maps.
 
 ``_trajectories`` evolves and checks the states of ``trajectory``,
 ``channel.evolve`` and ``gaussnm evolve``, with one policy (warnings point
 at the caller's line):
   - the time grid must be finite, >= 0 and strictly increasing (``_grid``,
     the measure's rule too);
-  - exact damping preserves det(cov) >= 1/4, so a state below it (beyond
+  - damping preserves det(cov) >= 1/4, so a state below it (beyond
     ``GaussianState``'s slack) raises ValueError;
-  - exact QBM, which keeps no vacuum floor beyond the diffusion integral,
-    and first order may dip below it: one PhysicalityWarning;
-  - first-order maps with |x| = |1 - c| > FIRST_ORDER_X_LIMIT give one
-    ApproximationWarning, as in ``maximize_measure``.
+  - QBM, which keeps no vacuum floor beyond the diffusion integral, may dip
+    below it: one PhysicalityWarning.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from .spectral import ChannelCoefficients, _write_csv
 from .states import GaussianState, StatePairParams, _below_heisenberg, _det2
 
 __all__ = [
-    "ApproximationWarning",
     "PhysicalityWarning",
     "DampingRateSpec",
     "DampingChannel",
@@ -57,11 +52,6 @@ __all__ = [
 
 _SWITCH = 2.5 * math.pi  # switch time of the built-in decaying-sine rate
 _RATE_A = 0.1  # its envelope decay constant
-FIRST_ORDER_X_LIMIT = 0.3
-
-
-class ApproximationWarning(UserWarning):
-    """First-order evolution used outside its validity domain."""
 
 
 class PhysicalityWarning(UserWarning):
@@ -183,25 +173,6 @@ def damping_x(t, alpha: float, spec: DampingRateSpec):
     return alpha * spec.x_per_alpha(t)
 
 
-def _warn_first_order(channel, maps, stacklevel: int) -> None:
-    """ApproximationWarning when a first-order channel's ``maps`` reach
-    |x| > FIRST_ORDER_X_LIMIT; ``stacklevel`` counts from the caller."""
-    if channel.mode != "first_order":
-        return
-    # first order has c = 1 - x, so |x| = |1 - c|
-    x_abs = float(np.max(np.abs(1.0 - maps[1])))
-    if x_abs > FIRST_ORDER_X_LIMIT:
-        warnings.warn(
-            f"first-order evolution with |x| = {x_abs:.3g} > {FIRST_ORDER_X_LIMIT}",
-            ApproximationWarning, stacklevel=stacklevel + 1,
-        )
-
-
-def _check_mode(mode: str):
-    if mode not in ("exact", "first_order"):
-        raise ValueError(f"mode must be 'exact' or 'first_order', got {mode!r}")
-
-
 class QbmPropagator:
     """Spline view of a coefficient table, with the exact noise integral.
 
@@ -235,23 +206,18 @@ class DampingChannel:
 
     alpha: float
     rate: DampingRateSpec = field(default_factory=DampingRateSpec.decaying_sine)
-    mode: str = "exact"
     t_max: float = 8.0 * math.pi
 
     def __post_init__(self):
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
-        _check_mode(self.mode)
 
     tag = "damping"
 
     def maps(self, ts):
         """(mean factor, cov factor, noise weight) arrays on the grid ts."""
-        x = self.alpha * self.rate.x_per_alpha(ts)
-        if self.mode == "exact":
-            u = np.exp(-x)
-            return np.sqrt(u), u, 0.5 * (1.0 - u)
-        return 1.0 - 0.5 * x, 1.0 - x, 0.5 * x
+        u = np.exp(-self.alpha * self.rate.x_per_alpha(ts))
+        return np.sqrt(u), u, 0.5 * (1.0 - u)
 
     def evolve(self, state: GaussianState, t: float) -> GaussianState:
         traj, = _trajectories([state], self, [t], None)
@@ -273,10 +239,6 @@ class QbmChannel:
     """QBM channel backed by a tabulated coefficient set."""
 
     coeffs: ChannelCoefficients
-    mode: str = "exact"
-
-    def __post_init__(self):
-        _check_mode(self.mode)
 
     tag = "qbm"
 
@@ -295,12 +257,9 @@ class QbmChannel:
     def maps(self, ts):
         prop = self.propagator
         prop.check_t(ts)
-        at = prop.x.locate(ts)  # x, y and z share the table's knots
-        x = prop.x._local(*at)
-        if self.mode == "exact":
-            u = np.exp(-x)
-            return np.sqrt(u), u, u * prop.z._local(*at)
-        return 1.0 - 0.5 * x, 1.0 - x, 0.5 * prop.y._local(*at)
+        at = prop.x.locate(ts)  # x and z share the table's knots
+        u = np.exp(-prop.x._local(*at))
+        return np.sqrt(u), u, u * prop.z._local(*at)
 
     def evolve(self, state: GaussianState, t: float) -> GaussianState:
         traj, = _trajectories([state], self, [t], None)
@@ -374,7 +333,6 @@ def _trajectories(states, channel, times, params) -> list[Trajectory]:
     Warnings point at the line that called this function's caller."""
     ts = _grid(times)
     maps = channel.maps(ts)
-    _warn_first_order(channel, maps, stacklevel=3)
     out = []
     for st in states:
         means, covs = evolve_arrays(maps, st.mean, st.cov)
@@ -387,7 +345,7 @@ def _trajectories(states, channel, times, params) -> list[Trajectory]:
     if not np.any(bad):
         return out
     dets = _det2(covs)
-    if channel.mode == "exact" and channel.tag == "damping":
+    if channel.tag == "damping":
         raise ValueError("covariance violates the Heisenberg bound: "
                          f"det = {dets[bad][0]:.12g} < 1/4")
     warnings.warn(

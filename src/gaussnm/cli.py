@@ -126,7 +126,7 @@ def _cmd_evolve(args) -> int:
     times = np.linspace(0.0, args.t_end, args.points)
     pair = StatePairParams(n1=args.n, r1=args.r, phi1=args.phi,
                            beta1_mag=args.beta_mag, theta1=args.beta_arg)
-    channel = _channel_from_args(args, mode=args.mode.replace("-", "_"))
+    channel = _channel_from_args(args)
     # evolve and check only the state that is written
     traj, = _trajectories(pair.states()[:1], channel, times, pair)
     write_trajectory_csv(traj, args.out)
@@ -134,14 +134,14 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _channel_from_args(args, mode: str = "exact"):
+def _channel_from_args(args):
     if args.channel == "damping":
         return DampingChannel(alpha=args.alpha, rate=_rate_from_args(args),
-                              mode=mode, t_max=args.t_end)
+                              t_max=args.t_end)
     env = _env_from_args(args)
     coeffs = build_coefficients(env, alpha=args.alpha, t_end=args.t_end,
                                 n_steps=args.n_steps)
-    return QbmChannel(coeffs, mode=mode)
+    return QbmChannel(coeffs)
 
 
 def _first_order_result(args, channel) -> MeasureResult:
@@ -283,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev = sub.add_parser("evolve", help="evolve one state, CSV trajectory")
     _state_flags(p_ev, "")
     _channel_flags(p_ev, temperature=0.0, t_end=25.0)
-    p_ev.add_argument("--mode", choices=("exact", "first-order"),
-                      default="exact")
     p_ev.add_argument("--points", type=int, default=501,
                       help="trajectory grid points")
     p_ev.add_argument("--out", required=True, help="output CSV path")

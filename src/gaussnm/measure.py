@@ -28,7 +28,6 @@ from .channels import (
     QbmChannel,
     damping_x,
     _grid,
-    _warn_first_order,
 )
 from .spectral import ChannelCoefficients
 from .states import StatePairParams, fidelity_arrays, pair_invariants
@@ -280,8 +279,8 @@ def _invariants_of(pairs) -> np.ndarray:
 def _fid(inv, grid_maps):
     """``fid(rows, maps=None)``: F of the pairs ``inv[:, rows]`` on the grid
     (``grid_maps``), or from ``maps``.  F is taken on the physical branch:
-    the exact QBM solution can dip a hair below the Heisenberg floor at
-    finite coupling, and the first-order maps do so by construction."""
+    the QBM solution can dip a hair below the Heisenberg floor at finite
+    coupling."""
     def fid(rows, maps=None):
         return fidelity_arrays(inv[:, rows], grid_maps if maps is None else maps,
                                branch=True)
@@ -333,7 +332,9 @@ def _zoom_max(f, lo: float, hi: float, points: int):
     scored) of a batched zoom of [lo, hi]; f(x) is the best value scored.
 
     ``f`` maps an array of abscissae to their values, each independent of
-    the others; no abscissa is sent twice.  After a ``points``-point grid,
+    the others; no abscissa is sent twice, not even within one batch (the
+    grid of a chord of zero length, out of a corner of the box, repeats one
+    abscissa).  After a ``points``-point grid,
     each step scores the vertex of the parabola through the best point and
     its neighbours at spacing h (|s| <= h / 2) and two points either side at
     h' = min(max(|s|, h / 64), h / 4), then two more beyond while an end is
@@ -349,7 +350,7 @@ def _zoom_max(f, lo: float, hi: float, points: int):
     seen, sizes = {}, []
 
     def score(xs):
-        new = [x for x in xs if x not in seen]
+        new = [x for x in dict.fromkeys(xs) if x not in seen]
         if new:
             sizes.append(len(new))
             seen.update(zip(new, f(np.array(new)).tolist()))
@@ -480,7 +481,7 @@ def _edge_maps(channel, ts):
     with G non-decreasing and N(pair) = sum_I max(F(t+_I) - F(t-_I), 0) if
     x >= 0 (physical states): c = e^{-x} <= 1 is checked where x is least,
     at ts[0] and each t-_I."""
-    if not isinstance(channel, DampingChannel) or channel.mode != "exact":
+    if not isinstance(channel, DampingChannel):
         return None
     edges = [max(t, ts[0]) for iv in channel.rate.negativity_intervals(ts[-1])
              if iv[1] > ts[0] for t in iv] or [ts[0], ts[0]]  # no I: N = 0
@@ -605,27 +606,18 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
     batched chord zooms (``"numeric_opt"``): squeezed pairs reduce to
     (r1, r2) at fixed relative angle ``phi``, or to a single r with
     ``equal_squeezing``; the families with several parameters start from a
-    coarse product grid.  On exact damping a pair or an occupation costs
+    coarse product grid.  On damping a pair or an occupation costs
     two samples per gamma < 0 interval (``_edge_maps``), elsewhere one grid
     pass in small blocks (``_grid_extrema``).  ``intervals`` are the falls
-    the search summed the value from, each (t+, t-, drop).  A first-order
-    channel whose |x| = |1 - c| exceeds FIRST_ORDER_X_LIMIT on the grid
-    raises one ApproximationWarning; one that reaches c <= 0 is rejected
-    with a ValueError for the squeezing families.
+    the search summed the value from, each (t+, t-, drop).
     """
     bounds = bounds or ParamBounds()
     if times is None:
         times = np.linspace(0.0, channel.t_max, 2001)
     ts = _grid(times)
     grid_maps = channel.maps(ts)
-    coherent = family in ("coherent", "coherent_thermal")
-    c_min = grid_maps[1].min()
-    if not coherent and channel.mode == "first_order" and c_min <= 0.0:
-        raise ValueError(f"first-order maps reach c = 1 - x = {c_min:.3g} <= 0, "
-                         "outside their domain; use mode='exact' or a smaller alpha")
-    _warn_first_order(channel, grid_maps, stacklevel=2)
     edges, sub = _edge_maps(channel, ts), _SubGrid(ts, channel.maps)
-    if coherent:
+    if family in ("coherent", "coherent_thermal"):
         best = (-math.inf,)  # value, falls, n, K
 
         def optima(ns):
@@ -634,7 +626,9 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
             best = _kept(best, table[:, 0], falls, ns.tolist(), table[:, 1].tolist())
             return table[:, 0]
 
-        # N(n) is not monotone under first-order maps: search n too
+        # on both channels 1/a_n = 1/a_0 + 2n, so every rise's a_hi / a_lo, on
+        # which alone its best drop rises, falls with n: n = 0 is optimal for
+        # one rise, but unproven for several sharing one K, so n is searched
         if family == "coherent":
             optima(np.zeros(1))
         else:

@@ -1,6 +1,7 @@
 """Small helpers that only the tests call: stub coefficient tables, the
 paper's printed squeezing coefficient, a state physicality check, the
-matrix route to a batch's pair invariants and a recorder of scored pairs."""
+matrix route to a batch's pair invariants, a recorder of scored pairs and
+a stand-in channel with first-order maps."""
 
 import math
 from contextlib import contextmanager
@@ -75,3 +76,28 @@ def pair_batches():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measure, "_pair_measures", counted)
         yield rows
+
+
+class FirstOrderMaps:
+    """Stand-in channel: the first-order maps of a damping or QBM ``channel``,
+    m = 1 - x/2, c = 1 - x and n = x/2 (damping) or y/2 (QBM), from the
+    channel's own exponent and propagator splines.
+
+    Maps only: they leave the Heisenberg bound by construction and reach
+    c <= 0 beyond x = 1, and nothing here checks either.
+    """
+
+    def __init__(self, channel):
+        self.channel = channel
+        self.tag, self.alpha, self.t_max = channel.tag, channel.alpha, channel.t_max
+
+    def maps(self, ts):
+        channel = self.channel
+        if channel.tag == "damping":
+            x = channel.alpha * channel.rate.x_per_alpha(ts)
+            return 1.0 - 0.5 * x, 1.0 - x, 0.5 * x
+        prop = channel.propagator
+        prop.check_t(ts)
+        at = prop.x.locate(ts)  # x and y share the table's knots
+        x = prop.x._local(*at)
+        return 1.0 - 0.5 * x, 1.0 - x, 0.5 * prop.y._local(*at)

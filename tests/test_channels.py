@@ -1,14 +1,12 @@
 import gc
 import math
 import pickle
-import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 from gaussnm import (
-    ApproximationWarning,
     DampingChannel,
     DampingRateSpec,
     PhysicalityWarning,
@@ -30,12 +28,12 @@ from helpers import coefficients_from_functions
 RATE = DampingRateSpec.decaying_sine()
 
 
-def damped(state, t, alpha, spec, mode="exact"):
-    return DampingChannel(alpha=alpha, rate=spec, mode=mode).evolve(state, t)
+def damped(state, t, alpha, spec):
+    return DampingChannel(alpha=alpha, rate=spec).evolve(state, t)
 
 
-def qbm_evolved(state, t, table, mode="exact"):
-    return QbmChannel(table, mode=mode).evolve(state, t)
+def qbm_evolved(state, t, table):
+    return QbmChannel(table).evolve(state, t)
 
 
 def x_oracle(t, alpha):
@@ -166,35 +164,6 @@ class TestEvolveDamping:
         for tr in (t1, t2):
             assert np.all(_det2(tr.covs) >= 0.25 - 1e-9)
 
-    def test_first_order_flags_large_x(self):
-        # x = 2 at t = 5: one warning, at the line that called evolve
-        channel = DampingChannel(alpha=0.2, rate=DampingRateSpec.constant(1.0),
-                                 mode="first_order")
-        s = make_gaussian()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            channel.evolve(s, 5.0)
-            trajectory(StatePairParams(), channel, np.linspace(0.0, 5.0, 11))
-        assert [w.category for w in caught] == [ApproximationWarning] * 2
-        assert all(str(w.message).startswith("first-order evolution with |x| = 2")
-                   and w.filename == __file__ for w in caught)
-
-    def test_first_order_close_to_exact_at_small_x(self):
-        s = make_gaussian(n=0.2, r=0.4, beta=0.5 + 0.1j)
-        exact = damped(s, 1.0, 0.01, RATE)
-        first = damped(s, 1.0, 0.01, RATE, mode="first_order")
-        assert np.max(np.abs(exact.cov - first.cov)) <= 1e-4
-
-    def test_first_order_error_scales_quadratically(self):
-        s = make_gaussian(r=0.5)
-        t = 2.0
-        errors = []
-        for alpha in (0.05, 0.025, 0.0125):
-            exact = damped(s, t, alpha, RATE)
-            first = damped(s, t, alpha, RATE, mode="first_order")
-            errors.append(np.max(np.abs(exact.cov - first.cov)))
-        assert errors[0] / errors[1] >= 3.5
-        assert errors[1] / errors[2] >= 3.5
 
 
 @pytest.fixture(scope="module")
@@ -254,30 +223,6 @@ class TestEvolveQbm:
         del channel
         gc.collect()
         assert prop() is None
-
-    def test_first_order_matches_exact_at_weak_coupling(self, qbm_table):
-        s = make_gaussian(r=0.8, phi=0.4)
-        worst = 0.0
-        for t in np.linspace(0.5, 30.0, 30):
-            exact = qbm_evolved(s, t, qbm_table)
-            first = qbm_evolved(s, t, qbm_table, mode="first_order")
-            worst = max(worst, np.max(np.abs(exact.cov - first.cov)))
-        assert worst <= 1e-3
-
-    def test_first_order_error_scales_quadratically(self):
-        env = EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=0.2)
-        s = make_gaussian(r=0.5)
-        errs = []
-        for alpha in (0.04, 0.02, 0.01):
-            table = build_coefficients(env, alpha=alpha, t_end=20.0, n_steps=800)
-            worst = 0.0
-            for t in np.linspace(1.0, 20.0, 15):
-                exact = qbm_evolved(s, t, table)
-                first = qbm_evolved(s, t, table, mode="first_order")
-                worst = max(worst, np.max(np.abs(exact.cov - first.cov)))
-            errs.append(worst)
-        assert errs[0] / errs[1] >= 3.5
-        assert errs[1] / errs[2] >= 3.5
 
     def test_rotation_covariance(self, qbm_table):
         s = make_gaussian(r=0.7, phi=1.3, beta=0.4 - 0.6j)
@@ -342,21 +287,11 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="Heisenberg"):
             channel.evolve(pair.states()[0], 25.0)
 
-    def test_first_order_dip_warns(self):
-        # |x| reaches 2.5, and the squeezed quadrature shrinks below 1/4
-        pair = StatePairParams(r1=0.5)
-        channel = DampingChannel(alpha=0.1, rate=DampingRateSpec.constant(-0.5),
-                                 mode="first_order")
-        with pytest.warns(ApproximationWarning), pytest.warns(PhysicalityWarning):
-            trajectory(pair, channel, np.linspace(0.0, 25.0, 501))
-
     def test_arrays_match_single_state_evolution(self, qbm_table):
         pair = StatePairParams(r1=0.6, phi1=0.3, beta1_mag=0.8, n2=0.4)
         times = np.linspace(0.0, 30.0, 7)
         for channel in (DampingChannel(alpha=0.1, rate=RATE),
-                        DampingChannel(alpha=0.01, rate=RATE, mode="first_order"),
-                        QbmChannel(qbm_table),
-                        QbmChannel(qbm_table, mode="first_order")):
+                        QbmChannel(qbm_table)):
             trajs = trajectory(pair, channel, times)
             for traj, state in zip(trajs, pair.states()):
                 assert traj.means.shape == (7, 2) and traj.covs.shape == (7, 2, 2)

@@ -102,16 +102,15 @@ class TestEvolveCommand:
         assert proc.returncode == 2
         assert "Heisenberg" in proc.stderr
 
-    def test_first_order_beyond_limit_warns_once(self, tmp_path):
-        # |x| reaches 4.38 by t = 25; the coherent state stays physical
-        proc = run_cli("evolve", "--channel", "damping", "--alpha", "0.5",
-                       "--mode", "first-order", "--n", "0", "--r", "0",
-                       "--phi", "0", "--beta-mag", "1", "--beta-arg", "0",
-                       "--t-end", "25", "--points", "11",
+    def test_mode_flag_is_gone(self, tmp_path):
+        # one set of maps per channel: there is no evolution mode to choose
+        proc = run_cli("evolve", "--channel", "damping", "--alpha", "0.1",
+                       "--n", "0", "--r", "0", "--phi", "0", "--beta-mag", "1",
+                       "--beta-arg", "0", "--mode", "exact",
                        "--out", str(tmp_path / "traj.csv"))
-        assert proc.returncode == 0
-        assert proc.stderr.count("ApproximationWarning") == 1
-        assert "PhysicalityWarning" not in proc.stderr
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --mode exact" in proc.stderr
+        assert not (tmp_path / "traj.csv").exists()
 
     @pytest.mark.parametrize("n, warns", [("1", False), ("0", True)])
     def test_warns_only_about_written_state(self, tmp_path, n, warns):

@@ -2,9 +2,7 @@ import cmath
 import gc
 import math
 import pickle
-import warnings
 import weakref
-from contextlib import nullcontext
 from dataclasses import replace
 
 import mpmath
@@ -15,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 from gaussnm import (
-    ApproximationWarning,
     DampingChannel,
     DampingRateSpec,
     FidelityTrajectory,
@@ -51,8 +48,8 @@ from gaussnm.measure import (
 )
 from gaussnm.spectral import EnvironmentSpec
 from gaussnm.states import fidelity, fidelity_arrays, matrix_invariants, pair_invariants
-from helpers import (coefficients_from_functions, g1_squeezed, moment_invariants,
-                     pair_batches)
+from helpers import (FirstOrderMaps, coefficients_from_functions, g1_squeezed,
+                     moment_invariants, pair_batches)
 from interval_oracle import _sign_intervals
 
 RATE = DampingRateSpec.decaying_sine()
@@ -410,11 +407,10 @@ class TestMaximizeDamping:
         # first-order N(n) is not monotone in n, and a (K, n) chord search
         # stopped at n = 5 with N = 0.0106, below the 0.0237 of the coherent
         # pairs (n = 0) that the family contains
-        channel = DampingChannel(alpha=0.05, mode="first_order", t_max=8.0 * np.pi)
+        channel = FirstOrderMaps(DampingChannel(alpha=0.05, t_max=8.0 * np.pi))
         times = np.linspace(0.0, 8.0 * np.pi, 2001)
-        with pytest.warns(ApproximationWarning):
-            coh = maximize_measure("coherent", channel, times=times)
-            res = maximize_measure("coherent_thermal", channel, times=times)
+        coh = maximize_measure("coherent", channel, times=times)
+        res = maximize_measure("coherent_thermal", channel, times=times)
         assert res.value >= coh.value - 1e-12 * coh.value
         assert res.method == "exact"
         k, n = res.diagnostics["argmax_vector"]
@@ -455,10 +451,10 @@ def fig3_tables():
             for temp in (0.2, 0.5)}
 
 
-def two_interval_damping(mode="exact"):
+def two_interval_damping():
     ts = np.linspace(0.0, 12.0, 1201)
     return DampingChannel(alpha=0.1, rate=DampingRateSpec.from_table(ts, np.sin(ts)),
-                          mode=mode, t_max=12.0)
+                          t_max=12.0)
 
 
 class TestNegativityIntervals:
@@ -519,7 +515,7 @@ class KnotChannel:
     coherent pair's F(t) = exp(-K a(t)) has its extrema at the knots.
     """
 
-    tag, alpha, mode = "damping", 1.0, "exact"
+    tag, alpha = "damping", 1.0
 
     def __init__(self, knots):
         self.knots = np.asarray(knots, dtype=float)
@@ -672,7 +668,8 @@ class TestGridRoute:
     def channel(kind, tables):
         if kind == "x_below_zero":
             return DampingChannel(alpha=0.3, rate=X_BELOW_ZERO, t_max=10.0)
-        return QbmChannel(tables[0.5].rescaled(0.1), mode=kind)
+        channel = QbmChannel(tables[0.5].rescaled(0.1))
+        return FirstOrderMaps(channel) if kind == "first_order" else channel
 
     @pytest.mark.parametrize("kind", ["exact", "first_order", "x_below_zero"])
     @pytest.mark.parametrize("times", [
@@ -774,8 +771,10 @@ class TestGridRoute:
         # gathered rows, old and new starts mixed, are the channel's maps at
         # the brackets' sub-grid times, bit for bit
         ts = np.linspace(0.0, 40.0, 401)
-        for channel in (QbmChannel(fig3_tables[0.5].rescaled(0.1), mode=mode),
-                        DampingChannel(alpha=0.1, rate=RATE, mode=mode)):
+        for channel in (QbmChannel(fig3_tables[0.5].rescaled(0.1)),
+                        DampingChannel(alpha=0.1, rate=RATE)):
+            if mode == "first_order":
+                channel = FirstOrderMaps(channel)
             sub = measure._SubGrid(ts, channel.maps)
             for idx in ([5, 9, 5, 398], [9, 0, 200, 5, 200], [398], [7, 7]):
                 lo, step = ts[idx], (ts[np.add(idx, 2)] - ts[idx]) / 64.0
@@ -803,7 +802,9 @@ class TestGridRoute:
     def test_intervals_are_the_argmax_trajectory(self, fig3_tables, mode, equal):
         # the argmax's intervals are its own trajectory's, field for field,
         # and their contributions add up to the value bit for bit
-        channel = QbmChannel(fig3_tables[0.5].rescaled(0.1), mode=mode)
+        channel = QbmChannel(fig3_tables[0.5].rescaled(0.1))
+        if mode == "first_order":
+            channel = FirstOrderMaps(channel)
         times = np.linspace(0.0, 40.0, 401)
         res = maximize_measure("squeezed", channel, phi=0.1, equal_squeezing=equal,
                                times=times)
@@ -1093,15 +1094,20 @@ class TestZoomMemo:
         assert (x, value, coarse, steps, scored) == (0.0, 0.0, 0.0, 0, 33)
         assert len(batches) == 1
 
-    def test_divisible_channel_scores_one_grid(self):
-        # no gamma < 0 interval: N = 0 for every pair, and the chord's grid
-        # is all (seven levels of 15 new pairs followed it)
+    @pytest.mark.parametrize("equal, batches", [(True, [0, 33]), (False, [78, 33, 1])],
+                             ids=["equal", "r1_r2"])
+    def test_divisible_channel_scores_one_grid(self, equal, batches):
+        # no gamma < 0 interval: N = 0 for every pair, and each chord's grid
+        # is all (seven levels of 15 new pairs followed it).  In (r1, r2)
+        # the (1, -1) chord out of the corner (0, 0) has zero length: its
+        # 33 grid points are one pair, sent once
         channel = DampingChannel(alpha=0.1, rate=DampingRateSpec.constant(0.5))
         with pair_batches() as rows:
             res = maximize_measure("squeezed", channel, phi=0.1,
-                                   equal_squeezing=True,
+                                   equal_squeezing=equal,
                                    times=np.linspace(0.0, 10.0, 401))
-        assert rows == [0, 33]
+        assert rows == batches
+        assert res.diagnostics["function_evaluations"] == sum(batches)
         assert res.value == 0.0 and res.intervals == ()
 
     def test_stationary_stencil_stops_at_once(self):
@@ -1471,67 +1477,16 @@ class TestSwapSymmetry:
             np.testing.assert_allclose(as_given, framed, rtol=1e-11, atol=0.0)
 
 
-class TestFirstOrderRange:
-    def test_out_of_range_maps_warn_once(self):
-        # x reaches 8.8 on [0, 25]: the first-order mean factor 1 - x/2
-        # changes sign and N exceeds 1
-        channel = DampingChannel(alpha=1.0, mode="first_order", t_max=25.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            maximize_measure("coherent", channel, times=np.linspace(0.0, 25.0, 401))
-        approx = [w for w in caught if w.category is ApproximationWarning]
-        assert len(approx) == 1
-        assert str(approx[0].message).startswith("first-order evolution with |x| = 8.")
-        assert approx[0].filename == __file__
-
-    def test_exact_and_in_range_maps_do_not_warn(self):
-        times = np.linspace(0.0, 25.0, 401)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ApproximationWarning)
-            maximize_measure("coherent", DampingChannel(alpha=1.0, t_max=25.0),
-                             times=times)
-            maximize_measure("coherent", DampingChannel(alpha=0.01, mode="first_order",
-                                                        t_max=25.0), times=times)
-
-    @pytest.mark.parametrize("family", ["squeezed", "general_pure"])
-    def test_squeezing_searches_reject_maps_beyond_c_zero(self, family):
-        # alpha = 0.3 takes c = 1 - x to -1.63, where strongly squeezed pairs'
-        # summed covariance turns singular; alpha = 0.1 keeps c >= 0.124
-        times = np.linspace(0.0, 25.0, 501)
-        beyond = DampingChannel(alpha=0.3, mode="first_order")
-        with pytest.raises(ValueError, match=r"c = 1 - x = -1\.63 <= 0.*mode='exact'"):
-            maximize_measure(family, beyond, times=times)
-        with pytest.warns(ApproximationWarning):
-            coherent = maximize_measure("coherent", beyond, times=times)
-        assert coherent.value > 0.99
-        if family == "squeezed":
-            with pytest.warns(ApproximationWarning):
-                res = maximize_measure(family, DampingChannel(
-                    alpha=0.1, mode="first_order"), times=times)
-            assert res.value > 0.0
-
-    def test_rise_from_zero_has_no_finite_optimum(self):
-        # 1 - e^{-K a_hi} grows towards 1 with K
-        assert measure._k_optimum(0.0, 0.5) == (math.inf, 1.0)
-        # a(t) falls to exactly 0 at the grid point t = 1, then rises: the
-        # optimum sits on the box edge
-        res = maximize_measure("coherent", KnotChannel([1.0, 0.0, 0.5]),
-                               times=np.linspace(0.0, 2.0, 201))
-        k_max = ParamBounds().k_max
-        assert res.diagnostics["argmax_vector"] == [k_max]
-        assert res.value == pytest.approx(1.0 - math.exp(-0.5 * k_max), abs=1e-12)
-
-
 class TestExactCoherent:
     @pytest.mark.parametrize("make, t_end, points, n_intervals", [
         (lambda tabs: QbmChannel(tabs[0.2].rescaled(0.02)), 40.0, 401, 2),
         (lambda tabs: QbmChannel(tabs[0.2].rescaled(0.15)), 40.0, 401, 2),
         (lambda tabs: QbmChannel(tabs[0.5].rescaled(0.02)), 40.0, 401, 3),
         (lambda tabs: QbmChannel(tabs[0.5].rescaled(0.15)), 40.0, 401, 3),
-        (lambda tabs: QbmChannel(tabs[0.5].rescaled(0.1), mode="first_order"),
+        (lambda tabs: FirstOrderMaps(QbmChannel(tabs[0.5].rescaled(0.1))),
          40.0, 401, 3),
         (lambda tabs: two_interval_damping(), 12.0, 601, 2),
-        (lambda tabs: two_interval_damping("first_order"), 12.0, 601, 2),
+        (lambda tabs: FirstOrderMaps(two_interval_damping()), 12.0, 601, 2),
         (lambda tabs: damping_channel(0.1), 25.0, 801, 1),
     ], ids=["qbm-T0.2-a0.02", "qbm-T0.2-a0.15", "qbm-T0.5-a0.02",
             "qbm-T0.5-a0.15", "qbm-first-order", "damping-two-intervals",
@@ -1540,10 +1495,7 @@ class TestExactCoherent:
                             fig3_tables):
         channel = make(fig3_tables)
         times = np.linspace(0.0, t_end, points)
-        # first-order two-interval damping reaches |x| = 0.4 on purpose
-        beyond = channel.tag == "damping" and channel.mode == "first_order"
-        with pytest.warns(ApproximationWarning) if beyond else nullcontext():
-            exact = maximize_measure("coherent", channel, times=times)
+        exact = maximize_measure("coherent", channel, times=times)
         n_ref, _ = oracle_coherent(channel, times, ParamBounds().k_max)
         assert exact.method == "exact"
         assert len(exact.intervals) == n_intervals
@@ -1585,6 +1537,36 @@ class TestExactCoherent:
         assert exact.value == pytest.approx(0.254, abs=1e-3)
         assert exact.value >= n_ref - (1e-12 * n_ref + 1e-15)
         assert exact.value <= n_ref + 1e-9 * n_ref
+
+    @pytest.mark.parametrize("temperature", [0.2, 0.5])
+    def test_qbm_coherent_thermal_is_coherent(self, fig3_tables, temperature):
+        # 1/a_n = 1/a_0 + 2n on both channels, so each rise's a_hi / a_lo falls
+        # with n and n = 0 is optimal for one rise; here, with two and three
+        # rises sharing one K, the search over n finds n = 0 too
+        times = np.linspace(0.0, 40.0, 401)
+        for alpha in (0.02, 0.1, 0.15):
+            channel = QbmChannel(fig3_tables[temperature].rescaled(alpha))
+            m, c, n = channel.maps(times)
+            inv_a0 = (c + 2.0 * n) / (m * m)
+            for occ in (0.3, 2.0):
+                inv_a = ((2.0 * occ + 1.0) * c + 2.0 * n) / (m * m)
+                np.testing.assert_allclose(inv_a - inv_a0, 2.0 * occ, rtol=1e-12)
+            coh = maximize_measure("coherent", channel, times=times)
+            res = maximize_measure("coherent_thermal", channel, times=times)
+            assert len(coh.intervals) == {0.2: 2, 0.5: 3}[temperature]
+            assert res.diagnostics["argmax_vector"] == [*coh.diagnostics["argmax_vector"], 0.0]
+            assert res.value == coh.value and res.intervals == coh.intervals
+
+    def test_rise_from_zero_has_no_finite_optimum(self):
+        # 1 - e^{-K a_hi} grows towards 1 with K
+        assert measure._k_optimum(0.0, 0.5) == (math.inf, 1.0)
+        # a(t) falls to exactly 0 at the grid point t = 1, then rises: the
+        # optimum sits on the box edge
+        res = maximize_measure("coherent", KnotChannel([1.0, 0.0, 0.5]),
+                               times=np.linspace(0.0, 2.0, 201))
+        k_max = ParamBounds().k_max
+        assert res.diagnostics["argmax_vector"] == [k_max]
+        assert res.value == pytest.approx(1.0 - math.exp(-0.5 * k_max), abs=1e-12)
 
     def test_one_interval_is_the_closed_form(self):
         exact = maximize_measure("coherent", damping_channel(0.1),

@@ -7,11 +7,13 @@ from scipy.integrate import quad
 
 from gaussnm import (
     EnvironmentSpec,
+    QbmChannel,
     build_coefficients,
     divisibility_check,
     write_coefficients_csv,
 )
 from gaussnm import spectral
+from gaussnm.states import fidelity_arrays, pair_invariants
 from helpers import coefficients_from_functions
 from quad_oracle import (
     QuadratureError,
@@ -286,6 +288,38 @@ class TestDivisibility:
         env = EnvironmentSpec(omega0=1.0, omega_c=1.0, temperature=4.0)
         table = build_coefficients(env, alpha=0.05, t_end=30.0, n_steps=900)
         assert divisibility_check(table) == []
+
+    @pytest.mark.parametrize("temperature, dips", [(0.2, True), (4.0, False)])
+    def test_fidelity_rises_outside_the_windows_between_physical_states(
+            self, temperature, dips):
+        # outside the windows the exact QBM map of each grid step is CPTP, so
+        # F cannot fall there while both evolved states are physical (both
+        # Heisenberg gaps c^2 det + c n tr + n^2 - 1/4 >= 0 at both ends).
+        # At T = 0.2 near-pure states dip below the bound at finite alpha,
+        # and there F does fall outside the windows; at T = 4 none dips
+        rng = np.random.default_rng(29)
+        pure = rng.random((2, 200)) < 0.5
+        n1, n2 = np.where(pure, 0.0, rng.uniform(0.0, 1.0, (2, 200)))
+        r1, r2, b1, b2 = rng.uniform(0.0, [[2.0], [2.0], [1.5], [1.5]], (4, 200))
+        phi1, phi2, th1, th2 = rng.uniform(0.0, 2.0 * math.pi, (4, 200))
+        inv = pair_invariants(n1, n2, r1, r2, phi1, phi2, b1, b2, th1, th2)
+        env = EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=temperature)
+        table = build_coefficients(env, alpha=1.0, t_end=40.0, n_steps=400)
+        ts = np.linspace(0.0, 40.0, 2001)
+        outside = np.ones(ts.size - 1, dtype=bool)
+        for lo, hi in divisibility_check(table):
+            outside &= (ts[1:] <= lo) | (ts[:-1] >= hi)
+        assert 0 < outside.sum() < ts.size - 1
+        for alpha in (0.02, 0.1, 0.15):
+            m, c, n = QbmChannel(table.rescaled(alpha)).maps(ts)
+            df = np.diff(fidelity_arrays(inv, (m, c, n), branch=True), axis=1)
+            physical = np.all([c * c * inv[k, :, None] + c * n * inv[k + 1, :, None]
+                               + n * n - 0.25 >= 0.0 for k in (4, 6)], axis=0)
+            steps = outside & physical[:, :-1] & physical[:, 1:]
+            assert df[steps].min() > 0.0
+            falls = outside & (df < 0.0)
+            assert falls.any() == dips and not (falls & steps).any()
+            assert physical.all() != dips
 
 
 def test_quadrature_error_carries_estimate():

@@ -22,7 +22,7 @@ from gaussnm.spectral import EnvironmentSpec
 from gaussnm.states import (_adj_quad, _det2, fidelity_arrays, matrix_invariants,
                             pair_invariants)
 from fock_oracle import oracle_fidelity
-from helpers import is_physical, moment_invariants, pair_moments
+from helpers import FirstOrderMaps, is_physical, moment_invariants, pair_moments
 
 
 def random_params(rng, n_max=2.0, r_max=1.0, beta_max=2.0):
@@ -309,7 +309,7 @@ def kernel_channels():
         EnvironmentSpec(omega0=1.0, omega_c=0.2, temperature=0.2),
         alpha=0.1, t_end=40.0, n_steps=400)
     return {"damping-exact": DampingChannel(alpha=0.1),
-            "damping-first-order": DampingChannel(alpha=0.1, mode="first_order"),
+            "damping-first-order": FirstOrderMaps(DampingChannel(alpha=0.1)),
             "qbm-exact": QbmChannel(table)}
 
 
