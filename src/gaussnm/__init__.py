@@ -38,7 +38,6 @@ from .measure import (
     first_order_squeezed_max,
     maximize_measure,
     measure_from_trajectory,
-    measure_record,
     squeezed_pair,
     squeezed_response,
 )

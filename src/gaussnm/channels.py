@@ -188,7 +188,6 @@ class QbmPropagator:
     def __init__(self, coeffs: ChannelCoefficients):
         ts = coeffs.times
         self.t_end = float(ts[-1])
-        self.alpha = coeffs.alpha
         dz, a2 = coeffs.alpha * np.exp(coeffs.x) * coeffs.delta, 2.0 * coeffs.alpha
         self.x, self.y, self.z = hermite_splines(
             ts, [coeffs.x, coeffs.y, cumulative_simpson(dz, ts)],
@@ -220,7 +219,7 @@ class DampingChannel:
         return np.sqrt(u), u, 0.5 * (1.0 - u)
 
     def evolve(self, state: GaussianState, t: float) -> GaussianState:
-        traj, = _trajectories([state], self, [t], None)
+        traj, = _trajectories([state], self, [t])
         return GaussianState(traj.means[0], traj.covs[0], validate=False)
 
     response_direction = (-1.0, 0.5)  # (c', n') per unit x, first order
@@ -262,7 +261,7 @@ class QbmChannel:
         return np.sqrt(u), u, u * prop.z._local(*at)
 
     def evolve(self, state: GaussianState, t: float) -> GaussianState:
-        traj, = _trajectories([state], self, [t], None)
+        traj, = _trajectories([state], self, [t])
         return GaussianState(traj.means[0], traj.covs[0], validate=False)
 
     response_direction = (0.0, 0.5)  # (c', n') per unit y: n = y / 2
@@ -279,14 +278,13 @@ class Trajectory:
     """A state evolved over a time grid under one channel.
 
     ``means`` (T, 2) and ``covs`` (T, 2, 2) hold the first moments and the
-    covariance matrix at each of the T grid ``times``.
+    covariance matrix at each of the T grid ``times``; which state and
+    channel they belong to is the caller's to keep.
     """
 
     times: np.ndarray
     means: np.ndarray
     covs: np.ndarray
-    channel: str
-    params: StatePairParams | None = None
 
     def __post_init__(self):
         for name in ("times", "means", "covs"):
@@ -314,7 +312,7 @@ def evolve_arrays(maps, mean0: np.ndarray, cov0: np.ndarray):
 def trajectory(pair: StatePairParams, channel, times) -> tuple[Trajectory, Trajectory]:
     """Evolve both states of a pair over the grid, checked as the module
     docstring states."""
-    return tuple(_trajectories(pair.states(), channel, times, pair))
+    return tuple(_trajectories(pair.states(), channel, times))
 
 
 def _grid(times) -> np.ndarray:
@@ -328,7 +326,7 @@ def _grid(times) -> np.ndarray:
     return ts
 
 
-def _trajectories(states, channel, times, params) -> list[Trajectory]:
+def _trajectories(states, channel, times) -> list[Trajectory]:
     """``trajectory`` for any sequence of states: one maps call, one check.
     Warnings point at the line that called this function's caller."""
     ts = _grid(times)
@@ -338,8 +336,7 @@ def _trajectories(states, channel, times, params) -> list[Trajectory]:
         means, covs = evolve_arrays(maps, st.mean, st.cov)
         if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
             raise ValueError("state contains non-finite entries")
-        out.append(Trajectory(times=ts, means=means, covs=covs,
-                              channel=channel.tag, params=params))
+        out.append(Trajectory(times=ts, means=means, covs=covs))
     covs = np.stack([traj.covs for traj in out])
     bad = _below_heisenberg(covs)
     if not np.any(bad):

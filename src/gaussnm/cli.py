@@ -29,7 +29,6 @@ from .measure import (
     MeasureResult,
     ParamBounds,
     UnsupportedShapeError,
-    _env_fields,
     closed_form_coherent_damping,
     closed_form_coherent_qbm,
     coherent_pair,
@@ -37,7 +36,6 @@ from .measure import (
     first_order_coherent_thermal,
     first_order_squeezed_max,
     maximize_measure,
-    measure_record,
     squeezed_pair,
 )
 from .experiments import fig_defaults, parse_config, run_experiment
@@ -128,7 +126,7 @@ def _cmd_evolve(args) -> int:
                            beta1_mag=args.beta_mag, theta1=args.beta_arg)
     channel = _channel_from_args(args)
     # evolve and check only the state that is written
-    traj, = _trajectories(pair.states()[:1], channel, times, pair)
+    traj, = _trajectories(pair.states()[:1], channel, times)
     write_trajectory_csv(traj, args.out)
     print(f"wrote {args.out} ({args.points} rows)")
     return 0
@@ -144,8 +142,7 @@ def _channel_from_args(args):
     return QbmChannel(coeffs)
 
 
-def _first_order_result(args, channel) -> MeasureResult:
-    family = args.family.replace("-", "_")
+def _first_order_result(family: str, args, channel) -> MeasureResult:
     if family == "coherent":
         value, argmax = first_order_coherent(channel), coherent_pair(1.0)
     elif family == "coherent_thermal":
@@ -160,11 +157,8 @@ def _first_order_result(args, channel) -> MeasureResult:
             "first-order method supports coherent, squeezed and "
             "coherent-thermal families"
         )
-    return MeasureResult(
-        value=value, argmax=argmax, intervals=(), method="first_order",
-        family=family, channel=channel.tag, alpha=args.alpha,
-        **_env_fields(channel),
-    )
+    return MeasureResult(value=value, argmax=argmax, intervals=(),
+                         method="first_order")
 
 
 def _closed_result(args, channel) -> MeasureResult:
@@ -187,6 +181,31 @@ def _closed_result(args, channel) -> MeasureResult:
     return closed_form_coherent_qbm(channel.coeffs, (tp, tm))
 
 
+_RECORD_HEADER = ("family,channel,alpha,T,omega0,omega_c,value,method,"
+                  "param_K,param_n,param_r1,param_r2,param_phi")
+
+
+def _record(family: str, channel, result: MeasureResult) -> tuple[str, str]:
+    """(header, row) CSV record of a measure result, 12 significant digits;
+    the environment cells (T, omega0, omega_c) are empty for damping."""
+    env = channel.coeffs.env if isinstance(channel, QbmChannel) else None
+    env_cells = (env.temperature, env.omega0, env.omega_c) if env else (None,) * 3
+    p = result.argmax
+    b1 = p.beta1_mag * np.exp(1j * p.theta1)
+    b2 = p.beta2_mag * np.exp(1j * p.theta2)
+
+    def num(v):
+        return "" if v is None else f"{v:.12g}"
+
+    row = ",".join([
+        family, channel.tag, num(channel.alpha), *map(num, env_cells),
+        num(result.value), result.method,
+        num(0.5 * float(abs(b1 - b2)) ** 2), num(p.n1), num(p.r1), num(p.r2),
+        num((p.phi1 - p.phi2) % (2.0 * math.pi)),
+    ])
+    return _RECORD_HEADER, row
+
+
 def _cmd_measure(args) -> int:
     if args.alpha <= 0.0:
         raise ValueError("--alpha must be > 0")
@@ -198,8 +217,8 @@ def _cmd_measure(args) -> int:
     elif args.method == "closed":
         result = _closed_result(args, channel)
     else:
-        result = _first_order_result(args, channel)
-    header, row = measure_record(result)
+        result = _first_order_result(family, args, channel)
+    header, row = _record(family, channel, result)
     stream, opened = _out_stream(args.out)
     try:
         print(header, file=stream)

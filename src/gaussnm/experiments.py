@@ -330,7 +330,7 @@ def _phi_label(p: float) -> str:
 
 def _merge_diag(acc: dict, diag: dict) -> None:
     """Add one ``maximize_measure`` diagnostics dict to the sweep totals."""
-    for key in ("iterations", "restarts", "grid_evaluations"):
+    for key in ("iterations", "grid_evaluations"):
         acc[key] = acc.get(key, 0) + diag.get(key, 0)
     acc["stagnation_count"] = (acc.get("stagnation_count", 0)
                                + int(diag.get("stagnation", False)))

@@ -25,7 +25,6 @@ import numpy as np
 from .channels import (
     DampingChannel,
     DampingRateSpec,
-    QbmChannel,
     damping_x,
     _grid,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "damping_response",
     "first_order_squeezed",
     "first_order_squeezed_max",
-    "measure_record",
     "coherent_pair",
     "squeezed_pair",
 ]
@@ -99,31 +97,25 @@ class FidelityTrajectory:
     smooth extremum F is exact to rounding and t lies within one sub-grid
     step (two grid steps / 64).  At a kink the vertex often wins too, on a
     flank of the kink, so there F carries the samples' rounding times the
-    slope.
+    slope.  Which pair and channel it belongs to is the caller's to keep.
     """
 
     times: np.ndarray
     fidelities: np.ndarray
     extrema: tuple
-    channel: str
-    params: StatePairParams
 
 
 @dataclass(frozen=True, eq=False)
 class MeasureResult:
-    """Outcome of a measure evaluation: value, argmax and diagnostics."""
+    """Outcome of a measure evaluation: the value, its argmax pair, the
+    intervals it was summed from, the method and its diagnostics.  Only what
+    the evaluation computes: the family and channel are the caller's."""
 
     value: float
     argmax: StatePairParams
     intervals: tuple
     method: str
     diagnostics: dict = field(default_factory=dict)
-    family: str = ""
-    channel: str = ""
-    alpha: float = float("nan")
-    temperature: float | None = None
-    omega0: float | None = None
-    omega_c: float | None = None
 
     def __post_init__(self):
         if self.value < -1e-12:
@@ -298,8 +290,7 @@ def fidelity_trajectory(pair: StatePairParams, channel, times) -> FidelityTrajec
                                fvals[rows] if maps is None else fid(rows, maps),
                                _SubGrid(ts, channel.maps))
     extrema = tuple(ext for ext in zip(*(p.tolist() for p in points)) if ext[2])
-    return FidelityTrajectory(times=ts, fidelities=fvals[0], extrema=extrema,
-                              channel=channel.tag, params=pair)
+    return FidelityTrajectory(times=ts, fidelities=fvals[0], extrema=extrema)
 
 
 def backflow_intervals(traj: FidelityTrajectory) -> list[NegativityInterval]:
@@ -588,7 +579,7 @@ def _numeric_optimum(family: str, sub, grid_maps, edges, bounds, phi,
         searched = 1 if gains(val, start_val) else searched + 1
     value, falls, vec = best
     diagnostics = {"grid_evaluations": len(grid) + chords * _CHORD_POINTS,
-                   "restarts": 0, "iterations": steps,
+                   "iterations": steps,
                    "function_evaluations": scored,
                    "stagnation": not zoomed,
                    "argmax_vector": [float(v) for v in vec]}
@@ -626,9 +617,10 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
             best = _kept(best, table[:, 0], falls, ns.tolist(), table[:, 1].tolist())
             return table[:, 0]
 
-        # on both channels 1/a_n = 1/a_0 + 2n, so every rise's a_hi / a_lo, on
-        # which alone its best drop rises, falls with n: n = 0 is optimal for
-        # one rise, but unproven for several sharing one K, so n is searched
+        # on both channels a_n = a_0 / (1 + 2n a_0), so the total drop D(K, n)
+        # obeys dD/dn = 2K d2D/dK2; D's maximum over K > 0 is interior, where
+        # d2D/dK2 <= 0, so it never rises with n (Danskin) and n = 0 is optimal.
+        # The zoom over n stays for the cap: where K = k_max binds, n > 0 can win
         if family == "coherent":
             optima(np.zeros(1))
         else:
@@ -636,7 +628,7 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
         value, falls, n, k = best
         argmax = StatePairParams(n1=n, n2=n, beta1_mag=math.sqrt(2.0 * k))
         method = "exact"
-        diagnostics = {"grid_evaluations": 0, "restarts": 0, "iterations": 0,
+        diagnostics = {"grid_evaluations": 0, "iterations": 0,
                        "function_evaluations": 0, "stagnation": False,
                        "argmax_vector": [k] if family == "coherent" else [k, n]}
     else:
@@ -645,17 +637,7 @@ def maximize_measure(family: str, channel, *, bounds: ParamBounds | None = None,
         method = "numeric_opt"
     intervals = map(NegativityInterval, *(a.tolist() for a in falls))
     return MeasureResult(value=value, argmax=argmax, intervals=intervals,
-                         method=method, diagnostics=diagnostics,
-                         family=family, channel=channel.tag,
-                         alpha=channel.alpha, **_env_fields(channel))
-
-
-def _env_fields(channel) -> dict:
-    env = getattr(getattr(channel, "coeffs", None), "env", None)
-    if env is None:
-        return {"temperature": None, "omega0": None, "omega_c": None}
-    return {"temperature": env.temperature, "omega0": env.omega0,
-            "omega_c": env.omega_c}
+                         method=method, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +666,6 @@ def closed_form_coherent_damping(alpha: float, spec: DampingRateSpec,
         value=value, argmax=coherent_pair(k),
         intervals=[NegativityInterval(tp, tm, value)] if tm > tp else (),
         method="closed_form", diagnostics={"K": k, "x_plus": xp, "x_minus": xm},
-        family="coherent", channel="damping", alpha=alpha,
     )
 
 
@@ -696,8 +677,7 @@ def closed_form_coherent_qbm(coeffs: ChannelCoefficients,
     optimal squared half-distance P and the measure follow from the values
     of x, y at the interval edges.
     """
-    channel = QbmChannel(coeffs)
-    prop = channel.propagator
+    prop = coeffs.propagator()
     tp, tm = float(interval[0]), float(interval[1])
     prop.check_t([tp, tm])
     if not tp < tm:
@@ -719,8 +699,6 @@ def closed_form_coherent_qbm(coeffs: ChannelCoefficients,
         intervals=[NegativityInterval(tp, tm, value)],
         method="closed_form",
         diagnostics={"P": p, "x_plus": xp, "x_minus": xm, "y_plus": yp, "y_minus": ym},
-        family="coherent", channel="qbm", alpha=coeffs.alpha,
-        **_env_fields(channel),
     )
 
 
@@ -829,33 +807,3 @@ def _equal_response_max(phi: float, direction: tuple, r_max: float):
     r_star, response, *_ = _zoom_max(responses, 0.0, r_max, _CHORD_POINTS)
     return r_star, response
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_RECORD_HEADER = ("family,channel,alpha,T,omega0,omega_c,value,method,"
-                  "param_K,param_n,param_r1,param_r2,param_phi")
-
-
-def _pair_k(p: StatePairParams) -> float:
-    b1 = p.beta1_mag * np.exp(1j * p.theta1)
-    b2 = p.beta2_mag * np.exp(1j * p.theta2)
-    return 0.5 * float(abs(b1 - b2)) ** 2
-
-
-def measure_record(result: MeasureResult) -> tuple[str, str]:
-    """(header, row) CSV record for a measure result, 12 significant digits."""
-    p = result.argmax
-
-    def num(v):
-        return "" if v is None else f"{v:.12g}"
-
-    rel_phi = (p.phi1 - p.phi2) % (2.0 * math.pi)
-    row = ",".join([
-        result.family, result.channel, num(result.alpha),
-        num(result.temperature), num(result.omega0), num(result.omega_c),
-        num(result.value), result.method,
-        num(_pair_k(p)), num(p.n1), num(p.r1), num(p.r2), num(rel_phi),
-    ])
-    return _RECORD_HEADER, row

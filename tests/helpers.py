@@ -88,8 +88,7 @@ class FirstOrderMaps:
     """
 
     def __init__(self, channel):
-        self.channel = channel
-        self.tag, self.alpha, self.t_max = channel.tag, channel.alpha, channel.t_max
+        self.channel, self.t_max = channel, channel.t_max
 
     def maps(self, ts):
         channel = self.channel

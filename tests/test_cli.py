@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from gaussnm import cli
+
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -212,6 +214,31 @@ class TestMeasureCommand:
         assert proc.returncode == 0
         value = float(proc.stdout.strip().splitlines()[1].split(",")[6])
         assert value == pytest.approx(0.4604 * 0.05 / 2.0, rel=1e-3)
+
+    @pytest.mark.parametrize("argv, row", [
+        (["--channel", "damping", "--family", "coherent", "--alpha", "0.1",
+          "--method", "closed"],
+         "coherent,damping,0.1,,,,0.0460055719765,closed_form,1.11416556973,0,0,0,0"),
+        (["--channel", "damping", "--family", "squeezed", "--alpha", "0.1",
+          "--method", "first-order"],
+         "squeezed,damping,0.1,,,,0.482071637603,first_order,0,0,2.43844174558,"
+         "2.43844174558,0.1"),
+        (["--channel", "damping", "--family", "coherent-thermal", "--alpha", "0.1",
+          "--method", "first-order", "--n-thermal", "0.3"],
+         "coherent_thermal,damping,0.1,,,,0.0287722422423,first_order,1,0.3,0,0,0"),
+        (["--channel", "qbm", "--family", "coherent", "--alpha", "0.05", "--T",
+          "0.2", "--t-end", "40", "--n-steps", "800", "--method", "closed"],
+         "coherent,qbm,0.05,0.2,1,0.2,0.000766192112497,closed_form,1.00881759067,"
+         "0,0,0,0"),
+    ], ids=["damping-closed", "damping-squeezed-first-order",
+            "damping-thermal-first-order", "qbm-closed"])
+    def test_record_rows(self, capsys, argv, row):
+        # the whole record, byte for byte: the environment cells (T, omega0,
+        # omega_c) come from the QBM table and are empty for damping
+        assert cli.main(["measure", *argv]) == 0
+        assert capsys.readouterr().out == (
+            "family,channel,alpha,T,omega0,omega_c,value,method,"
+            f"param_K,param_n,param_r1,param_r2,param_phi\n{row}\n")
 
 
 class TestReproduceCommand:

@@ -34,12 +34,11 @@ from gaussnm import (
     make_gaussian,
     maximize_measure,
     measure_from_trajectory,
-    measure_record,
     squeezed_pair,
     squeezed_response,
     trajectory,
 )
-from gaussnm import channels, measure
+from gaussnm import channels, cli, measure
 from gaussnm.experiments import _table, fig_defaults
 from gaussnm.measure import (
     _NOISE_FLOOR,
@@ -329,7 +328,6 @@ class TestMeasureFromTrajectory:
             times=times, fidelities=fvals,
             extrema=((2.0, 0.9, 1), (3.0, 0.8, -1), (6.0, 0.85, 1),
                      (8.0, 0.7, -1)),
-            channel="damping", params=coherent_pair(1.0),
         )
         # 0.85 -> 0.9(max) -> 0.8(min) -> 0.85(max) -> 0.7(min) -> 0.95
         assert measure_from_trajectory(traj) == pytest.approx(0.1 + 0.15, abs=1e-12)
@@ -515,17 +513,28 @@ class KnotChannel:
     coherent pair's F(t) = exp(-K a(t)) has its extrema at the knots.
     """
 
-    tag, alpha = "damping", 1.0
-
     def __init__(self, knots):
         self.knots = np.asarray(knots, dtype=float)
 
-    def maps(self, ts):
+    def eased(self, ts):
         ts = np.asarray(ts, dtype=float)
         i = np.clip(ts.astype(int), 0, self.knots.size - 2)
         step = self.knots[i + 1] - self.knots[i]
-        a = self.knots[i] + step * (1.0 - np.cos(np.pi * (ts - i))) / 2.0
-        return np.sqrt(a), np.ones_like(ts), np.zeros_like(ts)
+        return self.knots[i] + step * (1.0 - np.cos(np.pi * (ts - i))) / 2.0
+
+    def maps(self, ts):
+        a = self.eased(ts)
+        return np.sqrt(a), np.ones_like(a), np.zeros_like(a)
+
+
+class NoiseKnotChannel(KnotChannel):
+    """Stand-in channel: m = c = 1 and noise weight (B(t) - 1) / 2, with B
+    eased through ``knots`` as KnotChannel's a(t), so a coherent-thermal
+    pair at occupation n has a_n = 1 / (B(t) + 2n)."""
+
+    def maps(self, ts):
+        b = self.eased(ts)
+        return np.ones_like(b), np.ones_like(b), 0.5 * (b - 1.0)
 
 
 class TestBatchedTrajectories:
@@ -545,7 +554,6 @@ class TestBatchedTrajectories:
                                None)
         assert falls[0].tolist() == [1, 2, 3, 4]  # one fall each but the first's
         for r, traj in enumerate(lone):
-            assert traj.params == pairs[r]
             got = [NegativityInterval(tp, tm, fp - fm) for row, tp, tm, fp, fm
                    in zip(*(a.tolist() for a in falls)) if row == r]
             assert got == backflow_intervals(traj)
@@ -1005,7 +1013,7 @@ class TestEqualSqueezingSearch:
             # one batch per zoom step
             d = res.diagnostics
             assert rows[:2] == [0, 33]
-            assert (d["grid_evaluations"], d["restarts"]) == (33, 0)
+            assert d["grid_evaluations"] == 33
             assert d["iterations"] == len(rows) - 2
             assert d["function_evaluations"] == sum(rows)
 
@@ -1274,7 +1282,7 @@ class TestChordSearch:
         # its 33-point grid, then batches of at most 17 pairs, one per step
         chords = rows.count(33)
         assert rows[0] == 78 and max(rows[1:]) == 33
-        assert chords >= 2 and d["restarts"] == 0
+        assert chords >= 2
         assert d["grid_evaluations"] == 78 + 33 * chords
         assert d["iterations"] == len(rows) - 1 - chords
         assert d["function_evaluations"] == sum(rows)
@@ -1540,9 +1548,9 @@ class TestExactCoherent:
 
     @pytest.mark.parametrize("temperature", [0.2, 0.5])
     def test_qbm_coherent_thermal_is_coherent(self, fig3_tables, temperature):
-        # 1/a_n = 1/a_0 + 2n on both channels, so each rise's a_hi / a_lo falls
-        # with n and n = 0 is optimal for one rise; here, with two and three
-        # rises sharing one K, the search over n finds n = 0 too
+        # 1/a_n = 1/a_0 + 2n on both channels, so n = 0 is optimal wherever
+        # the K cap does not bind (test_drop_obeys_the_heat_equation_in_n);
+        # here, with two and three rises sharing one K, the search finds it
         times = np.linspace(0.0, 40.0, 401)
         for alpha in (0.02, 0.1, 0.15):
             channel = QbmChannel(fig3_tables[temperature].rescaled(alpha))
@@ -1556,6 +1564,54 @@ class TestExactCoherent:
             assert len(coh.intervals) == {0.2: 2, 0.5: 3}[temperature]
             assert res.diagnostics["argmax_vector"] == [*coh.diagnostics["argmax_vector"], 0.0]
             assert res.value == coh.value and res.intervals == coh.intervals
+
+    def test_drop_obeys_the_heat_equation_in_n(self):
+        # a_n = a_0 / (1 + 2n a_0), so the total drop D(K, n) of any rises has
+        # dD/dn = 2K d2D/dK2: at D's interior maximum over K, d2D/dK2 <= 0, so
+        # that maximum never rises with n and n = 0 is optimal (Danskin)
+        rng = np.random.default_rng(11)
+        a0 = [[mpmath.mpf(a) for a in row] for row in rng.uniform(0.05, 1.0, (4, 2))]
+
+        def total(k, n):
+            return sum(mpmath.exp(-k * lo / (1 + 2 * n * lo))
+                       - mpmath.exp(-k * hi / (1 + 2 * n * hi)) for lo, hi in a0)
+
+        with mpmath.workdps(40):
+            for k, n in ((0.5, 0.0), (3.0, 0.4), (20.0, 2.5)):
+                d_n = mpmath.diff(lambda v: total(k, v), n)
+                d_kk = mpmath.diff(lambda v: total(v, n), k, 2)
+                assert abs(d_n - 2 * k * d_kk) < mpmath.mpf(10) ** -30 * (1 + abs(d_n))
+
+    # B(t) through these knots on [0, 6]: three rises of a_0 = 1 / B, whose
+    # best common K lies beyond the default cap k_max = 72
+    CAPPED_KNOTS = [1.0, 22.77810133, 12.81847615, 30.43010643, 26.347187,
+                    373.22125737, 100.61739692]
+
+    def test_capped_k_lets_an_occupation_win(self):
+        # D's best K at n = 0 (~174) is outside the box, whose best at n = 0 is
+        # a lower local maximum (K = 33.67); an occupation with K at the cap
+        # beats it
+        channel, times = NoiseKnotChannel(self.CAPPED_KNOTS), np.linspace(0.0, 6.0, 601)
+        coh = maximize_measure("coherent", channel, times=times)
+        res = maximize_measure("coherent_thermal", channel, times=times)
+        k, n = res.diagnostics["argmax_vector"]
+        assert coh.value == pytest.approx(0.40598287670768024, rel=1e-12)
+        assert coh.diagnostics["argmax_vector"][0] == pytest.approx(33.67, abs=5e-3)
+        assert res.value == pytest.approx(0.40880281112884076, rel=1e-12)
+        assert k == ParamBounds().k_max and n == pytest.approx(2.952, abs=1e-3)
+        assert res.argmax.n1 == res.argmax.n2 == n
+
+    def test_uncapped_k_keeps_the_pure_optimum(self):
+        # the same channel with beta_max = 30 (k_max = 1800): the optimum over
+        # K is interior, and the search over n returns n = 0 and the coherent value
+        channel, times = NoiseKnotChannel(self.CAPPED_KNOTS), np.linspace(0.0, 6.0, 601)
+        bounds = ParamBounds(beta_max=30.0)
+        coh = maximize_measure("coherent", channel, bounds=bounds, times=times)
+        res = maximize_measure("coherent_thermal", channel, bounds=bounds, times=times)
+        assert coh.value == pytest.approx(0.4523827266265933, rel=1e-12)
+        assert coh.diagnostics["argmax_vector"][0] < bounds.k_max
+        assert res.diagnostics["argmax_vector"] == [*coh.diagnostics["argmax_vector"], 0.0]
+        assert res.value == coh.value and res.intervals == coh.intervals
 
     def test_rise_from_zero_has_no_finite_optimum(self):
         # 1 - e^{-K a_hi} grows towards 1 with K
@@ -1605,9 +1661,9 @@ class TestExactCoherent:
                                times=np.linspace(0.0, 40.0, 401))
         assert res.value > 0.0
         assert {k: res.diagnostics[k] for k in (
-            "grid_evaluations", "restarts", "iterations",
+            "grid_evaluations", "iterations",
             "function_evaluations", "stagnation")} == {
-            "grid_evaluations": 0, "restarts": 0, "iterations": 0,
+            "grid_evaluations": 0, "iterations": 0,
             "function_evaluations": 0, "stagnation": False}
 
 
@@ -1947,7 +2003,7 @@ class TestFirstOrderSqueezed:
 class TestRecords:
     def test_measure_record_layout(self):
         res = closed_form_coherent_damping(0.1, RATE)
-        header, row = measure_record(res)
+        header, row = cli._record("coherent", DampingChannel(0.1, RATE), res)
         assert header.startswith("family,channel,alpha,T,omega0,omega_c,value")
         cells = row.split(",")
         assert cells[0] == "coherent" and cells[1] == "damping"
@@ -1958,7 +2014,7 @@ class TestRecords:
         channel = qbm_channel(qbm_base, 0.01)
         res = maximize_measure("coherent", channel,
                                times=np.linspace(0.0, 40.0, 801))
-        header, row = measure_record(res)
+        header, row = cli._record("coherent", channel, res)
         cells = row.split(",")
         assert float(cells[3]) == 0.2 and float(cells[4]) == 1.0
         assert float(cells[5]) == pytest.approx(0.2)
