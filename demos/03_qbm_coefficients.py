@@ -34,7 +34,7 @@ print("divisibility violations (Delta < |gamma|):",
 
 numeric = maximize_measure("coherent", channel,
                            times=np.linspace(0.0, 40.0, 2001))
-closed = closed_form_coherent_qbm(coeffs, intervals[0])
+closed = closed_form_coherent_qbm(channel, intervals[0])
 print("\ncoherent measure, numeric:     ", numeric.value)
 print("closed form (first interval):  ", closed.value)
 print("first-order law:               ", first_order_coherent(channel))

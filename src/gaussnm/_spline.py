@@ -3,13 +3,13 @@
 ``hermite_splines`` builds cubic pieces through given knot values and
 slopes.  ``cubic_splines`` builds not-a-knot cubic splines, one per
 column: one tridiagonal solve for the slopes, then ``hermite_splines``.
-``PiecewisePoly`` evaluates a spline, gives its exact antiderivative and
-finds its real roots.  ``cumulative_simpson`` is the composite Simpson rule
-of unequal intervals.  The arithmetic follows scipy's
-``CubicHermiteSpline``, ``CubicSpline``, ``PPoly`` and
-``cumulative_simpson`` step by step, so the results agree with scipy's to
-rounding; they are bit for bit the same where LAPACK's tridiagonal solver
-does not pivot, as on a uniform grid.
+``PiecewisePoly`` evaluates a spline, gives its exact antiderivative,
+finds its real roots and cuts at them the intervals where it is negative.
+``cumulative_simpson`` is the composite Simpson rule of unequal intervals.
+The arithmetic follows scipy's ``CubicHermiteSpline``, ``CubicSpline``,
+``PPoly`` and ``cumulative_simpson`` step by step, so the results agree
+with scipy's to rounding; they are bit for bit the same where LAPACK's
+tridiagonal solver does not pivot, as on a uniform grid.
 """
 
 from __future__ import annotations
@@ -87,6 +87,15 @@ class PiecewisePoly:
             left, right = np.where(past, left, mid), np.where(past, mid, right)
         root = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, 0.5 * (left + right)))
         return np.sort(self.x[i] + root)
+
+    def negative_intervals(self, t_end: float) -> list[tuple[float, float]]:
+        """Maximal intervals of [0, t_end] where the spline is negative, cut
+        at its exact roots."""
+        roots = self.roots()
+        inner = roots[(roots > 0.0) & (roots < t_end)]
+        edges = np.concatenate([[0.0], inner, [t_end]])  # roots() sorts; repeats drop below
+        return [(float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])
+                if hi - lo > 1e-12 and self(0.5 * (lo + hi)) < 0.0]
 
 
 def cubic_splines(x, *columns) -> list[PiecewisePoly]:

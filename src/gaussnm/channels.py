@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -153,17 +154,7 @@ class DampingRateSpec:
             if t_max <= math.pi:
                 return []
             return [(math.pi, min(2.0 * math.pi, t_max))]
-        return _negative_intervals(self._spline, min(t_max, self.table_times[-1]))
-
-
-def _negative_intervals(spline, t_end: float) -> list[tuple[float, float]]:
-    """Maximal intervals of [0, t_end] where the spline is negative, cut at
-    its exact roots; a root at a knot may come from both pieces, ulps apart."""
-    roots = spline.roots()
-    inner = roots[(roots > 0.0) & (roots < t_end)]
-    edges = np.concatenate([[0.0], inner, [t_end]])  # roots() sorts; repeats drop below
-    return [(float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])
-            if hi - lo > 1e-12 and spline(0.5 * (lo + hi)) < 0.0]
+        return self._spline.negative_intervals(min(t_max, self.table_times[-1]))
 
 
 def damping_x(t, alpha: float, spec: DampingRateSpec):
@@ -180,9 +171,10 @@ class QbmPropagator:
     the table grid), so states can be evolved at arbitrary t within the
     table range.  Each is a cubic Hermite spline through the table values
     with the exact knot slopes x' = 2 alpha gamma, y' = 2 alpha Delta and
-    z' = alpha e^{x} Delta, so a build solves nothing.  Delta's own spline
-    and intervals belong to the table, shared across couplings, and a
-    propagator keeps no reference to its table.
+    z' = alpha e^{x} Delta, so a build solves nothing.  Each ``QbmChannel``
+    builds its own once (``QbmChannel.propagator``) and frees it with
+    itself; Delta's own spline and intervals belong to the table, shared
+    across couplings, and a propagator keeps no reference to its table.
     """
 
     def __init__(self, coeffs: ChannelCoefficients):
@@ -249,9 +241,9 @@ class QbmChannel:
     def t_max(self) -> float:
         return self.coeffs.t_end
 
-    @property
+    @cached_property
     def propagator(self) -> QbmPropagator:
-        return self.coeffs.propagator()
+        return QbmPropagator(self.coeffs)
 
     def maps(self, ts):
         prop = self.propagator

@@ -178,7 +178,7 @@ def _closed_result(args, channel) -> MeasureResult:
         )
     # evaluate on the dominant interval (largest exponent backflow)
     tp, tm, _ = max(backflows, key=lambda iv: iv[2])
-    return closed_form_coherent_qbm(channel.coeffs, (tp, tm))
+    return closed_form_coherent_qbm(channel, (tp, tm))
 
 
 _RECORD_HEADER = ("family,channel,alpha,T,omega0,omega_c,value,method,"

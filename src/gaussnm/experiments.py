@@ -17,7 +17,7 @@ import pickle
 import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -44,7 +44,7 @@ __all__ = [
     "run_fig5",
 ]
 
-_EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5", "custom")
+_EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5")
 # config-file key of each ExperimentConfig field whose name differs
 _ALIASES = {"temperatures": "T", "temperature_unit": "T_unit", "phis": "phi"}
 # list fields a sweep cannot run without (it reads their first entry, or it
@@ -60,7 +60,7 @@ SCHEMA_VERSION = 1
 class ExperimentConfig:
     """Flat experiment description; see ``format_config`` for the file form."""
 
-    experiment: str = "custom"
+    experiment: str
     channel: str = "damping"
     family: str = "coherent"
     alpha_min: float = 0.005
@@ -151,7 +151,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in _FIELDS:
             raise ValueError(f"unknown config key {key!r}")
         f = _FIELDS[key]
-        kind = type(f.default)
+        if f.name in kwargs:
+            raise ValueError(f"repeated config key {key!r}")
+        kind = str if f.default is MISSING else type(f.default)
         try:
             if kind is tuple:
                 kwargs[f.name] = (tuple(float(v) for v in raw.split(","))
@@ -161,8 +163,8 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError:
             raise ValueError(f"{key} must be {_KINDS[kind]}, got {raw!r}") from None
     experiment = kwargs.get("experiment")
-    if experiment not in _RUNNERS:
-        raise ValueError(f"experiment must be one of {', '.join(_RUNNERS)}, "
+    if experiment not in _EXPERIMENTS:
+        raise ValueError(f"experiment must be one of {', '.join(_EXPERIMENTS)}, "
                          f"got {experiment!r}")
     defaults = fig_defaults(int(experiment[3:]))
     for key in ("channel", "family"):  # fixed per figure: a runner reads neither
@@ -435,11 +437,10 @@ def _run_qbm_sweep(cfg: ExperimentConfig, out_dir, name: str, specs,
     if include_first_order:  # Delta's roots, found once here, before any fork
         for table in tables.values():
             table.delta_negativity_intervals()
-    # one table, and so one propagator, per (T, alpha) serves all its curves
-    scaled = {(tv, alpha): table.rescaled(alpha)
-              for (_, tv), table in tables.items() for alpha in cfg.alphas}
-    tasks = [(_point, (cfg, QbmChannel(scaled[tv, alpha]), family,
-                       phi, eq, include_first_order))
+    # one channel, and so one propagator, per (T, alpha) serves all its curves
+    qbm = {(tv, alpha): QbmChannel(table.rescaled(alpha))
+           for (_, tv), table in tables.items() for alpha in cfg.alphas}
+    tasks = [(_point, (cfg, qbm[tv, alpha], family, phi, eq, include_first_order))
              for (_, tv, family, phi, eq) in specs for alpha in cfg.alphas]
     exact, first, diag = _regroup(_run_tasks(tasks, workers), len(specs))
     header = ["alpha"]
@@ -484,6 +485,4 @@ _RUNNERS = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3,
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[str]:
     """Dispatch a config to its runner; returns the written paths."""
-    if cfg.experiment not in _RUNNERS:
-        raise ValueError(f"no runner for experiment {cfg.experiment!r}")
     return _RUNNERS[cfg.experiment](cfg, out_dir)

@@ -28,7 +28,6 @@ from .channels import (
     damping_x,
     _grid,
 )
-from .spectral import ChannelCoefficients
 from .states import StatePairParams, fidelity_arrays, pair_invariants
 
 __all__ = [
@@ -669,20 +668,19 @@ def closed_form_coherent_damping(alpha: float, spec: DampingRateSpec,
     )
 
 
-def closed_form_coherent_qbm(coeffs: ChannelCoefficients,
-                             interval: tuple[float, float]) -> MeasureResult:
+def closed_form_coherent_qbm(channel, interval: tuple[float, float]) -> MeasureResult:
     """Coherent-pair closed form for QBM on one diffusion-negativity interval.
 
     Uses the weak-coupling fidelity exp(-P e^{-x} / (e^{-x} + y)); the
     optimal squared half-distance P and the measure follow from the values
-    of x, y at the interval edges.
+    of x, y at the interval edges, read from the ``QbmChannel``'s propagator.
     """
-    prop = coeffs.propagator()
+    prop = channel.propagator
     tp, tm = float(interval[0]), float(interval[1])
     prop.check_t([tp, tm])
     if not tp < tm:
         raise ValueError("interval must satisfy t_plus < t_minus")
-    if float(coeffs.delta_spline()(0.5 * (tp + tm))) >= 0.0:
+    if float(channel.coeffs.delta_spline()(0.5 * (tp + tm))) >= 0.0:
         raise UnsupportedShapeError(
             "interval is not a diffusion-negativity interval"
         )

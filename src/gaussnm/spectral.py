@@ -68,8 +68,8 @@ class ChannelCoefficients:
     bound for run summaries.  Delta's spline and negativity intervals do not
     depend on alpha: each is built at most once, when first asked for, and
     shared by the table and all its ``rescaled`` copies (pickles included).
-    The ``propagator`` is built the same way but belongs to this table
-    alone: a rescaled copy builds its own, and a pickle leaves it out.
+    The spline view that evolves states is ``QbmChannel.propagator``, kept
+    by the channel.
     """
 
     times: np.ndarray
@@ -95,10 +95,6 @@ class ChannelCoefficients:
             raise ValueError("alpha must be positive")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "_delta_view", {})  # see delta_spline
-        object.__setattr__(self, "_propagator", None)  # see propagator
-
-    def __getstate__(self):
-        return {**self.__dict__, "_propagator": None}
 
     @property
     def t_end(self) -> float:
@@ -122,21 +118,12 @@ class ChannelCoefficients:
             view["spline"], = cubic_splines(self.times, self.delta)
         return view["spline"]
 
-    def propagator(self):
-        """The ``channels.QbmPropagator`` of this table, built when first
-        asked for; it lives and dies with the table."""
-        if self._propagator is None:
-            from .channels import QbmPropagator  # channels imports this module
-            object.__setattr__(self, "_propagator", QbmPropagator(self))
-        return self._propagator
-
     def delta_negativity_intervals(self) -> list[tuple[float, float]]:
         """Maximal intervals of [0, t_end] where Delta(t) < 0, cut at the
         spline's exact roots."""
         view = self._delta_view
         if "intervals" not in view:
-            from .channels import _negative_intervals  # channels imports this module
-            view["intervals"] = _negative_intervals(self.delta_spline(), self.t_end)
+            view["intervals"] = self.delta_spline().negative_intervals(self.t_end)
         return list(view["intervals"])
 
 
@@ -225,11 +212,10 @@ def divisibility_check(coeffs: ChannelCoefficients) -> list[tuple[float, float]]
     of the negative intervals of the splines of Delta - gamma and
     Delta + gamma, cut at their exact roots.  Empty means the map is
     CP-divisible (Torre, Roga & Illuminati, PRL 115, 070401 (2015))."""
-    from .channels import _negative_intervals  # channels imports this module
     splines = cubic_splines(coeffs.times, coeffs.delta - coeffs.gamma,
                             coeffs.delta + coeffs.gamma)
     out = []
-    for lo, hi in sorted(iv for s in splines for iv in _negative_intervals(s, coeffs.t_end)):
+    for lo, hi in sorted(iv for s in splines for iv in s.negative_intervals(coeffs.t_end)):
         if out and lo <= out[-1][1]:  # overlaps the last one: merge
             lo, hi = out[-1][0], max(hi, out.pop()[1])
         out.append((lo, hi))

@@ -212,14 +212,18 @@ class TestEvolveQbm:
             err = np.max(np.abs(spline(t) - col[~knot]))
             assert 0.0 < err <= 0.5 * np.max(np.abs(not_a_knot(t) - col[~knot]))
 
-    def test_propagator_lives_with_its_table(self, qbm_table):
-        # built once per table, not shared with a rescaled copy, left out of
-        # the table's pickle, and collected with the channel that used it
+    def test_propagator_lives_with_its_channel(self, qbm_table):
+        # built once per channel, not shared with another channel on the same
+        # or a rescaled table, held by no table (so in no table's pickle),
+        # and collected with the channel that built it
         channel = QbmChannel(qbm_table.rescaled(0.02))
         prop = weakref.ref(channel.propagator)
-        assert channel.propagator is prop() is channel.coeffs.propagator()
-        assert channel.coeffs.rescaled(0.02).propagator() is not prop()
-        assert pickle.loads(pickle.dumps(channel.coeffs))._propagator is None
+        assert channel.propagator is prop()
+        assert QbmChannel(channel.coeffs).propagator is not prop()
+        assert QbmChannel(channel.coeffs.rescaled(0.02)).propagator is not prop()
+        for table in (channel.coeffs, pickle.loads(pickle.dumps(channel.coeffs))):
+            assert not any(isinstance(v, channels.QbmPropagator)
+                           for v in vars(table).values())
         del channel
         gc.collect()
         assert prop() is None

@@ -292,10 +292,8 @@ class TestReproduceCommand:
     def test_runs_without_scipy(self, tmp_path, figure):
         # numpy is the one runtime dependency: with scipy unimportable, any
         # scipy import on the way to a written sweep fails this run
-        from gaussnm.experiments import fig_defaults, format_config
-
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(format_config(fig_defaults(figure)) + "n_steps=40\n"
+        cfg.write_text(f"schema=1\nexperiment=fig{figure}\nn_steps=40\n"
                        "traj_points=100\nalpha_points=1\nworkers=1\n")
         no_scipy = ("-c", "import sys; sys.modules['scipy'] = None; "
                     "from gaussnm.cli import main; sys.exit(main())")

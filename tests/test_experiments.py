@@ -18,12 +18,21 @@ from gaussnm.experiments import (
     parse_config,
     run_experiment,
 )
+from gaussnm._spline import PiecewisePoly
 from gaussnm.spectral import ChannelCoefficients, EnvironmentSpec, build_coefficients
 from helpers import pair_batches
 
 
 def read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True)
+
+
+def with_line(figure, line):
+    """The config file of ``fig_defaults(figure)`` with ``line`` in place of
+    the line of its key."""
+    key = line.partition("=")[0]
+    return "".join(f"{line}\n" if ln.startswith(f"{key}=") else f"{ln}\n"
+                   for ln in format_config(fig_defaults(figure)).splitlines())
 
 
 class TestConfig:
@@ -43,6 +52,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config("schema=1\nbogus=1\n")
 
+    def test_repeated_key_rejected(self):
+        # the last of two lines won, so this config ran T = 0.5 alone
+        with pytest.raises(ValueError, match="repeated config key 'T'"):
+            parse_config("schema=1\nexperiment=fig4\nT=0.2\nT=0.5\n")
+        with pytest.raises(ValueError, match="repeated config key 'experiment'"):
+            parse_config("schema=1\nexperiment=fig4\nexperiment=fig4\n")
+
+    def test_experiment_required(self):
+        with pytest.raises(TypeError, match="experiment"):
+            ExperimentConfig()
+        with pytest.raises(ValueError, match="unknown experiment 'custom'"):
+            ExperimentConfig(experiment="custom")
+
     def test_comments_and_blank_lines(self):
         text = "# comment\n\nschema=1\nexperiment=fig2\nomega0=4,6\nT=0,1\n"
         cfg = parse_config(text)
@@ -52,33 +74,30 @@ class TestConfig:
 
     def test_alpha_range_invariant(self):
         with pytest.raises(ValueError, match="alpha"):
-            ExperimentConfig(alpha_min=0.1, alpha_max=0.7)
+            ExperimentConfig(experiment="fig1", alpha_min=0.1, alpha_max=0.7)
         with pytest.raises(ValueError, match="alpha"):
-            ExperimentConfig(alpha_min=-0.1, alpha_max=0.1)
+            ExperimentConfig(experiment="fig1", alpha_min=-0.1, alpha_max=0.1)
 
     def test_phi_invariant(self):
         with pytest.raises(ValueError, match="phi"):
-            ExperimentConfig(phis=(0.0,))
+            ExperimentConfig(experiment="fig1", phis=(0.0,))
         with pytest.raises(ValueError, match="phi"):
-            ExperimentConfig(phis=(3.5,))
+            ExperimentConfig(experiment="fig1", phis=(3.5,))
 
     @pytest.mark.parametrize("figure, key", [
         (2, "omega0"), (2, "T"), (3, "omega0"), (3, "T"), (4, "omega0"),
         (4, "T"), (4, "phi"), (5, "omega0"), (5, "T"), (5, "phi"),
     ])
     def test_empty_list_key_rejected(self, figure, key):
-        lines = format_config(fig_defaults(figure)).splitlines()
-        text = "\n".join(f"{key}=" if ln.startswith(f"{key}=") else ln
-                         for ln in lines)
         with pytest.raises(ValueError, match=f"'{key}'"):
-            parse_config(text)
+            parse_config(with_line(figure, f"{key}="))
 
     @pytest.mark.parametrize("key, value", [
         ("r_max", -1.0), ("beta_max", -2.0), ("n_max", math.nan)])
     def test_bad_search_box_rejected(self, key, value):
         # parse_config builds this object, so a bad file fails when parsed
         with pytest.raises(ValueError, match=f"{key} must be finite and >= 0"):
-            ExperimentConfig(**{key: value})
+            ExperimentConfig(experiment="fig1", **{key: value})
 
     @pytest.mark.parametrize("key, value, message", [
         ("traj_points", 1, ">= 2"), ("traj_points", 0, ">= 2"),
@@ -92,15 +111,14 @@ class TestConfig:
         # traj_points = 1 used to write N = 0 for every squeezed point; a
         # value that does not convert, or a rate fig1 cannot build, fails
         # here by its key, not in the sweep
-        text = format_config(fig_defaults(1)) + f"{key}={value}\n"
         with pytest.raises(ValueError, match=f"{key} must be {message}"):
-            parse_config(text)
+            parse_config(with_line(1, f"{key}={value}"))
 
     @pytest.mark.parametrize("figure", [3, 4, 5])
     def test_second_omega0_rejected(self, figure):
         # figs 3-5 build every table at the first omega0
         with pytest.raises(ValueError, match=f"fig{figure} takes one 'omega0'"):
-            parse_config(format_config(fig_defaults(figure)) + "omega0=1,2\n")
+            parse_config(with_line(figure, "omega0=1,2"))
 
     @pytest.mark.parametrize("figure, line", [(4, "T=0.2,0.5"),
                                               (5, "phi=0.05,0.1")])
@@ -109,7 +127,7 @@ class TestConfig:
         # was read by no runner and wrote no column
         key = line.partition("=")[0]
         with pytest.raises(ValueError, match=f"fig{figure} takes one '{key}' value, got 2"):
-            parse_config(format_config(fig_defaults(figure)) + line + "\n")
+            parse_config(with_line(figure, line))
 
     @pytest.mark.parametrize("figure, line", [
         (1, "channel=qbm"), (1, "family=coherent"), (2, "channel=damping"),
@@ -119,7 +137,7 @@ class TestConfig:
         # family=squeezed still wrote the QBM coherent columns
         key, _, value = line.partition("=")
         with pytest.raises(ValueError, match=f"fig{figure} runs {key} .*, got '{value}'"):
-            parse_config(format_config(fig_defaults(figure)) + line + "\n")
+            parse_config(with_line(figure, line))
 
     def test_omitted_channel_and_family_follow_the_figure(self, tmp_path):
         # they were filled from the dataclass (damping, coherent), so a fig5
@@ -154,11 +172,11 @@ class TestConfig:
 
     def test_empty_displacement_box_rejected(self):
         with pytest.raises(ValueError, match="beta_max must be > 0"):
-            parse_config(format_config(fig_defaults(3)) + "beta_max=0\n")
+            parse_config(with_line(3, "beta_max=0"))
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            ExperimentConfig(workers=-3)
+            ExperimentConfig(experiment="fig1", workers=-3)
 
     def test_temperature_units(self):
         cfg = replace(fig_defaults(2), omega_c=2.0)
@@ -240,7 +258,7 @@ class TestFig2:
         def refuse(*args):
             raise AssertionError("fig2 asked for Delta's spline or roots")
 
-        monkeypatch.setattr(channels, "_negative_intervals", refuse)
+        monkeypatch.setattr(PiecewisePoly, "negative_intervals", refuse)
         monkeypatch.setattr(ChannelCoefficients, "delta_spline", refuse)
         assert run_experiment(tiny_config(2, workers=1), tmp_path)
 
@@ -339,14 +357,14 @@ class TestDeterminismAndWorkers:
     def test_pool_workers_repeat_no_root_search(self, tmp_path, monkeypatch):
         # the sweep finds each table's Delta intervals before the fan-out,
         # so the forked workers inherit them and never search again
-        parent, original = os.getpid(), channels._negative_intervals
+        parent, original = os.getpid(), PiecewisePoly.negative_intervals
 
         def parent_only(spline, t_end):
             if os.getpid() != parent:
                 raise AssertionError("a pool worker searched Delta's roots")
             return original(spline, t_end)
 
-        monkeypatch.setattr(channels, "_negative_intervals", parent_only)
+        monkeypatch.setattr(PiecewisePoly, "negative_intervals", parent_only)
         p1 = run_experiment(tiny_config(4, workers=2), tmp_path / "pool")
         monkeypatch.undo()
         p2 = run_experiment(tiny_config(4, workers=1), tmp_path / "serial")

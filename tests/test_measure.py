@@ -38,7 +38,8 @@ from gaussnm import (
     squeezed_response,
     trajectory,
 )
-from gaussnm import channels, cli, measure
+from gaussnm import cli, measure
+from gaussnm._spline import PiecewisePoly
 from gaussnm.experiments import _table, fig_defaults
 from gaussnm.measure import (
     _NOISE_FLOOR,
@@ -482,13 +483,13 @@ class TestNegativityIntervals:
         # Delta does not depend on alpha: a table and its rescaled copies
         # share one root search, which a pickled channel carries with it
         calls = []
-        original = channels._negative_intervals
+        original = PiecewisePoly.negative_intervals
 
         def counted(spline, t_end):
             calls.append(t_end)
             return original(spline, t_end)
 
-        monkeypatch.setattr(channels, "_negative_intervals", counted)
+        monkeypatch.setattr(PiecewisePoly, "negative_intervals", counted)
         for temp in (0.2, 0.5):  # the fig3 tables, built afresh
             table = build_coefficients(EnvironmentSpec(1.0, 0.2, temp), alpha=1.0,
                                        t_end=40.0, n_steps=400)
@@ -1711,7 +1712,7 @@ class TestClosedFormQbm:
     def test_cross_validates_numeric_optimizer(self, qbm_base):
         channel = qbm_channel(qbm_base, 0.05)
         intervals = channel.coeffs.delta_negativity_intervals()
-        closed = closed_form_coherent_qbm(channel.coeffs, intervals[0])
+        closed = closed_form_coherent_qbm(channel, intervals[0])
         numeric = maximize_measure("coherent", channel,
                                    times=np.linspace(0.0, 40.0, 2001))
         assert abs(closed.value - numeric.value) <= 1e-4
@@ -1724,7 +1725,7 @@ class TestClosedFormQbm:
             table = coefficients_from_functions(RATE.rate, RATE.rate,
                                                 alpha=alpha, t_end=8.0,
                                                 n_steps=1600)
-            qbm = closed_form_coherent_qbm(table, (math.pi, 2.0 * math.pi))
+            qbm = closed_form_coherent_qbm(QbmChannel(table), (math.pi, 2.0 * math.pi))
             damp = closed_form_coherent_damping(alpha, RATE)
             rels.append(abs(qbm.value - damp.value) / damp.value)
         # the two expressions share the first order; the gap shrinks with alpha
@@ -1739,7 +1740,7 @@ class TestClosedFormQbm:
                                             n_steps=1500)
         channel = QbmChannel(table)
         (iv,) = channel.coeffs.delta_negativity_intervals()
-        closed = closed_form_coherent_qbm(table, iv)
+        closed = closed_form_coherent_qbm(channel, iv)
         assert closed.value > 0.0
         numeric = maximize_measure("coherent", channel,
                                    times=np.linspace(0.0, 1.5 * math.pi, 1001))
@@ -1752,20 +1753,21 @@ class TestClosedFormQbm:
         table = coefficients_from_functions(
             lambda t: 1.0, lambda t: 2.0 - 2.2 * math.exp(-(t - 5.0) ** 2),
             alpha=0.5, t_end=10.0, n_steps=1000)
-        (iv,) = QbmChannel(table).coeffs.delta_negativity_intervals()
-        res = closed_form_coherent_qbm(table, iv)
+        channel = QbmChannel(table)
+        (iv,) = channel.coeffs.delta_negativity_intervals()
+        res = closed_form_coherent_qbm(channel, iv)
         assert res.value == 0.0
         assert res.diagnostics["P"] > 0.0
 
     def test_positive_interval_rejected(self, qbm_base):
         with pytest.raises(UnsupportedShapeError):
-            closed_form_coherent_qbm(qbm_base, (0.5, 1.5))
+            closed_form_coherent_qbm(QbmChannel(qbm_base), (0.5, 1.5))
 
     def test_unphysical_table_rejected(self):
         table = coefficients_from_functions(lambda t: 0.0, lambda t: -1.0,
                                             alpha=0.6, t_end=2.0, n_steps=200)
         with pytest.raises(ValueError, match="unphysical"):
-            closed_form_coherent_qbm(table, (0.5, 1.9))
+            closed_form_coherent_qbm(QbmChannel(table), (0.5, 1.9))
 
 
 class TestFirstOrder:

@@ -6,7 +6,6 @@ from scipy.integrate import cumulative_simpson as scipy_simpson
 from scipy.interpolate import CubicHermiteSpline, CubicSpline, PPoly
 
 from gaussnm._spline import PiecewisePoly, cubic_splines, cumulative_simpson, hermite_splines
-from gaussnm.channels import _negative_intervals
 
 
 def _knots(n, uniform):
@@ -80,7 +79,7 @@ def test_dip_inside_one_piece():
     roots = _distinct(ours.roots())
     assert np.allclose(roots, _distinct(ref.roots(extrapolate=False)), rtol=0.0, atol=1e-13)
     assert np.allclose(roots, [0.4975, 0.5025], rtol=0.0, atol=1e-13)
-    assert np.allclose(_negative_intervals(ours, 2.0), [(0.4975, 0.5025)], rtol=0.0, atol=1e-13)
+    assert np.allclose(ours.negative_intervals(2.0), [(0.4975, 0.5025)], rtol=0.0, atol=1e-13)
 
 
 def test_root_at_a_knot():
@@ -91,15 +90,16 @@ def test_root_at_a_knot():
     roots = _distinct(spline.roots())
     assert np.allclose(roots, _distinct(ref.roots(extrapolate=False)), rtol=0.0, atol=1e-13)
     assert roots.tolist() == [x[3]]
-    assert _negative_intervals(spline, 4.0) == [(0.0, x[3])]
+    assert spline.negative_intervals(4.0) == [(0.0, x[3])]
 
 
 def test_piece_zero_everywhere():
     # t - 1 on [0, 1], 0 on [1, 2], 2 - t on [2, 3]
     c = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, -1.0], [-1.0, 0.0, 0.0]]
     ours, ref = _both([0.0, 1.0, 2.0, 3.0], c)
-    assert _negative_intervals(ours, 3.0) == _negative_intervals(ref, 3.0)
-    assert _negative_intervals(ours, 3.0) == [(0.0, 1.0), (2.0, 3.0)]
+    # the same cut on scipy's spline, through its roots() and values
+    assert ours.negative_intervals(3.0) == PiecewisePoly.negative_intervals(ref, 3.0)
+    assert ours.negative_intervals(3.0) == [(0.0, 1.0), (2.0, 3.0)]
 
 
 @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
