@@ -45,15 +45,29 @@ from .states import StatePairParams, bures_distance, fidelity, make_gaussian
 _UNITS = "dimensionless, hbar = k_B = 1; frequencies in inverse time units"
 
 
+def _at_least_zero(strict: bool):
+    """argparse type: a number > 0 (``strict``) or >= 0; NaN fails both."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not (value > 0.0 if strict else value >= 0.0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} 0, got {text}")
+        return value
+    return number
+
+
+_POSITIVE, _NON_NEGATIVE = _at_least_zero(True), _at_least_zero(False)
+
+
 def _state_flags(parser: argparse.ArgumentParser, suffix: str):
     g = parser.add_argument_group(f"state {suffix}")
-    g.add_argument(f"--n{suffix}", type=float, required=True,
+    g.add_argument(f"--n{suffix}", type=_NON_NEGATIVE, required=True,
                    help=f"mean thermal quanta of state {suffix} (>= 0)")
-    g.add_argument(f"--r{suffix}", type=float, required=True,
+    g.add_argument(f"--r{suffix}", type=_NON_NEGATIVE, required=True,
                    help=f"squeezing magnitude of state {suffix} (>= 0)")
     g.add_argument(f"--phi{suffix}", type=float, required=True,
                    help=f"squeezing angle of state {suffix} (radians)")
-    g.add_argument(f"--beta-mag{suffix}", type=float, required=True,
+    g.add_argument(f"--beta-mag{suffix}", type=_NON_NEGATIVE, required=True,
                    help=f"displacement magnitude |beta| of state {suffix}")
     g.add_argument(f"--beta-arg{suffix}", type=float, required=True,
                    help=f"displacement angle of state {suffix} (radians)")
@@ -65,22 +79,10 @@ def _state_from_flags(args, suffix: str):
     phi = getattr(args, f"phi{suffix}")
     mag = getattr(args, f"beta_mag{suffix}")
     arg = getattr(args, f"beta_arg{suffix}")
-    if n < 0.0:
-        raise ValueError(f"--n{suffix} must be >= 0")
-    if r < 0.0:
-        raise ValueError(f"--r{suffix} must be >= 0")
-    if mag < 0.0:
-        raise ValueError(f"--beta-mag{suffix} must be >= 0")
     return make_gaussian(n=n, r=r, phi=phi, beta=mag * np.exp(1j * arg))
 
 
 def _env_from_args(args) -> EnvironmentSpec:
-    if args.omega0 <= 0.0:
-        raise ValueError("--omega0 must be > 0")
-    if args.omega_c <= 0.0:
-        raise ValueError("--omega-c must be > 0")
-    if args.T < 0.0:
-        raise ValueError("--T must be >= 0")
     return EnvironmentSpec(omega0=args.omega0, omega_c=args.omega_c,
                            temperature=args.T)
 
@@ -107,8 +109,6 @@ def _cmd_fidelity(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     env = _env_from_args(args)
-    if args.alpha <= 0.0:
-        raise ValueError("--alpha must be > 0")
     table = build_coefficients(env, alpha=args.alpha, t_end=args.t_end,
                                n_steps=args.n_steps)
     write_coefficients_csv(table, args.out)
@@ -118,9 +118,6 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    _state_from_flags(args, "")  # validates the flags, naming the bad one
-    if args.alpha <= 0.0:
-        raise ValueError("--alpha must be > 0")
     times = np.linspace(0.0, args.t_end, args.points)
     pair = StatePairParams(n1=args.n, r1=args.r, phi1=args.phi,
                            beta1_mag=args.beta_mag, theta1=args.beta_arg)
@@ -207,8 +204,6 @@ def _record(family: str, channel, result: MeasureResult) -> tuple[str, str]:
 
 
 def _cmd_measure(args) -> int:
-    if args.alpha <= 0.0:
-        raise ValueError("--alpha must be > 0")
     family = args.family.replace("-", "_")
     bounds = ParamBounds(r_max=args.r_max)  # checks --r-max for every method
     channel = _channel_from_args(args)
@@ -250,18 +245,18 @@ def _channel_flags(parser: argparse.ArgumentParser, temperature: float,
                    t_end: float):
     """Flags choosing the channel and its time range (evolve and measure)."""
     parser.add_argument("--channel", choices=("damping", "qbm"), required=True)
-    parser.add_argument("--alpha", type=float, required=True,
-                        help="coupling constant")
+    parser.add_argument("--alpha", type=_POSITIVE, required=True,
+                        help="coupling constant (> 0)")
     parser.add_argument("--rate", choices=("decaying-sine", "constant"),
                         default="decaying-sine",
                         help="damping rate shape (damping channel)")
     parser.add_argument("--gamma0", type=float, default=0.5,
                         help="constant rate value (rate=constant)")
-    parser.add_argument("--omega0", type=float, default=1.0,
+    parser.add_argument("--omega0", type=_POSITIVE, default=1.0,
                         help="system frequency (qbm)")
-    parser.add_argument("--omega-c", type=float, default=0.2,
+    parser.add_argument("--omega-c", type=_POSITIVE, default=0.2,
                         help="cutoff frequency (qbm)")
-    parser.add_argument("--T", type=float, default=temperature,
+    parser.add_argument("--T", type=_NON_NEGATIVE, default=temperature,
                         help="temperature k_B T (qbm)")
     parser.add_argument("--t-end", type=float, default=t_end,
                         help="final time / coefficient table end")
@@ -284,13 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fid.set_defaults(fn=_cmd_fidelity)
 
     p_coef = sub.add_parser("coeffs", help="tabulate Ohmic bath coefficients")
-    p_coef.add_argument("--omega0", type=float, required=True,
+    p_coef.add_argument("--omega0", type=_POSITIVE, required=True,
                         help="system frequency (inverse time units)")
-    p_coef.add_argument("--omega-c", type=float, required=True,
+    p_coef.add_argument("--omega-c", type=_POSITIVE, required=True,
                         help="cutoff frequency (inverse time units)")
-    p_coef.add_argument("--T", type=float, default=0.0,
+    p_coef.add_argument("--T", type=_NON_NEGATIVE, default=0.0,
                         help="temperature k_B T (inverse time units)")
-    p_coef.add_argument("--alpha", type=float, required=True,
+    p_coef.add_argument("--alpha", type=_POSITIVE, required=True,
                         help="coupling constant (dimensionless)")
     p_coef.add_argument("--t-end", type=float, default=40.0,
                         help="final time of the table")

@@ -136,10 +136,11 @@ _KINDS = {int: "an integer", float: "a number", tuple: "comma-separated numbers"
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key=value config format (schema=1 header required):
-    the named figure's ``fig_defaults`` with the file's values."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    """Parse the flat key=value config format (schema=1 header required; a
+    ``#`` starts a comment): the named figure's ``fig_defaults`` with the
+    file's values."""
+    lines = [ln.partition("#")[0].strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
     if not lines or not lines[0].replace(" ", "") == f"schema={SCHEMA_VERSION}":
         raise ValueError(f"config must start with 'schema={SCHEMA_VERSION}'")
     kwargs = {}
@@ -338,17 +339,13 @@ def _merge_diag(acc: dict, diag: dict) -> None:
                                + int(diag.get("stagnation", False)))
 
 
-def _regroup(points: list, n_curves: int):
-    """Split ordered ``(value, first_order, diagnostics)`` points into
-    per-curve value and first-order arrays; sum the diagnostics."""
+def _regroup(points: list, n_alphas: int):
+    """Split ordered ``(value, diagnostics)`` points into one row of values
+    per curve, ``n_alphas`` long; sum the diagnostics."""
     diag: dict = {}
-    for _, _, d in points:
+    for _, d in points:
         _merge_diag(diag, d)
-    size = len(points) // max(n_curves, 1)
-    curves = [points[i * size:(i + 1) * size] for i in range(n_curves)]
-    exact = [np.array([value for value, _, _ in c]) for c in curves]
-    first = [np.array([f for _, f, _ in c]) for c in curves]
-    return exact, first, diag
+    return np.array([value for value, _ in points]).reshape(-1, n_alphas), diag
 
 
 def _table(cfg: ExperimentConfig, omega0: float,
@@ -359,30 +356,20 @@ def _table(cfg: ExperimentConfig, omega0: float,
                               n_steps=cfg.n_steps)
 
 
-def _tables(cfg: ExperimentConfig, keys, workers: int) -> dict:
-    """One alpha = 1 table per distinct (omega0, T) key.
-
-    The coupling only rescales x and y, so one table serves every curve
-    and coupling at its key.
-    """
-    keys = list(dict.fromkeys(keys))
-    return dict(zip(keys, _pool_tasks([(_table, (cfg, *key)) for key in keys],
-                                      workers)))
+def _first_order(cfg: ExperimentConfig, channel, family: str, phi: float) -> float:
+    """The weak-coupling law of one family at one coupling."""
+    if family == "coherent":
+        return first_order_coherent(channel)
+    return first_order_squeezed_max(channel, phi, r_max=cfg.r_max)[0]
 
 
 def _point(cfg: ExperimentConfig, channel, family: str, phi: float,
-           equal_squeezing: bool, want_first_order: bool):
-    """``(value, first_order, diagnostics)`` of one family at one coupling."""
+           equal_squeezing: bool):
+    """``(value, diagnostics)`` of one family's maximization at one coupling."""
     times = np.linspace(0.0, cfg.t_end, cfg.traj_points + 1)
     res = maximize_measure(family, channel, bounds=cfg.bounds(), phi=phi,
                            equal_squeezing=equal_squeezing, times=times)
-    first = None
-    if want_first_order:
-        if family == "coherent":
-            first = first_order_coherent(channel)
-        else:
-            first = first_order_squeezed_max(channel, phi, r_max=cfg.r_max)[0]
-    return res.value, first, res.diagnostics
+    return res.value, res.diagnostics
 
 
 # --- damping channel sweep (fig 1) -----------------------------------------
@@ -397,10 +384,11 @@ def run_fig1(cfg: ExperimentConfig, out_dir) -> list[str]:
     coh_exact = [closed_form_coherent_damping(alpha, rate, t_max=cfg.t_end).value
                  for alpha in alphas]
     coh_first = [first_order_coherent(channel) for channel in channels]
-    tasks = [(_point, (cfg, channel, "squeezed", p, False, True))
+    first = [[_first_order(cfg, channel, "squeezed", p) for channel in channels]
+             for p in cfg.phis]
+    tasks = [(_point, (cfg, channel, "squeezed", p, False))
              for p in cfg.phis for channel in channels]
-    exact, first, diag = _regroup(_run_tasks(tasks, _resolve_workers(cfg)),
-                                  len(cfg.phis))
+    exact, diag = _regroup(_run_tasks(tasks, _resolve_workers(cfg)), len(alphas))
 
     header = ["alpha", "coherent_exact", "coherent_first_order"]
     cols = [alphas, np.array(coh_exact), np.array(coh_first)]
@@ -419,7 +407,9 @@ def run_fig2(cfg: ExperimentConfig, out_dir) -> list[str]:
     """Diffusion coefficient vs time for each (omega0, T) combination."""
     os.makedirs(out_dir, exist_ok=True)
     keys = [(w0, tv) for w0 in cfg.omega0 for tv in cfg.temperatures]
-    tables = _tables(cfg, keys, _resolve_workers(cfg))
+    distinct = list(dict.fromkeys(keys))
+    built = _pool_tasks([(_table, (cfg, *key)) for key in distinct], _resolve_workers(cfg))
+    tables = dict(zip(distinct, built))
     header = ["t"] + [f"delta_omega0_{w0:g}_T{tv:g}" for w0, tv in keys]
     cols = [tables[keys[0]].times] + [tables[key].delta for key in keys]
     return _write_outputs(cfg, out_dir, "fig2", header, cols, tables.values())
@@ -431,24 +421,25 @@ def _run_qbm_sweep(cfg: ExperimentConfig, out_dir, name: str, specs,
                    include_first_order: bool) -> list[str]:
     """Shared driver for figs 3-5; specs are (label, T, family, phi, equal_r)."""
     os.makedirs(out_dir, exist_ok=True)
-    workers = _resolve_workers(cfg)
-    w0 = cfg.omega0[0]
-    tables = _tables(cfg, [(w0, tv) for _, tv, *_ in specs], workers)
-    if include_first_order:  # Delta's roots, found once here, before any fork
-        for table in tables.values():
-            table.delta_negativity_intervals()
-    # one channel, and so one propagator, per (T, alpha) serves all its curves
+    # the coupling only rescales x and y, so one alpha = 1 table per distinct
+    # T, and one channel (one propagator) per (T, alpha), serve all its curves
+    tables = {tv: _table(cfg, cfg.omega0[0], tv)
+              for tv in dict.fromkeys(tv for _, tv, *_ in specs)}
     qbm = {(tv, alpha): QbmChannel(table.rescaled(alpha))
-           for (_, tv), table in tables.items() for alpha in cfg.alphas}
-    tasks = [(_point, (cfg, qbm[tv, alpha], family, phi, eq, include_first_order))
-             for (_, tv, family, phi, eq) in specs for alpha in cfg.alphas]
-    exact, first, diag = _regroup(_run_tasks(tasks, workers), len(specs))
+           for tv, table in tables.items() for alpha in cfg.alphas}
+    # the first-order laws run before the fork: the point workers inherit
+    # each table's Delta intervals and each channel's propagator
+    first = [[_first_order(cfg, qbm[tv, alpha], family, phi) for alpha in cfg.alphas]
+             if include_first_order else None for _, tv, family, phi, _ in specs]
+    tasks = [(_point, (cfg, qbm[tv, alpha], family, phi, eq))
+             for _, tv, family, phi, eq in specs for alpha in cfg.alphas]
+    exact, diag = _regroup(_run_tasks(tasks, _resolve_workers(cfg)), len(cfg.alphas))
     header = ["alpha"]
     cols = [cfg.alphas]
     for (label, *_), ex, fo in zip(specs, exact, first):
         header.append(f"{label}_exact")
         cols.append(ex)
-        if include_first_order:
+        if fo is not None:
             header.append(f"{label}_first_order")
             cols.append(fo)
     return _write_outputs(cfg, out_dir, name, header, cols, tables.values(),

@@ -1,6 +1,7 @@
-"""Each script in demos/ runs to completion from a scratch directory."""
+"""Each script in demos/, and README's quick start, runs to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,12 @@ def test_demo_runs(demo, tmp_path):
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert checkout_files() - before == set()
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    # the documented calls and names stay the library's
+    readme = (PKG_ROOT / "README.md").read_text()
+    code = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme,
+                     re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})

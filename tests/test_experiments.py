@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -71,6 +72,14 @@ class TestConfig:
         assert cfg.experiment == "fig2"
         assert cfg.omega0 == (4.0, 6.0)
         assert cfg.temperatures == (0.0, 1.0)
+
+    def test_inline_comments(self):
+        # README's example: a comment after a value used to become part of
+        # it, so "workers=0   # 0 = all cores" failed as no integer
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = re.search(r"```\n(schema=1\n.*?)```", readme, re.S).group(1)
+        assert "#" in example
+        assert parse_config(example) == fig_defaults(3)
 
     def test_alpha_range_invariant(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -400,6 +409,41 @@ class TestDeterminismAndWorkers:
         assert len(forks) == 1
         with open(p1[0], "rb") as serial, open(p2[0], "rb") as pool:
             assert serial.read() == pool.read()
+
+    def test_qbm_sweep_forks_once(self, tmp_path, monkeypatch):
+        # two temperatures: their tables are built in this process, so the
+        # points' fork is the sweep's only one and no process pool starts
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(0) or real_fork())
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a QBM sweep started a process pool")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        run_experiment(tiny_config(3, workers=2), tmp_path)
+        assert len(forks) == 1
+
+    def test_point_workers_only_maximize(self, tmp_path, monkeypatch):
+        # the first-order columns are computed before the fork, so a forked
+        # point worker builds no propagator and runs no first-order law
+        parent = os.getpid()
+
+        def parent_only(fn):
+            def call(*args, **kwargs):
+                if os.getpid() != parent:
+                    raise AssertionError(f"a point worker called {fn.__name__}")
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(channels, "QbmPropagator",
+                            parent_only(channels.QbmPropagator))
+        for name in ("first_order_coherent", "first_order_squeezed_max"):
+            monkeypatch.setattr(experiments, name,
+                                parent_only(getattr(experiments, name)))
+        p2 = run_experiment(tiny_config(4, workers=2), tmp_path / "pool")
+        monkeypatch.undo()
+        p1 = run_experiment(tiny_config(4, workers=1), tmp_path / "serial")
+        assert Path(p1[0]).read_bytes() == Path(p2[0]).read_bytes()
 
     @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "child"])
     def test_point_error_reaches_the_caller(self, tmp_path, monkeypatch,

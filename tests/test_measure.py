@@ -152,6 +152,15 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match=match):
             maximize_measure("squeezed", DampingChannel(alpha=0.1), times=times)
 
+    def test_default_grid(self):
+        # times=None is 2001 points of [0, channel.t_max], bit for bit
+        channel = QbmChannel(build_coefficients(ENV_REF, alpha=0.05, t_end=20.0,
+                                                n_steps=200))
+        default, explicit = (
+            maximize_measure("squeezed", channel, equal_squeezing=True, times=times)
+            for times in (None, np.linspace(0.0, channel.t_max, 2001)))
+        assert vars(default) == vars(explicit)
+
     @pytest.mark.parametrize("fault", sorted(BAD))
     def test_trajectory_rejects(self, fault):
         # the same rule holds for the evolved states
@@ -1102,6 +1111,14 @@ class TestZoomMemo:
             np.zeros_like, 0.0, 5.0, 33)
         assert (x, value, coarse, steps, scored) == (0.0, 0.0, 0.0, 0, 33)
         assert len(batches) == 1
+
+    def test_curvature_rounded_to_zero_ends_the_zoom(self):
+        # (1 - 2**-53) - 2 + 1 rounds to 0.0: the step must stop there, not
+        # divide by the curvature
+        def step(xs):
+            return np.where(xs >= 0.5, 1.0, 1.0 - 2.0 ** -53)
+
+        assert measure._zoom_max(step, 0.0, 1.0, 33) == (0.5, 1.0, 1.0, 0, 33)
 
     @pytest.mark.parametrize("equal, batches", [(True, [0, 33]), (False, [78, 33, 1])],
                              ids=["equal", "r1_r2"])
